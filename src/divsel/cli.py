@@ -18,7 +18,7 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import harness, memory as memory_mod, prompt as prompt_mod, retrieval, selection, synth, verifier as verifier_mod
-from .encoder import DialogueContext, EncoderWeights, Turn, encode_context, load_weights
+from .encoder import load_weights
 from .errors import DivselError, InvariantViolation
 
 
@@ -28,24 +28,6 @@ def _emit(rows, out_path: str | None) -> None:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _load_dialogue(path: str) -> DialogueContext:
-    row = json.loads(Path(path).read_text(encoding="utf-8").strip().splitlines()[0])
-    turns = tuple(
-        Turn(
-            user=str(t["user"]),
-            agent=str(t["agent"]),
-            user_embedding=np.asarray(t["user_embedding"], dtype=np.float64),
-            agent_embedding=np.asarray(t["agent_embedding"], dtype=np.float64),
-        )
-        for t in row.get("turns", [])
-    )
-    return DialogueContext(
-        turns=turns,
-        current=str(row["current"]),
-        current_embedding=np.asarray(row["current_embedding"], dtype=np.float64),
-    )
 
 
 def _config_from_args(args) -> harness.ExperimentConfig:
@@ -70,20 +52,16 @@ def cmd_retrieve(args) -> int:
     cfg = retrieval.RetrievalConfig(
         lambda_vec=args.lambda_vec, pool_size=args.pool_size, normalization=args.normalization
     )
-    query_path = Path(args.query)
-    if query_path.exists():
-        ctx = _load_dialogue(args.query)
-        weights = load_weights(args.weights) if args.weights else EncoderWeights.default(mem.dim)
-        z = encode_context(ctx, weights)
-        query_text = ctx.current
+    if Path(args.query).exists():
+        weights = load_weights(args.weights) if args.weights else None
+        pool = harness.retrieve_stage(harness.read_dialogue(args.query), mem, cfg, weights)
     else:
         if args.lambda_vec != 0.0:
             raise DivselError(
                 "a raw-text query has no embedding; pass a dialogue file or use --lambda-vec 0"
             )
-        z = np.ones(mem.dim)  # unused at lambda_vec=0, but must be non-zero
-        query_text = args.query
-    pool = retrieval.retrieve_pool(mem, z, query_text, cfg)
+        # The query vector is unused at lambda_vec=0, but must be non-zero.
+        pool = retrieval.retrieve_pool(mem, np.ones(mem.dim), args.query, cfg)
     if args.out:
         retrieval.write_pool(pool, args.out)
     else:
@@ -109,18 +87,7 @@ def cmd_select(args) -> int:
     cfg = selection.SelectionConfig(
         alpha=args.alpha, k=args.k, tau=args.tau, label_cap=args.cap, mu=args.mu
     )
-    if args.method == "ldra":
-        result = selection.greedy_select(pool, cfg)
-    elif args.method == "topk":
-        result = selection.topk_select(pool, cfg.k, cfg.alpha)
-    elif args.method == "mmr":
-        result = selection.mmr_select(pool, cfg.k, args.lambda_mmr, cfg.alpha)
-    elif args.method == "fps":
-        result = selection.fps_select(pool, cfg.k, cfg.alpha)
-    elif args.method == "random":
-        result = selection.random_select(pool, cfg.k, args.seed or 0, cfg.alpha)
-    else:  # oracle
-        result = selection.brute_force_select(pool, cfg)
+    result = harness.select_for_method(args.method, pool, cfg, args.lambda_mmr, args.seed or 0)
     rows = [
         {
             "type": "selection",
@@ -150,7 +117,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    ctx = _load_dialogue(args.dialogue)
+    ctx = harness.read_dialogue(args.dialogue)
     pairs = []
     with open(args.selection, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -284,15 +251,13 @@ def cmd_budget(args) -> int:
                 if not line:
                     continue
                 row = json.loads(line)
-                clock = budget_mod.StageClock()
-                clock.times = {
-                    "ann": row["t_ann"],
-                    "div": row["t_div"],
-                    "prompt": row["t_prompt"],
-                    "llm": row["t_llm"],
-                }
-                report = budget_mod.measured_report(
-                    clock, budget_mod.Counters(), row["L"], row["K"]
+                report = budget_mod.LatencyReport(
+                    "measured",
+                    t_ann=row["t_ann"],
+                    t_div=row["t_div"],
+                    t_prompt=row["t_prompt"],
+                    t_llm=row["t_llm"],
+                    t_total=row["t_ann"] + row["t_div"] + row["t_prompt"] + row["t_llm"],
                 )
                 shape = budget_mod.WorkloadShape(
                     memory_size=row["N"],

@@ -256,10 +256,6 @@ def _check_label_sets(teacher: Mapping[str, float], student: Mapping[str, float]
     return sorted(teacher)
 
 
-def _softmax_map(values: np.ndarray) -> np.ndarray:
-    return _softmax(values)
-
-
 def distill_loss(
     teacher_logodds: Mapping[str, float],
     temperature: float,
@@ -271,7 +267,7 @@ def distill_loss(
     labels = _check_label_sets(teacher_logodds, student_logits)
     t = np.array([teacher_logodds[y] for y in labels]) / temperature
     z = np.array([student_logits[y] for y in labels])
-    p_teacher = _softmax_map(t)
+    p_teacher = _softmax(t)
     log_p_student = z - (z.max() + math.log(np.exp(z - z.max()).sum()))
     return float(-(p_teacher * log_p_student).sum())
 
@@ -287,7 +283,7 @@ def distill_loss_gradient(
     labels = _check_label_sets(teacher_logodds, student_logits)
     t = np.array([teacher_logodds[y] for y in labels]) / temperature
     z = np.array([student_logits[y] for y in labels])
-    grad = _softmax_map(z) - _softmax_map(t)
+    grad = _softmax(z) - _softmax(t)
     return {y: float(grad[i]) for i, y in enumerate(labels)}
 
 

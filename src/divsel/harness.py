@@ -1,5 +1,13 @@
 """End-to-end pipeline driver, metrics, fairness protocol, sweeps, grid search.
 
+The pipeline is four stage functions: retrieve (`retrieve_stage`: encode the
+dialogue, rank the memory into a pool), select (`select_for_method`, the one
+selector dispatch), prompt (`prompt_stage`: budgeted compose plus the optional
+random-add fill) and decode (`decode_stage`: candidate labels scored through
+the verifier). Every driver composes these stages: `run_pipeline` (and through
+it `evaluate`, `sweep` and `grid_search`), every `fairness_suite` arm and the
+CLI's retrieve and select commands.
+
 Every run is deterministic given its seeds: per-instance randomness is derived
 from (run seed, instance id) with a stable hash, and emitted report rows carry
 only deterministic fields (wall-clock timings live in separate measured
@@ -13,7 +21,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -36,6 +44,7 @@ from .retrieval import Candidate, RetrievalConfig, retrieve_pool
 from .selection import (
     SelectedSet,
     SelectionConfig,
+    brute_force_select,
     fps_select,
     greedy_select,
     mmr_select,
@@ -101,40 +110,62 @@ def write_corpus(instances: Sequence[EvalInstance], path: str | Path) -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
-def read_corpus(path: str | Path) -> list[EvalInstance]:
-    out: list[EvalInstance] = []
+def _parse_dialogue(row: Mapping) -> DialogueContext:
+    """The dialogue of one corpus row (also the dialogue-file format)."""
+    turns = tuple(
+        Turn(
+            user=str(t["user"]),
+            agent=str(t["agent"]),
+            user_embedding=np.asarray(t["user_embedding"], dtype=np.float64),
+            agent_embedding=np.asarray(t["agent_embedding"], dtype=np.float64),
+        )
+        for t in row.get("turns", [])
+    )
+    return DialogueContext(
+        turns=turns,
+        current=str(row["current"]),
+        current_embedding=np.asarray(row["current_embedding"], dtype=np.float64),
+    )
+
+
+def _parse_instance(row: Mapping) -> EvalInstance:
+    slots = row.get("slots")
+    return EvalInstance(
+        id=str(row["id"]),
+        dialogue=_parse_dialogue(row),
+        gold=str(row["gold"]),
+        slots=tuple(slots) if slots is not None else None,
+    )
+
+
+def _parse_rows(path: str | Path, parse: Callable[[Mapping], object]):
+    """Parse every non-blank JSONL line; a malformed row raises ConfigError
+    naming path:line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            turns = tuple(
-                Turn(
-                    user=str(t["user"]),
-                    agent=str(t["agent"]),
-                    user_embedding=np.asarray(t["user_embedding"], dtype=np.float64),
-                    agent_embedding=np.asarray(t["agent_embedding"], dtype=np.float64),
-                )
-                for t in row.get("turns", [])
-            )
-            dialogue = DialogueContext(
-                turns=turns,
-                current=str(row["current"]),
-                current_embedding=np.asarray(row["current_embedding"], dtype=np.float64),
-            )
-            slots = row.get("slots")
-            out.append(
-                EvalInstance(
-                    id=str(row["id"]),
-                    dialogue=dialogue,
-                    gold=str(row["gold"]),
-                    slots=tuple(slots) if slots is not None else None,
-                )
-            )
+            try:
+                item = parse(json.loads(line))
+            except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: malformed row ({type(exc).__name__}: {exc})"
+                ) from exc
+            yield item
+
+
+def read_corpus(path: str | Path) -> list[EvalInstance]:
+    out = list(_parse_rows(path, _parse_instance))
     if not out:
         raise ConfigError(f"corpus file {path} holds no instances")
     return out
+
+
+def read_dialogue(path: str | Path) -> DialogueContext:
+    """The dialogue of a file's first row; a corpus line works as-is."""
+    for dialogue in _parse_rows(path, _parse_dialogue):
+        return dialogue
+    raise ConfigError(f"dialogue file {path} holds no rows")
 
 
 # ---------------------------------------------------------------------------
@@ -186,39 +217,7 @@ class ExperimentConfig:
             raise ConfigError("tau_c must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "selection": {
-                "alpha": self.selection.alpha,
-                "k": self.selection.k,
-                "tau": self.selection.tau,
-                "label_cap": self.selection.label_cap,
-                "mu": self.selection.mu,
-            },
-            "retrieval": {
-                "lambda_vec": self.retrieval.lambda_vec,
-                "pool_size": self.retrieval.pool_size,
-                "normalization": self.retrieval.normalization,
-            },
-            "budget": {
-                "max_prompt_tokens": self.budget.max_prompt_tokens,
-                "summary_token_cap": self.budget.summary_token_cap,
-                "compression_policy": self.budget.compression_policy,
-            },
-            "fairness": {
-                "shuffle_seed": self.fairness.shuffle_seed,
-                "prefix_replace": self.fairness.prefix_replace,
-                "token_targets": list(self.fairness.token_targets),
-            },
-            "runs": self.runs,
-            "base_seed": self.base_seed,
-            "shortlist_size": self.shortlist_size,
-            "mock_margin": self.mock_margin,
-            "tau_c": self.tau_c,
-            "lambda_mmr": self.lambda_mmr,
-            "instruction": self.instruction,
-            "answer_format": self.answer_format,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
@@ -378,26 +377,109 @@ def _rand_add_pairs(
     return out
 
 
+def instance_verifier(inst: EvalInstance, config: ExperimentConfig, seed: int):
+    """The mock verifier of one instance under a run seed."""
+    return mock_verifier(inst.gold, derive_seed(seed, inst.id, "mock"), config.mock_margin)
+
+
+def mock_coverage(where: str, gold: str, output: VerifierOutput) -> tuple[bool, bool]:
+    """(covered, correct) of one decode under the mock verifier, which answers
+    the gold label exactly when it is a candidate, so the two must agree."""
+    covered = gold in output.candidate_set
+    correct = output.decision == gold
+    if covered != correct:
+        raise InvariantViolation(f"{where}: mock accuracy diverged from gold coverage")
+    return covered, correct
+
+
+# The four pipeline stages. Every driver composes them, and they call the layer
+# functions (encode_context, retrieve_pool, the selectors, compose,
+# candidate_labels, score_labels, count_tokens) through this module's globals,
+# so wrappers installed on those names at run time (bench/spans.py) see every
+# call from every driver.
+
+
+def retrieve_stage(
+    dialogue: DialogueContext,
+    memory: Memory,
+    retrieval: RetrievalConfig,
+    weights: EncoderWeights | None = None,
+) -> list[Candidate]:
+    """Encode the dialogue and rank the memory into a candidate pool."""
+    if weights is None:
+        weights = EncoderWeights.default(memory.dim)
+    z = encode_context(dialogue, weights)
+    return retrieve_pool(memory, z, dialogue.current, retrieval)
+
+
 def select_for_method(
     method: str,
     pool: Sequence[Candidate],
-    config: ExperimentConfig,
+    selection: SelectionConfig,
+    lambda_mmr: float,
     seed: int,
-    instance_id: str,
 ) -> SelectedSet:
-    """Dispatch to the configured selector with a per-instance derived seed."""
-    sel = config.selection
-    if method in ("ldra",):
-        return greedy_select(pool, sel)
+    """The one selector dispatch: a harness method or the brute-force
+    `oracle`. Only the random selector reads the seed."""
+    if method == "ldra":
+        return greedy_select(pool, selection)
     if method in ("topk", "topk_rand_add"):
-        return topk_select(pool, sel.k, sel.alpha)
+        return topk_select(pool, selection.k, selection.alpha)
     if method == "mmr":
-        return mmr_select(pool, sel.k, config.lambda_mmr, sel.alpha)
+        return mmr_select(pool, selection.k, lambda_mmr, selection.alpha)
     if method == "fps":
-        return fps_select(pool, sel.k, sel.alpha)
+        return fps_select(pool, selection.k, selection.alpha)
     if method == "random":
-        return random_select(pool, sel.k, derive_seed(seed, instance_id, "random"), sel.alpha)
+        return random_select(pool, selection.k, seed, selection.alpha)
+    if method == "oracle":
+        return brute_force_select(pool, selection)
     raise ConfigError(f"unknown method {method!r}")
+
+
+def prompt_stage(
+    dialogue: DialogueContext,
+    pairs: Sequence[tuple[str, str]],
+    config: ExperimentConfig,
+    budget: BudgetConfig,
+    permutation: Sequence[int] | None = None,
+    memory: Memory | None = None,
+    exclude_ids: Sequence[str] = (),
+    rand_add_seed: int | None = None,
+) -> tuple[Prompt, tuple[tuple[str, str], ...]]:
+    """Compose the prompt under the budget. With a rand-add seed, fill what the
+    budget leaves with random memory exemplars outside exclude_ids and compose
+    again. Returns the prompt and the added pairs."""
+    prompt = compose(
+        config.instruction,
+        dialogue,
+        pairs,
+        budget,
+        permutation=permutation,
+        answer_format=config.answer_format,
+    )
+    if rand_add_seed is None:
+        return prompt, ()
+    added = _rand_add_pairs(
+        memory, set(exclude_ids), prompt.token_count, budget.max_prompt_tokens, rand_add_seed
+    )
+    if added:
+        prompt = compose(
+            config.instruction,
+            dialogue,
+            list(prompt.exemplars) + added,
+            budget,
+            answer_format=config.answer_format,
+        )
+    return prompt, tuple(added)
+
+
+def decode_stage(
+    prompt: Prompt, pool: Sequence[Candidate], verifier, config: ExperimentConfig
+) -> VerifierOutput:
+    """Score the labels the prompt exposes, extended by the pool's shortlist."""
+    exposed = [label for _, label in prompt.exemplars]
+    labels = candidate_labels(exposed, pool, config.shortlist_size)
+    return score_labels(prompt, labels, verifier, config.tau_c)
 
 
 def run_pipeline(
@@ -409,56 +491,45 @@ def run_pipeline(
     seed: int = 0,
     pool: list[Candidate] | None = None,
 ) -> PipelineResult:
-    """Encode, retrieve, select, compose, and decode one instance.
+    """Retrieve, select, prompt and decode one instance; a given pool skips
+    the retrieve stage.
 
     Deterministic under the mock verifier and fixed seeds. The verifier may be
     a boundary object or a factory called with the instance (the mock needs
     the gold label). Candidate labels are derived from the exemplars actually
     present in the composed prompt, extended by the retrieval shortlist.
     """
-    if weights is None:
-        weights = EncoderWeights.default(memory.dim)
     if callable(verifier) and not hasattr(verifier, "score"):
         verifier = verifier(instance)
     clock = StageClock()
     with clock.stage("ann"):
-        z = encode_context(instance.dialogue, weights)
         if pool is None:
-            pool = retrieve_pool(memory, z, instance.dialogue.current, config.retrieval)
+            pool = retrieve_stage(instance.dialogue, memory, config.retrieval, weights)
     with clock.stage("div"):
-        selection = select_for_method(config.method, pool, config, seed, instance.id)
-    with clock.stage("prompt"):
-        pairs = [(c.text, c.label) for c in selection.members]
-        prompt = compose(
-            config.instruction,
-            instance.dialogue,
-            pairs,
-            config.budget,
-            answer_format=config.answer_format,
+        selection = select_for_method(
+            config.method,
+            pool,
+            config.selection,
+            config.lambda_mmr,
+            derive_seed(seed, instance.id, "random"),
         )
-        extras: tuple[tuple[str, str], ...] = ()
-        if config.method == "topk_rand_add":
-            exclude = set(selection.ids())
-            added = _rand_add_pairs(
-                memory,
-                exclude,
-                prompt.token_count,
-                config.budget.max_prompt_tokens,
-                derive_seed(seed, instance.id, "randadd"),
-            )
-            if added:
-                extras = tuple(added)
-                prompt = compose(
-                    config.instruction,
-                    instance.dialogue,
-                    list(prompt.exemplars) + added,
-                    config.budget,
-                    answer_format=config.answer_format,
-                )
+    with clock.stage("prompt"):
+        prompt, extras = prompt_stage(
+            instance.dialogue,
+            [(c.text, c.label) for c in selection.members],
+            config,
+            config.budget,
+            memory=memory,
+            exclude_ids=selection.ids(),
+            rand_add_seed=(
+                derive_seed(seed, instance.id, "randadd")
+                if config.method == "topk_rand_add"
+                else None
+            ),
+        )
     with clock.stage("llm"):
-        exposed = [label for _, label in prompt.exemplars]
-        labels = candidate_labels(exposed, pool, config.shortlist_size)
-        output = score_labels(prompt, labels, verifier, config.tau_c)
+        output = decode_stage(prompt, pool, verifier, config)
+    labels = output.candidate_set
     counters = Counters(
         sim_ops=selection.sim_ops,
         verifier_calls=len(labels),
@@ -505,12 +576,7 @@ def verify_run_invariants(
     if result.prompt.token_count > config.budget.max_prompt_tokens:
         raise InvariantViolation(f"{instance.id}: prompt exceeds its token budget")
     if mock:
-        covered = instance.gold in result.candidate_set
-        correct = result.prediction == instance.gold
-        if covered != correct:
-            raise InvariantViolation(
-                f"{instance.id}: mock accuracy diverged from gold coverage"
-            )
+        mock_coverage(instance.id, instance.gold, result.output)
 
 
 def evaluate(
@@ -525,9 +591,7 @@ def evaluate(
     and the measured latency reports (kept out of the deterministic rows)."""
     mock = verifier_factory is None
     if verifier_factory is None:
-        verifier_factory = lambda inst: mock_verifier(  # noqa: E731
-            inst.gold, derive_seed(seed, inst.id, "mock"), config.mock_margin
-        )
+        verifier_factory = lambda inst: instance_verifier(inst, config, seed)  # noqa: E731
     rows: list[dict] = []
     reports: list[LatencyReport] = []
     predictions: list[str] = []
@@ -593,7 +657,7 @@ def _pad_to_target(prompt: Prompt, target: int) -> Prompt:
 def _prefix_replace_pairs(
     pairs: list[tuple[str, str]],
     memory: Memory,
-    exclude_ids: set[str],
+    exclude_ids: Sequence[str],
     seed: int,
 ) -> list[tuple[str, str]]:
     """Replace the first ceil(n/2) exemplars with random ones of the same label."""
@@ -627,21 +691,18 @@ def fairness_suite(
     """
     if not corpus:
         raise ConfigError("fairness suite needs a non-empty corpus")
-    if weights is None:
-        weights = EncoderWeights.default(memory.dim)
     seed = config.base_seed
 
-    # Retrieval and selection are target-independent; compute them once.
+    # Retrieval, the base selections and the verifier are target-independent;
+    # build them once per instance.
     per_instance = []
     for inst in corpus:
-        z = encode_context(inst.dialogue, weights)
-        pool = retrieve_pool(memory, z, inst.dialogue.current, config.retrieval)
-        sel_ldra = greedy_select(pool, config.selection)
-        sel_topk = topk_select(pool, config.selection.k, config.selection.alpha)
-        verifier = mock_verifier(
-            inst.gold, derive_seed(seed, inst.id, "mock"), config.mock_margin
-        )
-        per_instance.append((inst, pool, sel_ldra, sel_topk, verifier))
+        pool = retrieve_stage(inst.dialogue, memory, config.retrieval, weights)
+        bases = {
+            m: select_for_method(m, pool, config.selection, config.lambda_mmr, seed)
+            for m in ("ldra", "topk")
+        }
+        per_instance.append((inst, pool, bases, instance_verifier(inst, config, seed)))
 
     arms = [a for a in FAIRNESS_ARMS if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
     rows: list[dict] = []
@@ -655,65 +716,32 @@ def fairness_suite(
             arm_tokens: dict[str, list[int]] = {a: [] for a in arms}
             arm_correct: dict[str, int] = {a: 0 for a in arms}
             arm_covered: dict[str, int] = {a: 0 for a in arms}
-            for inst, pool, sel_ldra, sel_topk, verifier in per_instance:
+            for inst, pool, bases, verifier in per_instance:
                 for arm in arms:
-                    if arm == "ldra":
-                        pairs = [(c.text, c.label) for c in sel_ldra.members]
-                        permutation = None
-                    elif arm == "topk":
-                        pairs = [(c.text, c.label) for c in sel_topk.members]
-                        permutation = None
-                    elif arm == "topk_rand_add":
-                        pairs = [(c.text, c.label) for c in sel_topk.members]
-                        permutation = None
-                    elif arm == "ldra_shuffle":
-                        pairs = [(c.text, c.label) for c in sel_ldra.members]
+                    base = bases[arm.split("_")[0]]  # each arm is named after its base
+                    pairs = [(c.text, c.label) for c in base.members]
+                    permutation = None
+                    if arm == "ldra_shuffle":
                         permutation = list(range(len(pairs)))
                         random.Random(
                             derive_seed(config.fairness.shuffle_seed, inst.id)
                         ).shuffle(permutation)
-                    else:  # ldra_prefix_replace
+                    elif arm == "ldra_prefix_replace":
                         pairs = _prefix_replace_pairs(
-                            [(c.text, c.label) for c in sel_ldra.members],
-                            memory,
-                            set(sel_ldra.ids()),
-                            derive_seed(seed, inst.id, "prefix"),
+                            pairs, memory, base.ids(), derive_seed(seed, inst.id, "prefix")
                         )
-                        permutation = None
-                    prompt = compose(
-                        config.instruction,
-                        inst.dialogue,
-                        pairs,
-                        budget,
-                        permutation=permutation,
-                        answer_format=config.answer_format,
+                    rand_add_seed = (
+                        derive_seed(seed, inst.id, "randadd", target)
+                        if arm == "topk_rand_add"
+                        else None
                     )
-                    if arm == "topk_rand_add":
-                        added = _rand_add_pairs(
-                            memory,
-                            set(sel_topk.ids()),
-                            prompt.token_count,
-                            target,
-                            derive_seed(seed, inst.id, "randadd", target),
-                        )
-                        if added:
-                            prompt = compose(
-                                config.instruction,
-                                inst.dialogue,
-                                list(prompt.exemplars) + added,
-                                budget,
-                                answer_format=config.answer_format,
-                            )
+                    prompt, _ = prompt_stage(
+                        inst.dialogue, pairs, config, budget, permutation,
+                        memory=memory, exclude_ids=base.ids(), rand_add_seed=rand_add_seed,
+                    )
                     prompt = _pad_to_target(prompt, target)
-                    exposed = [label for _, label in prompt.exemplars]
-                    labels = candidate_labels(exposed, pool, config.shortlist_size)
-                    output = score_labels(prompt, labels, verifier, config.tau_c)
-                    covered = inst.gold in labels
-                    correct = output.decision == inst.gold
-                    if covered != correct:
-                        raise InvariantViolation(
-                            f"{inst.id}/{arm}: mock accuracy diverged from coverage"
-                        )
+                    output = decode_stage(prompt, pool, verifier, config)
+                    covered, correct = mock_coverage(f"{inst.id}/{arm}", inst.gold, output)
                     arm_tokens[arm].append(prompt.token_count)
                     arm_correct[arm] += correct
                     arm_covered[arm] += covered
@@ -852,46 +880,38 @@ def grid_search(
         raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
     if constants is None:
         constants = CostConstants()
-    if weights is None:
-        weights = EncoderWeights.default(memory.dim)
 
     keys = [k for k in _GRID_KEYS if k in grids]
     values = [list(grids[k]) for k in keys]
 
     # The relevance scan does not depend on pool_size; cache the deepest pool
     # per (instance, lambda_vec) and slice it per configuration.
-    max_pool = max([int(v) for v in grids.get("pool_size", [config.retrieval.pool_size])])
+    max_pool = max(int(v) for v in grids.get("pool_size", [config.retrieval.pool_size]))
     pool_cache: dict[tuple[str, float], list[Candidate]] = {}
-
-    def pools_for(cfg: ExperimentConfig) -> dict[str, list[Candidate]]:
-        out = {}
-        for inst in corpus:
-            key = (inst.id, cfg.retrieval.lambda_vec)
-            if key not in pool_cache:
-                deep = replace(cfg.retrieval, pool_size=max(max_pool, cfg.retrieval.pool_size))
-                z = encode_context(inst.dialogue, weights)
-                pool_cache[key] = retrieve_pool(memory, z, inst.dialogue.current, deep)
-            out[inst.id] = pool_cache[key][: cfg.retrieval.pool_size]
-        return out
 
     rows: list[dict] = []
     best: dict | None = None
     mean_terms = sum(len(tokenize(i.dialogue.current)) for i in corpus) / len(corpus)
     mean_turns = sum(len(i.dialogue.turns) for i in corpus) / len(corpus)
+    seed = config.base_seed
     for combo in itertools.product(*values):
         theta = dict(zip(keys, combo))
         cfg = _apply_theta(config, theta)
-        pools = pools_for(cfg)
-        seed = config.base_seed
         correct = 0
         tokens = 0
         calls = 0
         for inst in corpus:
-            verifier = mock_verifier(
-                inst.gold, derive_seed(seed, inst.id, "mock"), cfg.mock_margin
-            )
+            key = (inst.id, cfg.retrieval.lambda_vec)
+            if key not in pool_cache:
+                deep = replace(cfg.retrieval, pool_size=max_pool)
+                pool_cache[key] = retrieve_stage(inst.dialogue, memory, deep, weights)
             result = run_pipeline(
-                inst, cfg, memory, verifier, weights=weights, seed=seed, pool=pools[inst.id]
+                inst,
+                cfg,
+                memory,
+                instance_verifier(inst, cfg, seed),
+                seed=seed,
+                pool=pool_cache[key][: cfg.retrieval.pool_size],
             )
             correct += result.prediction == inst.gold
             tokens += result.prompt.token_count

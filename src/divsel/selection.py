@@ -150,6 +150,17 @@ class SelectedSet:
             self.sim_ops += 1
         return total
 
+    def after_add(self, label: str, incoming_a: float) -> tuple[int, float, float, float]:
+        """Closed-form (sum of squared counts, mean pairwise similarity, g,
+        dtext) after adding one member of `label` whose clamped-similarity sum
+        against the current members is incoming_a."""
+        sum_sq = self.sum_sq_counts + 2 * self.label_counts.get(label, 0) + 1
+        m = len(self.members)
+        if m == 0:
+            return sum_sq, 0.0, 0.0, 1.0  # singleton conventions: g = 0, dtext = 1
+        sbar = (m * (m - 1) / 2 * self.mean_pairwise_sim + incoming_a) / ((m + 1) * m / 2)
+        return sum_sq, sbar, 1.0 - sum_sq / ((m + 1) * (m + 1)), 1.0 - sbar
+
     def add(self, candidate: Candidate, incoming_a: float | None = None) -> None:
         """Append a candidate, updating diversity terms via closed-form increments.
 
@@ -158,21 +169,11 @@ class SelectedSet:
         """
         if incoming_a is None:
             incoming_a = self.incoming_similarity(candidate)
-        m = len(self.members)
-        if m == 0:
-            new_sbar = 0.0
-        else:
-            new_sbar = (m * (m - 1) / 2 * self.mean_pairwise_sim + incoming_a) / (
-                (m + 1) * m / 2
-            )
-        n_y = self.label_counts.get(candidate.label, 0)
-        self.sum_sq_counts += 2 * n_y + 1
-        self.label_counts[candidate.label] = n_y + 1
+        self.sum_sq_counts, self.mean_pairwise_sim, self.g, self.dtext = self.after_add(
+            candidate.label, incoming_a
+        )
+        self.label_counts[candidate.label] = self.label_counts.get(candidate.label, 0) + 1
         self.members.append(candidate)
-        self.mean_pairwise_sim = new_sbar
-        size = m + 1
-        self.g = 1.0 - self.sum_sq_counts / (size * size)
-        self.dtext = 1.0 if size == 1 else 1.0 - new_sbar
         self.r = self.alpha * self.g + (1.0 - self.alpha) * self.dtext
 
     def recompute(self) -> tuple[float, float, float]:
@@ -186,25 +187,12 @@ class SelectedSet:
 
 def delta_label_diversity(selected: SelectedSet, incoming_label: str) -> float:
     """Closed-form change in label diversity from adding one more of a label."""
-    m = selected.size
-    if m == 0:
-        return 0.0
-    n_y = selected.label_counts.get(incoming_label, 0)
-    g_before = 1.0 - selected.sum_sq_counts / (m * m)
-    g_after = 1.0 - (selected.sum_sq_counts + 2 * n_y + 1) / ((m + 1) * (m + 1))
-    return g_after - g_before
+    return selected.after_add(incoming_label, 0.0)[2] - selected.g
 
 
 def delta_text_diversity(selected: SelectedSet, incoming_a: float) -> float:
     """Closed-form change in text diversity given the candidate's similarity sum."""
-    m = selected.size
-    if m == 0:
-        return 1.0
-    sbar_after = (m * (m - 1) / 2 * selected.mean_pairwise_sim + incoming_a) / (
-        (m + 1) * m / 2
-    )
-    d_before = 1.0 if m == 1 else 1.0 - selected.mean_pairwise_sim
-    return (1.0 - sbar_after) - d_before
+    return selected.after_add("", incoming_a)[3] - selected.dtext
 
 
 class _ReverseStr(str):
@@ -254,9 +242,8 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
             saw_tau_pass = True
             if out.label_counts.get(c.label, 0) >= cfg.label_cap:
                 continue
-            gain = cfg.alpha * delta_label_diversity(out, c.label) + (
-                1.0 - cfg.alpha
-            ) * delta_text_diversity(out, float(pair_sums[i]))
+            _, _, g, dtext = out.after_add(c.label, float(pair_sums[i]))
+            gain = cfg.alpha * (g - out.g) + (1.0 - cfg.alpha) * (dtext - out.dtext)
             tilde = gain + cfg.mu * c.vec_score
             key = (tilde, c.relevance, _ReverseStr(c.exemplar_id))
             if best is None or key > best:

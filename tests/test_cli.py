@@ -122,6 +122,26 @@ class TestRetrieveSelectComposeDecide:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    def test_malformed_dialogue_or_corpus_exits_one(self, workspace, capsys):
+        mem_path = str(workspace / "synth" / "memory.divmem")
+        bad = workspace / "bad_dialogue.json"
+        bad.write_text('{"current": "hi"}\n')
+        empty = workspace / "empty_dialogue.json"
+        empty.write_text("")
+        for argv in (
+            ["retrieve", "--memory", mem_path, "--query", str(bad)],
+            ["eval", "run", "--memory", mem_path, "--corpus", str(bad)],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert f"{bad}:1:" in err
+        code, _, err = run(
+            capsys, "compose", "--dialogue", str(empty),
+            "--selection", str(workspace / "selection.jsonl"), "--budget", "300",
+        )
+        assert code == 1
+        assert "holds no rows" in err
+
     def test_oracle_method(self, workspace, capsys):
         pool_path = str(workspace / "pool.jsonl")
         code, out, _ = run(

@@ -1,9 +1,11 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from divsel import harness
 from divsel.budget import CostConstants
 from divsel.encoder import DialogueContext
 from divsel.errors import ConfigError
@@ -20,6 +22,7 @@ from divsel.harness import (
     jga,
     parse_state,
     read_corpus,
+    read_dialogue,
     render_state,
     run_pipeline,
     sweep,
@@ -165,6 +168,20 @@ class TestRunPipeline:
             inst, base_config(), mem, lambda i: mock_verifier(i.gold, 0, 2.0), seed=0
         )
         assert result.prediction == inst.gold or inst.gold not in result.candidate_set
+
+    def test_given_pool_skips_the_retrieve_stage(self, small_world, monkeypatch):
+        mem, corpus = small_world
+        inst, cfg = corpus[5], base_config()
+        v = mock_verifier(inst.gold, 1, 2.0)
+        full = run_pipeline(inst, cfg, mem, v, seed=2)
+
+        def no_encode(*args, **kwargs):
+            raise AssertionError("a given pool must not re-encode the dialogue")
+
+        monkeypatch.setattr(harness, "encode_context", no_encode)
+        reused = run_pipeline(inst, cfg, mem, v, seed=2, pool=full.pool)
+        assert reused.prompt.text == full.prompt.text
+        assert reused.candidate_set == full.candidate_set
 
 
 class TestEvaluate:
@@ -325,6 +342,28 @@ class TestCorpusIO:
         with pytest.raises(ConfigError):
             read_corpus(path)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ['{"id": "x", "gold": ', '{"id": "x", "current": "hi", "gold": "g"}', "[1, 2]"],
+        ids=["invalid-json", "missing-key", "not-an-object"],
+    )
+    def test_malformed_row_names_its_line(self, small_world, tmp_path, bad):
+        _, corpus = small_world
+        corpus_path, dialogue_path = tmp_path / "corpus.jsonl", tmp_path / "dialogue.json"
+        write_corpus(corpus[:2], corpus_path)
+        corpus_path.write_text(corpus_path.read_text() + "\n" + bad + "\n")
+        dialogue_path.write_text("\n" + bad + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{corpus_path}:4:")):
+            read_corpus(corpus_path)
+        with pytest.raises(ConfigError, match=re.escape(f"{dialogue_path}:2:")):
+            read_dialogue(dialogue_path)
+
+    def test_empty_dialogue_file_rejected(self, tmp_path):
+        path = tmp_path / "dialogue.json"
+        path.write_text("\n", encoding="utf-8")
+        with pytest.raises(ConfigError):
+            read_dialogue(path)
+
 
 class TestConfig:
     def test_round_trip_through_dict(self):
@@ -337,6 +376,10 @@ class TestConfig:
         assert a.config_hash() == b.config_hash()
         c = base_config(method="topk")
         assert a.config_hash() != c.config_hash()
+
+    def test_default_hash_is_pinned(self):
+        # The eval header row carries this hash; it moves only with a config field.
+        assert ExperimentConfig().config_hash() == "1131f3ddbdd2"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
