@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ConfigError, InvariantViolation
+from .files import read_text
 
 STAGES = ("ann", "div", "prompt", "llm")
 
@@ -59,7 +60,7 @@ class CostConstants:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CostConstants":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(json.loads(read_text(path)))
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")

@@ -19,7 +19,8 @@ import numpy as np
 from . import budget as budget_mod
 from . import harness, memory as memory_mod, prompt as prompt_mod, retrieval, selection, synth, verifier as verifier_mod
 from .encoder import load_weights
-from .errors import DivselError, InvariantViolation
+from .errors import ConfigError, DivselError, InvariantViolation
+from .files import read_rows, read_text
 
 
 def _emit(rows, out_path: str | None) -> None:
@@ -118,13 +119,7 @@ def cmd_select(args) -> int:
 
 def cmd_compose(args) -> int:
     ctx = harness.read_dialogue(args.dialogue)
-    pairs = []
-    with open(args.selection, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                pairs.append((str(row["text"]), str(row["label"])))
+    pairs = list(read_rows(args.selection, lambda row: (str(row["text"]), str(row["label"]))))
     budget = prompt_mod.BudgetConfig(
         max_prompt_tokens=args.budget, summary_token_cap=min(args.summary_cap, args.budget)
     )
@@ -157,9 +152,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    prompt_text = Path(args.prompt).read_text(encoding="utf-8")
+    prompt_text = read_text(args.prompt)
     labels = [
-        line.strip() for line in Path(args.labels).read_text(encoding="utf-8").splitlines() if line.strip()
+        line.strip() for line in read_text(args.labels).splitlines() if line.strip()
     ]
     shell = prompt_mod.Prompt(
         instruction="",
@@ -205,6 +200,27 @@ def _shape_from_args(args) -> budget_mod.WorkloadShape:
     )
 
 
+def _calibration_sample(row) -> tuple[budget_mod.LatencyReport, budget_mod.WorkloadShape]:
+    report = budget_mod.LatencyReport(
+        "measured",
+        t_ann=row["t_ann"],
+        t_div=row["t_div"],
+        t_prompt=row["t_prompt"],
+        t_llm=row["t_llm"],
+        t_total=row["t_ann"] + row["t_div"] + row["t_prompt"] + row["t_llm"],
+    )
+    shape = budget_mod.WorkloadShape(
+        memory_size=row["N"],
+        query_terms=row["terms"],
+        pool_size=row["L"],
+        k=row["K"],
+        turns=row["turns"],
+        prompt_tokens=row["prompt_tokens"],
+        gen_tokens=row["gen_tokens"],
+    )
+    return report, shape
+
+
 def cmd_budget(args) -> int:
     constants = (
         budget_mod.CostConstants.from_file(args.constants)
@@ -244,32 +260,7 @@ def cmd_budget(args) -> int:
             args.out,
         )
     else:  # calibrate
-        samples = []
-        with open(args.runs, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                report = budget_mod.LatencyReport(
-                    "measured",
-                    t_ann=row["t_ann"],
-                    t_div=row["t_div"],
-                    t_prompt=row["t_prompt"],
-                    t_llm=row["t_llm"],
-                    t_total=row["t_ann"] + row["t_div"] + row["t_prompt"] + row["t_llm"],
-                )
-                shape = budget_mod.WorkloadShape(
-                    memory_size=row["N"],
-                    query_terms=row["terms"],
-                    pool_size=row["L"],
-                    k=row["K"],
-                    turns=row["turns"],
-                    prompt_tokens=row["prompt_tokens"],
-                    gen_tokens=row["gen_tokens"],
-                )
-                samples.append((report, shape))
-        fitted = budget_mod.calibrate_constants(samples)
+        fitted = budget_mod.calibrate_constants(list(read_rows(args.runs, _calibration_sample)))
         if args.out:
             fitted.to_file(args.out)
         _emit([{"type": "constants", **fitted.to_dict()}], None)
@@ -304,6 +295,8 @@ def cmd_eval(args) -> int:
         )
         return 0
 
+    if not (args.memory and args.corpus):
+        raise ConfigError(f"eval {args.eval_cmd} needs --memory and --corpus")
     mem = memory_mod.load(args.memory)
     corpus = harness.read_corpus(args.corpus)
     config = _config_from_args(args)
@@ -351,7 +344,7 @@ def cmd_eval(args) -> int:
         _emit(rows, args.out)
     else:  # grid
         grids = (
-            {k: list(v) for k, v in json.loads(Path(args.grids).read_text()).items()}
+            {k: list(v) for k, v in json.loads(read_text(args.grids)).items()}
             if args.grids
             else dict(harness.DEFAULT_GRIDS)
         )

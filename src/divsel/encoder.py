@@ -24,6 +24,7 @@ from .errors import (
     NonSmoothError,
     VersionMismatchError,
 )
+from .files import open_input
 from .retrieval import cosine
 
 WEIGHTS_MAGIC = b"DIVSEL-ENC"
@@ -161,7 +162,7 @@ def save_weights(weights: EncoderWeights, path: str | Path) -> None:
 
 
 def load_weights(path: str | Path) -> EncoderWeights:
-    with open(path, "rb") as fh:
+    with open_input(path, binary=True) as fh:
         if fh.read(len(WEIGHTS_MAGIC)) != WEIGHTS_MAGIC:
             raise MemoryFormatError(f"{path} is not an encoder weight file (bad magic)")
         head = fh.read(8)

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import random
+import weakref
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -30,6 +31,7 @@ import numpy as np
 from .budget import Counters, CostConstants, LatencyReport, StageClock, WorkloadShape, measured_report, model_latency, scalarized_objective
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
+from .files import read_rows, read_text
 from .memory import Memory, tokenize
 from .prompt import (
     BudgetConfig,
@@ -138,24 +140,8 @@ def _parse_instance(row: Mapping) -> EvalInstance:
     )
 
 
-def _parse_rows(path: str | Path, parse: Callable[[Mapping], object]):
-    """Parse every non-blank JSONL line; a malformed row raises ConfigError
-    naming path:line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                item = parse(json.loads(line))
-            except (ConfigError, KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: malformed row ({type(exc).__name__}: {exc})"
-                ) from exc
-            yield item
-
-
 def read_corpus(path: str | Path) -> list[EvalInstance]:
-    out = list(_parse_rows(path, _parse_instance))
+    out = list(read_rows(path, _parse_instance))
     if not out:
         raise ConfigError(f"corpus file {path} holds no instances")
     return out
@@ -163,7 +149,7 @@ def read_corpus(path: str | Path) -> list[EvalInstance]:
 
 def read_dialogue(path: str | Path) -> DialogueContext:
     """The dialogue of a file's first row; a corpus line works as-is."""
-    for dialogue in _parse_rows(path, _parse_dialogue):
+    for dialogue in read_rows(path, _parse_dialogue):
         return dialogue
     raise ConfigError(f"dialogue file {path} holds no rows")
 
@@ -248,7 +234,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(json.loads(read_text(path)))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -352,6 +338,11 @@ class PipelineResult:
     latency: LatencyReport
 
 
+# Token cost of each exemplar's rendered prompt line, per memory. Filled on a
+# memory's first rand-add; weak keys let a replaced memory be freed.
+_LINE_COSTS: "weakref.WeakKeyDictionary[Memory, list[int]]" = weakref.WeakKeyDictionary()
+
+
 def _rand_add_pairs(
     memory: Memory,
     exclude_ids: set[str],
@@ -360,6 +351,10 @@ def _rand_add_pairs(
     seed: int,
 ) -> list[tuple[str, str]]:
     """Random exemplars whose rendered lines still fit under the target."""
+    costs = _LINE_COSTS.get(memory)
+    if costs is None:
+        costs = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in memory.exemplars]
+        _LINE_COSTS[memory] = costs
     rng = random.Random(seed)
     order = rng.sample(range(len(memory.exemplars)), len(memory.exemplars))
     used = base_tokens
@@ -368,7 +363,7 @@ def _rand_add_pairs(
         ex = memory.exemplars[i]
         if ex.id in exclude_ids:
             continue
-        cost = count_tokens(render_exemplar_line(ex.text, ex.label))
+        cost = costs[i]
         if used + cost > target:
             continue
         used += cost

@@ -1,5 +1,12 @@
 """Labeled exemplar memory: ingestion, Okapi BM25 lexical scoring, persistence.
 
+BM25 statistics are built once per memory as CSR postings: a term -> id
+vocabulary, the (row, term frequency) pairs of every term grouped by term id,
+the offsets of each term's group, and each row's length normalization.
+``Memory.bm25_scores`` scores a query by scatter-adding the postings of its
+terms; ``Memory.bm25_score`` is the scalar oracle it must match bit for bit,
+re-tokenizing one exemplar's text from scratch.
+
 The memory is immutable after build; any number of readers may share it.
 """
 
@@ -9,6 +16,7 @@ import json
 import math
 import re
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
+from .files import open_input, read_rows
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 1
@@ -45,18 +54,14 @@ class Exemplar:
     embedding: np.ndarray
 
 
-@dataclass(frozen=True)
-class LexicalStats:
-    """Per-term document frequency plus per-exemplar term counts and lengths."""
-
-    doc_frequency: dict[str, int]
-    term_counts: tuple[Counter, ...]
-    doc_lengths: tuple[int, ...]
-    avg_doc_len: float
-
-
 class Memory:
-    """Built exemplar memory. Construct via :func:`ingest` or :func:`load`."""
+    """Built exemplar memory. Construct via :func:`ingest` or :func:`load`.
+
+    Lexical statistics are CSR postings built once: ``vocab`` maps a term to
+    its id, and the postings of term t are ``post_docs[offsets[t]:offsets[t+1]]``
+    (ascending memory row) with term frequencies ``post_tfs`` at the same
+    positions. ``norm`` holds each row's BM25 length normalization.
+    """
 
     def __init__(self, exemplars: tuple[Exemplar, ...], k1: float, b: float):
         if not exemplars:
@@ -65,21 +70,43 @@ class Memory:
         self.k1 = float(k1)
         self.b = float(b)
         self.dim = int(exemplars[0].embedding.shape[0])
-        self._index = {ex.id: i for i, ex in enumerate(exemplars)}
+        self._index: dict[str, int] = {}
+        for i, ex in enumerate(exemplars):
+            if self._index.setdefault(ex.id, i) != i:
+                raise IngestError(f"duplicate exemplar id {ex.id!r}")
 
         label_index: dict[str, list[str]] = {}
         for ex in exemplars:
             label_index.setdefault(ex.label, []).append(ex.id)
         self.label_index = {k: tuple(v) for k, v in label_index.items()}
 
-        counts = tuple(Counter(tokenize(ex.text)) for ex in exemplars)
-        lengths = tuple(sum(c.values()) for c in counts)
-        df: dict[str, int] = {}
-        for c in counts:
-            for term in c:
-                df[term] = df.get(term, 0) + 1
-        avg = sum(lengths) / len(lengths)
-        self.lexical = LexicalStats(df, counts, lengths, avg)
+        # Term ids are assigned document by document, so no list of every
+        # token string is ever held; one sort of term*n + row then groups the
+        # postings by term with rows ascending and counts each (term, row).
+        n = len(exemplars)
+        vocab: dict[str, int] = {}
+        term_id = vocab.setdefault
+        term_ids, doc_lens = array("q"), array("q")
+        for ex in exemplars:
+            terms = tokenize(ex.text)
+            doc_lens.append(len(terms))
+            term_ids.extend([term_id(t, len(vocab)) for t in terms])
+        lengths = np.frombuffer(doc_lens, dtype=np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keys, tfs = np.unique(
+            np.frombuffer(term_ids, dtype=np.int64) * n + rows, return_counts=True
+        )
+        self.vocab = vocab
+        self.post_docs = (keys % n).astype(np.int32)
+        self.post_tfs = tfs.astype(np.int32)
+        self.offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=self.offsets[1:])
+        # A memory without a single token scores every query 0; the floor of
+        # one token only keeps the normalization finite.
+        self.avg_doc_len = max(int(lengths.sum()), 1) / n
+        self.norm = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_doc_len)
+        for arr in (self.post_docs, self.post_tfs, self.offsets, self.norm):
+            arr.setflags(write=False)
 
         matrix = np.stack([ex.embedding for ex in exemplars]).astype(np.float64)
         matrix.setflags(write=False)
@@ -101,43 +128,50 @@ class Memory:
     def __contains__(self, exemplar_id: str) -> bool:
         return exemplar_id in self._index
 
-    def _idf(self, term: str) -> float:
-        df = self.lexical.doc_frequency.get(term, 0)
-        if df == 0:
-            return 0.0
+    def _idf(self, term_id: int) -> float:
+        df = int(self.offsets[term_id + 1] - self.offsets[term_id])
         n = len(self.exemplars)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def bm25_score(self, query_text: str, exemplar_id: str) -> float:
         """Okapi BM25 score of one exemplar against a raw query string.
 
-        Zero when no query term occurs in the exemplar text.
+        The scalar reference for :meth:`bm25_scores`: it re-tokenizes the
+        exemplar's text instead of reading the postings. Zero when no query
+        term occurs in the exemplar text.
         """
         try:
-            i = self._index[exemplar_id]
+            text = self.exemplars[self._index[exemplar_id]].text
         except KeyError:
             raise UnknownIdError(f"no exemplar with id {exemplar_id!r}") from None
-        return self._bm25_one(tokenize(query_text), i)
-
-    def bm25_scores(self, query_text: str) -> np.ndarray:
-        """BM25 scores of every exemplar against the query, in memory order."""
-        terms = tokenize(query_text)
-        out = np.zeros(len(self.exemplars), dtype=np.float64)
-        for i in range(len(self.exemplars)):
-            out[i] = self._bm25_one(terms, i)
-        return out
-
-    def _bm25_one(self, query_terms: list[str], i: int) -> float:
-        counts = self.lexical.term_counts[i]
-        dl = self.lexical.doc_lengths[i]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.lexical.avg_doc_len)
+        counts = Counter(tokenize(text))
+        dl = sum(counts.values())
+        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_doc_len)
         score = 0.0
-        for term in query_terms:
+        for term in tokenize(query_text):
             tf = counts.get(term, 0)
             if tf == 0:
                 continue
-            score += self._idf(term) * tf * (self.k1 + 1.0) / (tf + norm)
+            score += self._idf(self.vocab[term]) * tf * (self.k1 + 1.0) / (tf + norm)
         return score
+
+    def bm25_scores(self, query_text: str) -> np.ndarray:
+        """BM25 scores of every exemplar against the query, in memory order.
+
+        Scatter-adds each query term's postings, repeated terms once per
+        occurrence and in query order, so every score is bit-identical to
+        :meth:`bm25_score`.
+        """
+        out = np.zeros(len(self.exemplars), dtype=np.float64)
+        for term in tokenize(query_text):
+            t = self.vocab.get(term)
+            if t is None:
+                continue
+            lo, hi = self.offsets[t], self.offsets[t + 1]
+            docs = self.post_docs[lo:hi]
+            tf = self.post_tfs[lo:hi]
+            out[docs] += self._idf(t) * tf * (self.k1 + 1.0) / (tf + self.norm[docs])
+        return out
 
 
 def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
@@ -147,7 +181,6 @@ def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAUL
     mismatches, and empty streams are rejected.
     """
     exemplars: list[Exemplar] = []
-    seen: set[str] = set()
     dim: int | None = None
     for rec in records:
         try:
@@ -157,8 +190,6 @@ def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAUL
             raw = np.asarray(rec["embedding"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestError(f"malformed record: {exc}") from exc
-        if rid in seen:
-            raise IngestError(f"duplicate exemplar id {rid!r}")
         if not label:
             raise IngestError(f"exemplar {rid!r} has an empty label")
         if raw.ndim != 1:
@@ -176,7 +207,6 @@ def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAUL
             raise IngestError(f"exemplar {rid!r} embedding has zero norm")
         emb = raw / norm
         emb.setflags(write=False)
-        seen.add(rid)
         exemplars.append(Exemplar(rid, text, label, emb))
     if not exemplars:
         raise IngestError("empty record stream")
@@ -184,20 +214,9 @@ def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAUL
 
 
 def ingest_jsonl(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
-    """Build a Memory from a line-delimited JSON file of exemplar records."""
-
-    def rows():
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-
-    return ingest(rows(), k1=k1, b=b)
+    """Build a Memory from a line-delimited JSON file of exemplar records; a
+    line that is not a JSON object raises ConfigError naming path:line."""
+    return ingest(read_rows(path, dict), k1=k1, b=b)
 
 
 def persist(memory: Memory, path: str | Path) -> None:
@@ -229,7 +248,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def load(path: str | Path) -> Memory:
     """Load a memory persisted by :func:`persist`; never returns a partial memory."""
-    with open(path, "rb") as fh:
+    with open_input(path, binary=True) as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise MemoryFormatError(f"{path} is not a memory file (bad magic)")
@@ -262,4 +281,7 @@ def load(path: str | Path) -> Memory:
         emb = np.array(matrix[i], dtype=np.float64)
         emb.setflags(write=False)
         exemplars.append(Exemplar(str(ids[i]), str(texts[i]), str(labels[i]), emb))
-    return Memory(tuple(exemplars), k1=k1, b=b)
+    try:
+        return Memory(tuple(exemplars), k1=k1, b=b)
+    except IngestError as exc:
+        raise MemoryFormatError(f"corrupt memory: {exc}") from exc

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .encoder import DialogueContext
 from .errors import CompositionError, ConfigError
+from .files import read_text
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -112,7 +113,7 @@ def summarize_history(ctx: DialogueContext, cap: int) -> str:
 
 
 def load_template(path: str | Path) -> str:
-    template = Path(path).read_text(encoding="utf-8")
+    template = read_text(path)
     for placeholder in ("{INSTRUCTION}", "{SUMMARY}", "{CURRENT}", "{EXEMPLARS}", "{ANSWER_FORMAT}"):
         if placeholder not in template:
             raise ConfigError(f"template is missing the {placeholder} placeholder")

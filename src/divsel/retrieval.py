@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
+from .files import read_rows
 from .memory import Memory
 
 NORMALIZATION_MODES = ("minmax", "none")
@@ -121,6 +122,8 @@ def retrieve_pool(
         raise DimensionError(
             f"query vector has dimension {z.shape}, memory expects ({memory.dim},)"
         )
+    if not np.all(np.isfinite(z)):
+        raise DimensionError("query vector has non-finite entries")
     if index is None:
         index = ExactScanIndex(memory)
     vec_raw = index.query(z)
@@ -133,8 +136,15 @@ def retrieve_pool(
         lex_n = lex_raw
     rel = cfg.lambda_vec * vec_n + (1.0 - cfg.lambda_vec) * lex_n
 
-    order = sorted(range(len(memory)), key=lambda i: (-rel[i], memory.exemplars[i].id))
-    top = order[: min(cfg.pool_size, len(memory))]
+    # Only items at or above the L-th largest relevance can make the pool;
+    # ordering those alone by (-relevance, id) keeps the full sort's order.
+    n = len(memory)
+    size = min(cfg.pool_size, n)
+    if size < n:
+        above = np.flatnonzero(rel >= np.partition(rel, n - size)[n - size]).tolist()
+    else:
+        above = range(n)
+    top = sorted(above, key=lambda i: (-rel[i], memory.exemplars[i].id))[:size]
     return [
         Candidate(
             exemplar_id=memory.exemplars[i].id,
@@ -167,28 +177,25 @@ def write_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
+def _parse_candidate(row: Mapping) -> Candidate:
+    emb = np.asarray(row["embedding"], dtype=np.float64)
+    emb.setflags(write=False)
+    return Candidate(
+        exemplar_id=str(row["id"]),
+        text=str(row["text"]),
+        label=str(row["label"]),
+        embedding=emb,
+        relevance=float(row["relevance"]),
+        vec_score=float(row["vec_score"]),
+        lex_score=float(row["lex_score"]),
+        bm25_raw=float(row.get("bm25_raw", row["lex_score"])),
+    )
+
+
 def read_pool(path: str | Path) -> list[Candidate]:
-    out: list[Candidate] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            emb = np.asarray(row["embedding"], dtype=np.float64)
-            emb.setflags(write=False)
-            out.append(
-                Candidate(
-                    exemplar_id=str(row["id"]),
-                    text=str(row["text"]),
-                    label=str(row["label"]),
-                    embedding=emb,
-                    relevance=float(row["relevance"]),
-                    vec_score=float(row["vec_score"]),
-                    lex_score=float(row["lex_score"]),
-                    bm25_raw=float(row.get("bm25_raw", row["lex_score"])),
-                )
-            )
+    """Read a pool written by :func:`write_pool`; a malformed row raises
+    ConfigError naming path:line."""
+    out = list(read_rows(path, _parse_candidate))
     if not out:
         raise SelectionError(f"pool file {path} holds no candidates")
     return out

@@ -281,3 +281,53 @@ class TestExitCodes:
         )
         assert code == 2
         assert "invariant violation" in err
+
+    def test_file_boundaries_exit_one_naming_the_file(self, workspace, capsys, tmp_path):
+        """A missing input file, one that is not UTF-8 text, and a malformed row
+        in any JSONL the CLI reads fail with a DivselError (exit 1) naming the
+        path and, for a row, its line."""
+        mem = str(workspace / "synth" / "memory.divmem")
+        corpus = str(workspace / "synth" / "corpus.jsonl")
+        dialogue = str(workspace / "dialogue.json")
+        missing = str(tmp_path / "missing.jsonl")
+        bad_pool = tmp_path / "pool.jsonl"
+        bad_pool.write_text('{"id": "a", "text": "t", "label": "l"}\n')
+        bad_sel = tmp_path / "selection.jsonl"
+        bad_sel.write_text('{"text": "t", "label": "l"}\n\n{"text": "no label"}\n')
+        good_sel = tmp_path / "good_selection.jsonl"
+        good_sel.write_text('{"text": "t", "label": "l"}\n')
+        bad_runs = tmp_path / "runs.jsonl"
+        bad_runs.write_text('{"t_ann": 1}\n')
+        not_object = tmp_path / "records.jsonl"
+        not_object.write_text("[1, 2]\n")
+        eval_run = ["eval", "run", "--memory", mem, "--corpus", corpus]
+        compose = ["compose", "--dialogue", dialogue, "--budget", "300", "--selection"]
+        build = ["memory", "build", "--out", str(tmp_path / "m.divmem"), "--in"]
+        cases = [
+            (["select", "--pool", missing], f"cannot open {missing}"),
+            (["select", "--pool", str(bad_pool)], f"{bad_pool}:1: malformed row"),
+            (compose + [str(bad_sel)], f"{bad_sel}:3: malformed row"),
+            (compose + [str(good_sel), "--template", missing], f"cannot open {missing}"),
+            (["budget", "calibrate", "--runs", str(bad_runs)], f"{bad_runs}:1: malformed row"),
+            (["budget", "model", "--constants", missing], f"cannot open {missing}"),
+            (build + [missing], f"cannot open {missing}"),
+            (build + [str(not_object)], f"{not_object}:1: malformed row"),
+            (["retrieve", "--memory", missing, "--query", "x", "--lambda-vec", "0"],
+             f"cannot open {missing}"),
+            (["eval", "run", "--memory", mem, "--corpus", missing], f"cannot open {missing}"),
+            (["eval", "run", "--memory", missing, "--corpus", corpus], f"cannot open {missing}"),
+            (["eval", "run", "--memory", mem, "--corpus", mem], f"{mem}: not UTF-8 text"),
+            (["eval", "run", "--corpus", corpus], "needs --memory and --corpus"),
+            (eval_run + ["--config", missing], f"cannot open {missing}"),
+            (eval_run + ["--weights", missing], f"cannot open {missing}"),
+            (["eval", "grid", "--memory", mem, "--corpus", corpus, "--grids", missing],
+             f"cannot open {missing}"),
+            (["decide", "--prompt", missing, "--labels", missing, "--gold", "x"],
+             f"cannot open {missing}"),
+            (["decide", "--prompt", mem, "--labels", missing, "--gold", "x"],
+             f"{mem}: not UTF-8 text"),
+        ]
+        for argv, message in cases:
+            code, _, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert message in err, (argv, err)

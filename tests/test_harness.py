@@ -161,6 +161,28 @@ class TestRunPipeline:
         assert padded.prompt.token_count >= plain.prompt.token_count
         assert set(plain.candidate_set) <= set(padded.candidate_set)
 
+    def test_rand_add_costs_each_line_once_per_memory(self, monkeypatch):
+        """The per-exemplar line costs are counted on a memory's first rand-add
+        only, equal a fresh count, and are dropped with the memory."""
+        import gc
+        import weakref
+
+        from divsel.prompt import count_tokens, render_exemplar_line
+
+        mem, _ = synth_corpus(labels=4, per_label=5, ambiguity=0.3, seed=2, dim=8, instances=1)
+        calls = []
+        monkeypatch.setattr(harness, "count_tokens", lambda text: calls.append(text) or count_tokens(text))
+        first = harness._rand_add_pairs(mem, set(), 0, 60, seed=1)
+        assert len(calls) == len(mem)
+        assert harness._rand_add_pairs(mem, set(), 0, 60, seed=1) == first
+        assert len(calls) == len(mem)
+        expected = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in mem.exemplars]
+        assert harness._LINE_COSTS[mem] == expected
+        freed = weakref.ref(mem)
+        del mem
+        gc.collect()
+        assert freed() is None
+
     def test_verifier_factory_accepted(self, small_world):
         mem, corpus = small_world
         inst = corpus[4]

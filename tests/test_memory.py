@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsel.errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from divsel.memory import ingest, load, persist, tokenize
+from divsel.errors import (
+    ConfigError,
+    IngestError,
+    MemoryFormatError,
+    UnknownIdError,
+    VersionMismatchError,
+)
+from divsel.memory import Exemplar, Memory, ingest, load, persist, tokenize
 
 
 def rec(rid, text, label, emb):
@@ -70,6 +76,12 @@ class TestIngest:
         with pytest.raises(IngestError, match="non-finite"):
             ingest([rec("e1", "a", "x", [float("nan"), 0.0])])
 
+    def test_constructor_rejects_duplicate_ids(self):
+        emb = np.array([1.0, 0.0])
+        exemplars = (Exemplar("e1", "a", "x", emb), Exemplar("e1", "b", "y", emb))
+        with pytest.raises(IngestError, match="duplicate exemplar id 'e1'"):
+            Memory(exemplars, k1=1.2, b=0.75)
+
 
 class TestBm25:
     def test_no_overlap_scores_zero(self):
@@ -111,7 +123,88 @@ class TestBm25:
         assert high >= low
 
 
+WORDS = ("taxi", "hotel", "book", "a", "room", "cancel", "flight", "now")
+
+
+@st.composite
+def bm25_cases(draw):
+    """A memory over a small vocabulary (duplicate and empty texts allowed)
+    and a query with repeated, unknown and no terms."""
+    texts = draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=6).map(" ".join),
+                          min_size=1, max_size=12))
+    if draw(st.booleans()):
+        texts = texts + texts[: draw(st.integers(1, len(texts)))]
+    query = draw(st.lists(st.sampled_from(WORDS + ("zebra", "QUEUE")), max_size=8))
+    k1 = draw(st.sampled_from((0.0, 1.2, 2.0)))
+    b = draw(st.sampled_from((0.0, 0.75, 1.0)))
+    rows = [rec(f"e{i}", t, "x", [1.0, float(i)]) for i, t in enumerate(texts)]
+    return ingest(rows, k1=k1, b=b), " ".join(query)
+
+
+class TestBm25Parity:
+    @given(case=bm25_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_postings_scores_equal_scalar_oracle(self, case):
+        """The scatter-add scores are bit-identical to the per-exemplar
+        oracle, which re-tokenizes each exemplar's text."""
+        mem, query = case
+        oracle = np.array([mem.bm25_score(query, ex.id) for ex in mem.exemplars])
+        assert np.array_equal(mem.bm25_scores(query), oracle)
+
+    def test_every_document_frequency_matches_the_oracle(self):
+        """Row i holds terms w0..w(i-1), so document frequencies run through
+        1..n-1 and row lengths through 0..n-1; a vectorized log of the idf is
+        off in the last bit for some of them."""
+        n = 600
+        rows = [rec(f"e{i}", " ".join(f"w{j}" for j in range(i)), "x", [1.0, 0.0])
+                for i in range(n)]
+        mem = ingest(rows)
+        query = " ".join(f"w{j}" for j in range(n)) + " w7 w7 w300"
+        oracle = np.array([mem.bm25_score(query, ex.id) for ex in mem.exemplars])
+        assert np.array_equal(mem.bm25_scores(query), oracle)
+
+    def test_repeated_query_term_counts_each_occurrence(self):
+        mem = ingest(small_records())
+        once = mem.bm25_scores("taxi")
+        assert once[0] > 0
+        assert np.array_equal(mem.bm25_scores("taxi taxi"), once + once)
+
+    def test_empty_and_unknown_queries_score_zero(self):
+        mem = ingest(small_records())
+        for query in ("", "zebra", "!!"):
+            assert np.array_equal(mem.bm25_scores(query), np.zeros(3))
+
+
 class TestPersistence:
+    def test_round_trip_reproduces_postings(self, tmp_path):
+        rng = np.random.default_rng(3)
+        rows = [
+            rec(f"e{i}", " ".join(rng.choice(WORDS, size=rng.integers(0, 7))), f"lab{i % 4}",
+                list(rng.normal(size=4)))
+            for i in range(60)
+        ]
+        mem = ingest(rows)
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        loaded = load(path)
+        assert loaded.vocab == mem.vocab
+        for attr in ("post_docs", "post_tfs", "offsets", "norm"):
+            assert np.array_equal(getattr(loaded, attr), getattr(mem, attr)), attr
+        assert loaded.avg_doc_len == mem.avg_doc_len
+
+    def test_load_rejects_duplicate_ids(self, tmp_path):
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"e2"', b'"e1"', 1))  # same length keeps the layout
+        with pytest.raises(MemoryFormatError, match="duplicate exemplar id 'e1'"):
+            load(path)
+
+    def test_missing_file_raises_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot open"):
+            load(tmp_path / "absent.divmem")
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         rows = [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsel.errors import ConfigError, DimensionError
 from divsel.memory import ingest
@@ -128,6 +130,15 @@ class TestRetrievePool:
         with pytest.raises(DimensionError):
             retrieve_pool(mem, rng.normal(size=5), "word1", RetrievalConfig())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_query_rejected(self, bad):
+        rng = np.random.default_rng(8)
+        mem = make_memory(rng)
+        z = rng.normal(size=6)
+        z[2] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            retrieve_pool(mem, z, "word1", RetrievalConfig())
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RetrievalConfig(lambda_vec=1.2)
@@ -135,6 +146,51 @@ class TestRetrievePool:
             RetrievalConfig(pool_size=0)
         with pytest.raises(ConfigError):
             RetrievalConfig(normalization="zscore")
+
+
+@st.composite
+def ranking_cases(draw):
+    """A memory with many relevance ties (repeated embeddings and texts, ids
+    whose string order differs from memory order) plus a retrieval config."""
+    n = draw(st.integers(1, 30))
+    n_vecs = draw(st.integers(1, 4))
+    n_texts = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vecs = rng.normal(size=(n_vecs, 3))
+    ids = [f"e{i}" for i in rng.permutation(n)]  # "e10" sorts before "e9"
+    rows = [
+        {"id": ids[i], "text": f"word{i % n_texts} filler", "label": "x",
+         "embedding": list(vecs[int(rng.integers(n_vecs))])}
+        for i in range(n)
+    ]
+    cfg = RetrievalConfig(
+        lambda_vec=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        pool_size=draw(st.integers(1, n + 3)),
+        normalization=draw(st.sampled_from(("minmax", "none"))),
+    )
+    query = draw(st.sampled_from(("word0", "word1 word1", "filler", "zebra")))
+    return ingest(rows), vecs[0] + draw(st.sampled_from((0.0, 0.3))), query, cfg
+
+
+class TestRankingParity:
+    @given(case=ranking_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_pool_equals_full_sort_reference(self, case):
+        """The partial top-L rank returns exactly the first pool_size items of
+        a full sort by (-relevance, id), ties at the threshold included."""
+        mem, z, query, cfg = case
+        vec = ExactScanIndex(mem).query(z)
+        lex = mem.bm25_scores(query)
+        if cfg.normalization == "minmax":
+            vec = (vec + 1.0) / 2.0
+            span = lex.max() - lex.min()
+            lex = np.full_like(lex, 0.5) if span <= 1e-12 else (lex - lex.min()) / span
+        rel = cfg.lambda_vec * vec + (1.0 - cfg.lambda_vec) * lex
+        ids = [ex.id for ex in mem.exemplars]
+        reference = sorted(range(len(mem)), key=lambda i: (-rel[i], ids[i]))[: cfg.pool_size]
+        pool = retrieve_pool(mem, z, query, cfg)
+        assert [c.exemplar_id for c in pool] == [ids[i] for i in reference]
+        assert [c.relevance for c in pool] == [float(rel[i]) for i in reference]
 
 
 class _ChunkedScanIndex:
