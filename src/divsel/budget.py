@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ConfigError, InvariantViolation
-from .files import read_text
+from .files import read_object
 
 STAGES = ("ann", "div", "prompt", "llm")
 
@@ -56,11 +56,16 @@ class CostConstants:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "CostConstants":
-        return cls(**{k: float(data[k]) for k in cls().to_dict()})
+        """Every constant, by name; a missing or unknown key raises."""
+        names = cls().to_dict()
+        unknown = set(data) - set(names)
+        if unknown:
+            raise ConfigError(f"unknown cost constants: {sorted(unknown)}")
+        return cls(**{k: float(data[k]) for k in names})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CostConstants":
-        return cls.from_dict(json.loads(read_text(path)))
+        return read_object(path, cls.from_dict)
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")

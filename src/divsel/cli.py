@@ -20,7 +20,7 @@ from . import budget as budget_mod
 from . import harness, memory as memory_mod, prompt as prompt_mod, retrieval, selection, synth, verifier as verifier_mod
 from .encoder import load_weights
 from .errors import ConfigError, DivselError, InvariantViolation
-from .files import read_rows, read_text
+from .files import read_object, read_rows, read_text
 
 
 def _emit(rows, out_path: str | None) -> None:
@@ -344,7 +344,7 @@ def cmd_eval(args) -> int:
         _emit(rows, args.out)
     else:  # grid
         grids = (
-            {k: list(v) for k, v in json.loads(read_text(args.grids)).items()}
+            read_object(args.grids, harness.check_grids)
             if args.grids
             else dict(harness.DEFAULT_GRIDS)
         )
@@ -367,8 +367,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, leaving 2 to invariant
+    violations; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="divsel", description=__doc__)
+    parser = _Parser(prog="divsel", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("memory", help="memory operations")

@@ -31,7 +31,7 @@ import numpy as np
 from .budget import Counters, CostConstants, LatencyReport, StageClock, WorkloadShape, measured_report, model_latency, scalarized_objective
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
-from .files import read_rows, read_text
+from .files import read_object, read_rows
 from .memory import Memory, tokenize
 from .prompt import (
     BudgetConfig,
@@ -159,6 +159,39 @@ def read_dialogue(path: str | Path) -> DialogueContext:
 # ---------------------------------------------------------------------------
 
 
+_NULLABLE_KEYS = ("fairness.shuffle_seed",)
+
+
+def _same_json_type(default, value) -> bool:
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) and all(
+            _same_json_type(default[0], v) for v in value
+        )
+    accepted = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+    return type(value) in accepted.get(type(default), ())
+
+
+def _overlay(defaults: Mapping, data: Mapping, where: str = "") -> dict:
+    """`defaults` with `data` laid over it, nested objects merged key by key;
+    a key `defaults` lacks or a value of another JSON type raises ConfigError."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"config {where.rstrip('.') or 'root'} must be an object")
+    out = dict(defaults)
+    for key, value in data.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {where}{key}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            value = _overlay(default, value, f"{where}{key}.")
+        elif not (_same_json_type(default, value)
+                  or value is None and f"{where}{key}" in _NULLABLE_KEYS):
+            raise ConfigError(
+                f"config key {where}{key} must be {type(default).__name__}, got {value!r}"
+            )
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class FairnessConfig:
     """Equal-budget protocol knobs."""
@@ -207,34 +240,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
-        base = cls()
-        sel = {**base.to_dict()["selection"], **data.get("selection", {})}
-        ret = {**base.to_dict()["retrieval"], **data.get("retrieval", {})}
-        bud = {**base.to_dict()["budget"], **data.get("budget", {})}
-        fair = {**base.to_dict()["fairness"], **data.get("fairness", {})}
+        """Defaults overlaid with `data`; an unknown key or a value of another
+        JSON type than its default, at any level, raises ConfigError."""
+        merged = _overlay(cls().to_dict(), data)
+        fair = merged["fairness"]
         return cls(
-            method=data.get("method", base.method),
-            selection=SelectionConfig(**sel),
-            retrieval=RetrievalConfig(**ret),
-            budget=BudgetConfig(**bud),
-            fairness=FairnessConfig(
-                shuffle_seed=fair["shuffle_seed"],
-                prefix_replace=fair["prefix_replace"],
-                token_targets=tuple(fair["token_targets"]),
-            ),
-            runs=int(data.get("runs", base.runs)),
-            base_seed=int(data.get("base_seed", base.base_seed)),
-            shortlist_size=int(data.get("shortlist_size", base.shortlist_size)),
-            mock_margin=float(data.get("mock_margin", base.mock_margin)),
-            tau_c=float(data.get("tau_c", base.tau_c)),
-            lambda_mmr=float(data.get("lambda_mmr", base.lambda_mmr)),
-            instruction=str(data.get("instruction", base.instruction)),
-            answer_format=str(data.get("answer_format", base.answer_format)),
+            method=merged["method"],
+            selection=SelectionConfig(**merged["selection"]),
+            retrieval=RetrievalConfig(**merged["retrieval"]),
+            budget=BudgetConfig(**merged["budget"]),
+            fairness=FairnessConfig(**{**fair, "token_targets": tuple(fair["token_targets"])}),
+            runs=merged["runs"],
+            base_seed=merged["base_seed"],
+            shortlist_size=merged["shortlist_size"],
+            mock_margin=float(merged["mock_margin"]),
+            tau_c=float(merged["tau_c"]),
+            lambda_mmr=float(merged["lambda_mmr"]),
+            instruction=merged["instruction"],
+            answer_format=merged["answer_format"],
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(read_text(path)))
+        return read_object(path, cls.from_dict)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -832,6 +860,21 @@ DEFAULT_GRIDS: dict[str, tuple] = {
 _GRID_KEYS = ("alpha", "tau", "label_cap", "pool_size", "k", "lambda_vec", "mu")
 
 
+def check_grids(grids: Mapping) -> dict[str, list]:
+    """Grid lists keyed by parameter name; no grid, an unknown key, or a value
+    that is not a non-empty list of numbers raises ConfigError."""
+    if not grids:
+        raise ConfigError("grid search needs non-empty grids")
+    unknown = set(grids) - set(_GRID_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    for key, values in grids.items():
+        if not (isinstance(values, (list, tuple)) and values
+                and all(type(v) in (int, float) for v in values)):
+            raise ConfigError(f"grid {key} must be a non-empty list of numbers, got {values!r}")
+    return {key: list(values) for key, values in grids.items()}
+
+
 def _apply_theta(config: ExperimentConfig, theta: Mapping[str, float]) -> ExperimentConfig:
     sel = config.selection
     ret = config.retrieval
@@ -868,11 +911,7 @@ def grid_search(
     constants with empirical mean workload sizes, so the search result is
     deterministic given seeds. Returns (best row, all rows).
     """
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ConfigError("grid search needs non-empty grids")
-    unknown = set(grids) - set(_GRID_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    grids = check_grids(grids)
     if constants is None:
         constants = CostConstants()
 

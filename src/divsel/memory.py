@@ -174,49 +174,58 @@ class Memory:
         return out
 
 
+def _parse_record(rec: Mapping) -> Exemplar:
+    """One exemplar record {id, text, label, embedding}, its embedding
+    re-normalized to unit L2 norm; a malformed record raises IngestError."""
+    try:
+        rid = str(rec["id"])
+        text = str(rec["text"])
+        label = str(rec["label"])
+        raw = np.asarray(rec["embedding"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise IngestError(f"malformed record: {exc}") from exc
+    if not label:
+        raise IngestError(f"exemplar {rid!r} has an empty label")
+    if raw.ndim != 1:
+        raise IngestError(f"exemplar {rid!r} embedding is not a flat vector")
+    if not np.all(np.isfinite(raw)):
+        raise IngestError(f"exemplar {rid!r} embedding has non-finite entries")
+    norm = float(np.linalg.norm(raw))
+    if norm <= 0.0:
+        raise IngestError(f"exemplar {rid!r} embedding has zero norm")
+    emb = raw / norm
+    emb.setflags(write=False)
+    return Exemplar(rid, text, label, emb)
+
+
+def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:
+    """A Memory over parsed exemplars; mixed dimensions or none at all raise."""
+    out: list[Exemplar] = []
+    for ex in exemplars:
+        if out and ex.embedding.shape[0] != out[0].embedding.shape[0]:
+            raise IngestError(
+                f"exemplar {ex.id!r} has embedding dimension {ex.embedding.shape[0]}, "
+                f"expected {out[0].embedding.shape[0]}"
+            )
+        out.append(ex)
+    if not out:
+        raise IngestError("empty record stream")
+    return Memory(tuple(out), k1=k1, b=b)
+
+
 def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
     """Build a Memory from exemplar records {id, text, label, embedding}.
 
     Embeddings are re-normalized to unit L2 norm. Duplicate ids, dimension
     mismatches, and empty streams are rejected.
     """
-    exemplars: list[Exemplar] = []
-    dim: int | None = None
-    for rec in records:
-        try:
-            rid = str(rec["id"])
-            text = str(rec["text"])
-            label = str(rec["label"])
-            raw = np.asarray(rec["embedding"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"malformed record: {exc}") from exc
-        if not label:
-            raise IngestError(f"exemplar {rid!r} has an empty label")
-        if raw.ndim != 1:
-            raise IngestError(f"exemplar {rid!r} embedding is not a flat vector")
-        if dim is None:
-            dim = int(raw.shape[0])
-        elif raw.shape[0] != dim:
-            raise IngestError(
-                f"exemplar {rid!r} has embedding dimension {raw.shape[0]}, expected {dim}"
-            )
-        if not np.all(np.isfinite(raw)):
-            raise IngestError(f"exemplar {rid!r} embedding has non-finite entries")
-        norm = float(np.linalg.norm(raw))
-        if norm <= 0.0:
-            raise IngestError(f"exemplar {rid!r} embedding has zero norm")
-        emb = raw / norm
-        emb.setflags(write=False)
-        exemplars.append(Exemplar(rid, text, label, emb))
-    if not exemplars:
-        raise IngestError("empty record stream")
-    return Memory(tuple(exemplars), k1=k1, b=b)
+    return _build(map(_parse_record, records), k1, b)
 
 
 def ingest_jsonl(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
     """Build a Memory from a line-delimited JSON file of exemplar records; a
-    line that is not a JSON object raises ConfigError naming path:line."""
-    return ingest(read_rows(path, dict), k1=k1, b=b)
+    malformed record raises ConfigError naming path:line."""
+    return _build(read_rows(path, _parse_record), k1, b)
 
 
 def persist(memory: Memory, path: str | Path) -> None:

@@ -7,6 +7,7 @@ live on incommensurate scales; see RetrievalConfig.normalization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -90,7 +91,9 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise DimensionError("cosine is undefined for a zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    # Python min/max clamp like np.clip (NaN and -0.0 pass through) at a
+    # fraction of its per-call cost on a scalar.
+    return min(max(float(np.dot(u, v) / (nu * nv)), -1.0), 1.0)
 
 
 def _normalize_cosines(raw: np.ndarray) -> np.ndarray:
@@ -180,7 +183,7 @@ def write_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
 def _parse_candidate(row: Mapping) -> Candidate:
     emb = np.asarray(row["embedding"], dtype=np.float64)
     emb.setflags(write=False)
-    return Candidate(
+    c = Candidate(
         exemplar_id=str(row["id"]),
         text=str(row["text"]),
         label=str(row["label"]),
@@ -190,6 +193,11 @@ def _parse_candidate(row: Mapping) -> Candidate:
         lex_score=float(row["lex_score"]),
         bm25_raw=float(row.get("bm25_raw", row["lex_score"])),
     )
+    if emb.ndim != 1 or not np.all(np.isfinite(emb)):
+        raise ConfigError("embedding must be a flat vector of finite numbers")
+    if not all(map(math.isfinite, (c.relevance, c.vec_score, c.lex_score, c.bm25_raw))):
+        raise ConfigError("scores must be finite")
+    return c
 
 
 def read_pool(path: str | Path) -> list[Candidate]:

@@ -7,6 +7,12 @@ need only running label counts and per-candidate similarity sums, so each
 step costs O(pool) similarity updates. Top-K, MMR, farthest-point, random,
 and an exhaustive oracle selector share the same result shape.
 
+Greedy, MMR and farthest-point share one selection step: score every open
+candidate at once and take the lexicographic maximum of the selector's keys
+(`_argmax`, one `np.lexsort`). The last key is always the negated id rank, so
+every tie breaks to the smallest exemplar id and, among duplicate ids, to the
+lowest pool index.
+
 Conventions for tiny sets (the objective is otherwise undefined): the label
 diversity of a singleton is 0, its text diversity is 1, and the empty set
 scores 0. Pairwise similarities are clamped at 0 from below inside the text
@@ -24,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .retrieval import Candidate
+from .retrieval import Candidate, cosine
 
 BRUTE_FORCE_GUARD = 1_000_000
 
@@ -65,11 +71,7 @@ class StepRecord:
 
 def clamped_similarity(u: np.ndarray, v: np.ndarray) -> float:
     """Pairwise cosine clamped at 0 from below, as used inside text diversity."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DimensionError("similarity is undefined for a zero vector")
-    return max(0.0, min(1.0, float(np.dot(u, v) / (nu * nv))))
+    return max(0.0, cosine(u, v))
 
 
 def label_diversity(labels: Iterable[str]) -> float:
@@ -150,11 +152,12 @@ class SelectedSet:
             self.sim_ops += 1
         return total
 
-    def after_add(self, label: str, incoming_a: float) -> tuple[int, float, float, float]:
+    def after_add(self, count: int | np.ndarray, incoming_a: float | np.ndarray):
         """Closed-form (sum of squared counts, mean pairwise similarity, g,
-        dtext) after adding one member of `label` whose clamped-similarity sum
-        against the current members is incoming_a."""
-        sum_sq = self.sum_sq_counts + 2 * self.label_counts.get(label, 0) + 1
+        dtext) after adding one member of a label already counted `count`
+        times, whose clamped-similarity sum against the current members is
+        incoming_a. Elementwise over arrays of counts and sums."""
+        sum_sq = self.sum_sq_counts + 2 * count + 1
         m = len(self.members)
         if m == 0:
             return sum_sq, 0.0, 0.0, 1.0  # singleton conventions: g = 0, dtext = 1
@@ -169,10 +172,11 @@ class SelectedSet:
         """
         if incoming_a is None:
             incoming_a = self.incoming_similarity(candidate)
+        count = self.label_counts.get(candidate.label, 0)
         self.sum_sq_counts, self.mean_pairwise_sim, self.g, self.dtext = self.after_add(
-            candidate.label, incoming_a
+            count, incoming_a
         )
-        self.label_counts[candidate.label] = self.label_counts.get(candidate.label, 0) + 1
+        self.label_counts[candidate.label] = count + 1
         self.members.append(candidate)
         self.r = self.alpha * self.g + (1.0 - self.alpha) * self.dtext
 
@@ -187,70 +191,73 @@ class SelectedSet:
 
 def delta_label_diversity(selected: SelectedSet, incoming_label: str) -> float:
     """Closed-form change in label diversity from adding one more of a label."""
-    return selected.after_add(incoming_label, 0.0)[2] - selected.g
+    return selected.after_add(selected.label_counts.get(incoming_label, 0), 0.0)[2] - selected.g
 
 
 def delta_text_diversity(selected: SelectedSet, incoming_a: float) -> float:
     """Closed-form change in text diversity given the candidate's similarity sum."""
-    return selected.after_add("", incoming_a)[3] - selected.dtext
-
-
-class _ReverseStr(str):
-    """Orders strings descending inside an otherwise max-key tuple."""
-
-    def __lt__(self, other):  # noqa: D105
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):  # noqa: D105
-        return str.__lt__(self, other)
+    return selected.after_add(0, incoming_a)[3] - selected.dtext
 
 
 def _pool_matrix(pool: Sequence[Candidate]) -> np.ndarray:
-    mat = np.stack([c.embedding for c in pool]).astype(np.float64)
+    try:
+        mat = np.stack([c.embedding for c in pool]).astype(np.float64)
+    except ValueError as exc:
+        raise DimensionError(f"pool embeddings do not share one shape: {exc}") from exc
+    if not np.all(np.isfinite(mat)):
+        raise DimensionError("pool contains a non-finite embedding")
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DimensionError("pool contains a zero embedding")
     return mat / norms
 
 
+def _pool_arrays(pool: Sequence[Candidate]):
+    """Unit embedding rows, vec_score, relevance, and each candidate's rank
+    in (id, pool index) order."""
+    mat = _pool_matrix(pool)
+    vec = np.array([c.vec_score for c in pool], dtype=np.float64)
+    rel = np.array([c.relevance for c in pool], dtype=np.float64)
+    if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(rel))):
+        raise SelectionError("pool contains a non-finite vec_score or relevance")
+    rank = np.empty(len(pool), dtype=np.int64)
+    rank[sorted(range(len(pool)), key=lambda i: pool[i].exemplar_id)] = np.arange(len(pool))
+    return mat, vec, rel, rank
+
+
+def _argmax(cand: np.ndarray, *keys: np.ndarray) -> int:
+    """The pool index in `cand` whose (keys[0][i], keys[1][i], ...) is the
+    lexicographic maximum; the last key must be unique per candidate."""
+    return int(cand[np.lexsort([key[cand] for key in reversed(keys)])[-1]])
+
+
 def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSet:
     """Greedy arg-max of the marginal diversity gain plus a relevance prior.
 
     Feasibility demands query cosine >= tau and per-label count < label_cap.
-    Ties on the prior-adjusted gain break by candidate relevance, then id.
-    When no candidate is feasible at the first step, the result is empty and
+    Ties on the prior-adjusted gain break by candidate relevance, then id,
+    then pool index. When no candidate is feasible at the first step, the result is empty and
     carries the binding constraint.
     """
     if not pool:
         raise SelectionError("cannot select from an empty pool")
     if cfg.k > len(pool):
         raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    mat = _pool_matrix(pool)
+    mat, vec, rel, rank = _pool_arrays(pool)
+    label_code: dict[str, int] = {}
+    codes = np.array([label_code.setdefault(c.label, len(label_code)) for c in pool])
+    counts = np.zeros(len(label_code), dtype=np.int64)
+    tau_pass = vec >= cfg.tau
+    prior = cfg.mu * vec
     pair_sums = np.zeros(len(pool))
-    remaining = set(range(len(pool)))
+    chosen = np.zeros(len(pool), dtype=bool)
     out = SelectedSet(cfg.alpha)
 
     while out.size < cfg.k:
-        best: tuple[float, float, str] | None = None
-        best_idx = -1
-        best_gain = 0.0
-        saw_tau_pass = False
-        for i in remaining:
-            c = pool[i]
-            if c.vec_score < cfg.tau:
-                continue
-            saw_tau_pass = True
-            if out.label_counts.get(c.label, 0) >= cfg.label_cap:
-                continue
-            _, _, g, dtext = out.after_add(c.label, float(pair_sums[i]))
-            gain = cfg.alpha * (g - out.g) + (1.0 - cfg.alpha) * (dtext - out.dtext)
-            tilde = gain + cfg.mu * c.vec_score
-            key = (tilde, c.relevance, _ReverseStr(c.exemplar_id))
-            if best is None or key > best:
-                best = key
-                best_idx = i
-                best_gain = gain
-        if best is None:
+        open_tau = tau_pass & ~chosen
+        cand = np.flatnonzero(open_tau & (counts[codes] < cfg.label_cap))
+        if cand.size == 0:
+            saw_tau_pass = bool(open_tau.any())
             if out.size == 0:
                 out.stop_reason = "infeasible"
                 out.binding_constraint = "cap" if saw_tau_pass else "tau"
@@ -258,25 +265,30 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
                 out.stop_reason = "cap-limited" if saw_tau_pass else "threshold-limited"
             return out
 
-        chosen = pool[best_idx]
-        out.add(chosen, incoming_a=float(pair_sums[best_idx]))
+        _, _, g, dtext = out.after_add(counts[codes], pair_sums)
+        gain = np.broadcast_to(
+            cfg.alpha * (g - out.g) + (1.0 - cfg.alpha) * (dtext - out.dtext), vec.shape
+        )
+        tilde = gain + prior
+        best = _argmax(cand, tilde, rel, -rank)
+        chosen[best] = True
+        counts[codes[best]] += 1
+        out.add(pool[best], incoming_a=float(pair_sums[best]))
         out.steps.append(
             StepRecord(
                 index=out.size - 1,
-                exemplar_id=chosen.exemplar_id,
-                gain=best_gain,
-                tilde_gain=best[0],
+                exemplar_id=pool[best].exemplar_id,
+                gain=float(gain[best]),
+                tilde_gain=float(tilde[best]),
                 g=out.g,
                 dtext=out.dtext,
                 r=out.r,
             )
         )
-        remaining.discard(best_idx)
-        if remaining:
-            idx = sorted(remaining)
-            sims = np.clip(mat[idx] @ mat[best_idx], 0.0, 1.0)
-            pair_sums[idx] += sims
-            out.sim_ops += len(idx)
+        idx = np.flatnonzero(~chosen)
+        if idx.size:
+            pair_sums[idx] += np.clip(mat[idx] @ mat[best], 0.0, 1.0)
+            out.sim_ops += idx.size
 
     out.stop_reason = "complete" if out.size == cfg.k else "exhausted"
     return out
@@ -386,33 +398,25 @@ def mmr_select(
     pool: Sequence[Candidate], k: int, lambda_mmr: float, alpha: float = 0.5
 ) -> SelectedSet:
     """Maximal marginal relevance: query cosine traded against the max
-    similarity to anything already chosen. Ties break by id."""
+    similarity to anything already chosen. Ties break by id, then pool index."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
     if not 0.0 <= lambda_mmr <= 1.0:
         raise ConfigError(f"lambda_mmr must be in [0, 1], got {lambda_mmr}")
-    mat = _pool_matrix(pool)
+    mat, vec, _, rank = _pool_arrays(pool)
     n = len(pool)
     max_sim = np.zeros(n)
-    remaining = set(range(n))
+    chosen = np.zeros(n, dtype=bool)
     out = SelectedSet(alpha)
-    while out.size < min(k, n) and remaining:
-        best_key = None
-        best_idx = -1
-        for i in remaining:
-            penalty = max_sim[i] if out.size else 0.0
-            score = lambda_mmr * pool[i].vec_score - (1.0 - lambda_mmr) * penalty
-            key = (score, _ReverseStr(pool[i].exemplar_id))
-            if best_key is None or key > best_key:
-                best_key = key
-                best_idx = i
-        out.add(pool[best_idx])
-        remaining.discard(best_idx)
-        if remaining:
-            idx = sorted(remaining)
-            sims = mat[idx] @ mat[best_idx]
-            max_sim[idx] = np.maximum(max_sim[idx], sims)
-            out.sim_ops += len(idx)
+    while out.size < min(k, n):
+        score = lambda_mmr * vec - (1.0 - lambda_mmr) * max_sim
+        best = _argmax(np.flatnonzero(~chosen), score, -rank)
+        out.add(pool[best])
+        chosen[best] = True
+        idx = np.flatnonzero(~chosen)
+        if idx.size:
+            max_sim[idx] = np.maximum(max_sim[idx], mat[idx] @ mat[best])
+            out.sim_ops += idx.size
     out.stop_reason = "complete"
     return out
 
@@ -423,29 +427,20 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
     distance to the chosen set."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
-    mat = _pool_matrix(pool)
+    mat, _, rel, rank = _pool_arrays(pool)
     n = len(pool)
     out = SelectedSet(alpha)
-    seed_idx = min(range(n), key=lambda i: (-pool[i].relevance, pool[i].exemplar_id))
-    out.add(pool[seed_idx])
-    min_dist = 1.0 - mat @ mat[seed_idx]
-    out.sim_ops += n - 1 if n > 1 else 0
-    chosen = {seed_idx}
-    while out.size < min(k, n):
-        best_key = None
-        best_idx = -1
-        for i in range(n):
-            if i in chosen:
-                continue
-            key = (float(min_dist[i]), _ReverseStr(pool[i].exemplar_id))
-            if best_key is None or key > best_key:
-                best_key = key
-                best_idx = i
-        out.add(pool[best_idx])
-        chosen.add(best_idx)
-        if len(chosen) < n:
-            dist_new = 1.0 - mat @ mat[best_idx]
-            min_dist = np.minimum(min_dist, dist_new)
-            out.sim_ops += n - len(chosen)
+    chosen = np.zeros(n, dtype=bool)
+    best = _argmax(np.arange(n), rel, -rank)
+    min_dist = np.full(n, np.inf)
+    while True:
+        out.add(pool[best])
+        chosen[best] = True
+        if out.size < n:
+            min_dist = np.minimum(min_dist, 1.0 - mat @ mat[best])
+            out.sim_ops += n - out.size
+        if out.size >= min(k, n):
+            break
+        best = _argmax(np.flatnonzero(~chosen), min_dist, -rank)
     out.stop_reason = "complete"
     return out

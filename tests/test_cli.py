@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from divsel.budget import CostConstants
 from divsel.cli import main
 from divsel.memory import load
 
@@ -300,6 +301,31 @@ class TestExitCodes:
         bad_runs.write_text('{"t_ann": 1}\n')
         not_object = tmp_path / "records.jsonl"
         not_object.write_text("[1, 2]\n")
+        no_id = tmp_path / "no_id.jsonl"
+        no_id.write_text('{"t_ann": 1}\n')
+        row = {"id": "a", "text": "t", "label": "l", "relevance": 0.5, "vec_score": 0.5,
+               "lex_score": 0.0, "embedding": [1.0, 0.0]}
+        nan_score = tmp_path / "nan_score.jsonl"
+        nan_score.write_text(json.dumps(row) + "\n" + json.dumps({**row, "vec_score": float("nan")}) + "\n")
+        nan_emb = tmp_path / "nan_emb.jsonl"
+        nan_emb.write_text(json.dumps({**row, "embedding": [float("nan"), 1.0]}) + "\n")
+        files = {}
+        for name, text in {
+            "bad_json": '{"c_ann": 1',
+            "missing_key": '{"c_ann": 1}',
+            "unknown_constant": json.dumps({**CostConstants().to_dict(), "c_x": 1.0}),
+            "unknown_nested": '{"selection": {"kk": 3}}',
+            "unknown_top": '{"runz": 3}',
+            "wrong_type": '{"selection": {"k": "3"}}',
+            "float_for_int": '{"retrieval": {"pool_size": 2.5}}',
+            "not_an_object": "[1, 2]",
+            "section_not_object": '{"budget": 3}',
+            "grid_value": '{"alpha": 3}',
+            "grid_key": '{"beta": [1]}',
+        }.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(text)
+        grid = ["eval", "grid", "--memory", mem, "--corpus", corpus, "--grids"]
         eval_run = ["eval", "run", "--memory", mem, "--corpus", corpus]
         compose = ["compose", "--dialogue", dialogue, "--budget", "300", "--selection"]
         build = ["memory", "build", "--out", str(tmp_path / "m.divmem"), "--in"]
@@ -326,8 +352,29 @@ class TestExitCodes:
              f"cannot open {missing}"),
             (["decide", "--prompt", mem, "--labels", missing, "--gold", "x"],
              f"{mem}: not UTF-8 text"),
+            (build + [str(no_id)], f"{no_id}:1: malformed row"),
+            (["select", "--pool", str(nan_score)], f"{nan_score}:2: malformed row"),
+            (["select", "--pool", str(nan_emb)], f"{nan_emb}:1: malformed row"),
         ]
+        for name in ("bad_json", "missing_key", "unknown_constant", "not_an_object"):
+            cases.append((["budget", "model", "--constants", str(files[name])],
+                          f"{files[name]}: malformed file"))
+        for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
+                     "not_an_object", "section_not_object", "bad_json"):
+            cases.append((eval_run + ["--config", str(files[name])], f"{files[name]}: malformed file"))
+        for name in ("not_an_object", "grid_value", "grid_key"):
+            cases.append((grid + [str(files[name])], f"{files[name]}: malformed file"))
         for argv, message in cases:
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
             assert message in err, (argv, err)
+
+    def test_usage_errors_exit_one_and_help_exits_zero(self, capsys):
+        for argv in (["select"], ["eval", "grid", "--bogus"], ["select", "--pool", "p", "--K", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1, argv
+            assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--help"])
+        assert exc.value.code == 0

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from conftest import make_candidate, random_pool, unit
-from divsel.errors import ConfigError, SelectionError
+from divsel.errors import ConfigError, DimensionError, SelectionError
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
@@ -399,3 +401,30 @@ class TestTopkAndRandom:
 
     def test_random_exhausts_pool(self, abc_pool):
         assert sorted(random_select(abc_pool, 3, seed=1).ids()) == ["A", "B", "C"]
+
+
+class TestNonFinitePool:
+    SELECTORS = (
+        lambda p: greedy_select(p, SelectionConfig(k=2, tau=-1.0)),
+        lambda p: mmr_select(p, 2, 0.5),
+        lambda p: fps_select(p, 2),
+    )
+
+    @pytest.mark.parametrize("field", ["vec_score", "relevance"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_score_rejected(self, abc_pool, field, bad):
+        pool = [abc_pool[0], replace(abc_pool[1], **{field: bad}), abc_pool[2]]
+        for select in self.SELECTORS:
+            with pytest.raises(SelectionError, match="non-finite"):
+                select(pool)
+
+    def test_non_finite_embedding_rejected(self, abc_pool):
+        pool = [abc_pool[0], replace(abc_pool[1], embedding=np.array([np.nan, 1.0])), abc_pool[2]]
+        for select in self.SELECTORS + (lambda p: brute_force_select(p, SelectionConfig(k=2)),):
+            with pytest.raises(DimensionError, match="non-finite"):
+                select(pool)
+
+    def test_mixed_dimensions_rejected(self, abc_pool):
+        pool = [abc_pool[0], replace(abc_pool[1], embedding=unit(1, 0, 0))]
+        with pytest.raises(DimensionError, match="shape"):
+            fps_select(pool, 2)

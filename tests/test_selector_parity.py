@@ -1,0 +1,225 @@
+"""The vectorized greedy, MMR and farthest-point selectors against scalar
+references: per-candidate scans over a `remaining` set that break ties with a
+descending-string key, as the selectors did before they scored every
+candidate at once. Results must be identical, not merely close: the
+arithmetic per candidate is unchanged, only its batching and the tie-break
+mechanism differ."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divsel.retrieval import Candidate
+from divsel.selection import (
+    SelectedSet,
+    SelectionConfig,
+    StepRecord,
+    fps_select,
+    greedy_select,
+    mmr_select,
+)
+
+
+class _ReverseStr(str):
+    """Orders strings descending inside an otherwise max-key tuple."""
+
+    def __lt__(self, other):
+        return str.__gt__(self, other)
+
+    def __gt__(self, other):
+        return str.__lt__(self, other)
+
+
+def _unit_rows(pool):
+    mat = np.stack([c.embedding for c in pool]).astype(np.float64)
+    return mat / np.linalg.norm(mat, axis=1, keepdims=True)
+
+
+def greedy_reference(pool, cfg):
+    mat = _unit_rows(pool)
+    pair_sums = np.zeros(len(pool))
+    remaining = set(range(len(pool)))
+    out = SelectedSet(cfg.alpha)
+    while out.size < cfg.k:
+        best = None
+        best_idx = -1
+        best_gain = 0.0
+        saw_tau_pass = False
+        for i in remaining:
+            c = pool[i]
+            if c.vec_score < cfg.tau:
+                continue
+            saw_tau_pass = True
+            count = out.label_counts.get(c.label, 0)
+            if count >= cfg.label_cap:
+                continue
+            _, _, g, dtext = out.after_add(count, float(pair_sums[i]))
+            gain = cfg.alpha * (g - out.g) + (1.0 - cfg.alpha) * (dtext - out.dtext)
+            tilde = gain + cfg.mu * c.vec_score
+            key = (tilde, c.relevance, _ReverseStr(c.exemplar_id))
+            if best is None or key > best:
+                best = key
+                best_idx = i
+                best_gain = gain
+        if best is None:
+            if out.size == 0:
+                out.stop_reason = "infeasible"
+                out.binding_constraint = "cap" if saw_tau_pass else "tau"
+            else:
+                out.stop_reason = "cap-limited" if saw_tau_pass else "threshold-limited"
+            return out
+        chosen = pool[best_idx]
+        out.add(chosen, incoming_a=float(pair_sums[best_idx]))
+        out.steps.append(
+            StepRecord(out.size - 1, chosen.exemplar_id, best_gain, best[0], out.g, out.dtext, out.r)
+        )
+        remaining.discard(best_idx)
+        if remaining:
+            idx = sorted(remaining)
+            pair_sums[idx] += np.clip(mat[idx] @ mat[best_idx], 0.0, 1.0)
+            out.sim_ops += len(idx)
+    out.stop_reason = "complete"
+    return out
+
+
+def mmr_reference(pool, k, lambda_mmr, alpha):
+    mat = _unit_rows(pool)
+    n = len(pool)
+    max_sim = np.zeros(n)
+    remaining = set(range(n))
+    out = SelectedSet(alpha)
+    while out.size < min(k, n) and remaining:
+        best_key = None
+        best_idx = -1
+        for i in remaining:
+            penalty = max_sim[i] if out.size else 0.0
+            score = lambda_mmr * pool[i].vec_score - (1.0 - lambda_mmr) * penalty
+            key = (score, _ReverseStr(pool[i].exemplar_id))
+            if best_key is None or key > best_key:
+                best_key = key
+                best_idx = i
+        out.add(pool[best_idx])
+        remaining.discard(best_idx)
+        if remaining:
+            idx = sorted(remaining)
+            max_sim[idx] = np.maximum(max_sim[idx], mat[idx] @ mat[best_idx])
+            out.sim_ops += len(idx)
+    out.stop_reason = "complete"
+    return out
+
+
+def fps_reference(pool, k, alpha):
+    mat = _unit_rows(pool)
+    n = len(pool)
+    out = SelectedSet(alpha)
+    seed_idx = min(range(n), key=lambda i: (-pool[i].relevance, pool[i].exemplar_id))
+    out.add(pool[seed_idx])
+    min_dist = 1.0 - mat @ mat[seed_idx]
+    out.sim_ops += n - 1 if n > 1 else 0
+    chosen = {seed_idx}
+    while out.size < min(k, n):
+        best_key = None
+        best_idx = -1
+        for i in range(n):
+            if i in chosen:
+                continue
+            key = (float(min_dist[i]), _ReverseStr(pool[i].exemplar_id))
+            if best_key is None or key > best_key:
+                best_key = key
+                best_idx = i
+        out.add(pool[best_idx])
+        chosen.add(best_idx)
+        if len(chosen) < n:
+            min_dist = np.minimum(min_dist, 1.0 - mat @ mat[best_idx])
+            out.sim_ops += n - len(chosen)
+    out.stop_reason = "complete"
+    return out
+
+
+def outcome(result: SelectedSet):
+    return (
+        result.ids(),
+        result.steps,
+        result.sim_ops,
+        (result.g, result.dtext, result.r),
+        result.stop_reason,
+        result.binding_constraint,
+    )
+
+
+# Few distinct values per field, so that ties are common: repeated embeddings
+# (equal similarities), equal scores, duplicate ids, and a vec_score exactly
+# at the tau values below.
+_DIRECTIONS = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 1), (-1, 0, 2), (2, 1, -1)]
+_SCORES = [-0.3, 0.0, 0.4, 0.5, 0.9]
+
+
+@st.composite
+def pools(draw):
+    n = draw(st.integers(1, 12))
+    pool = []
+    for i in range(n):
+        direction = draw(
+            st.one_of(
+                st.sampled_from(_DIRECTIONS),
+                st.tuples(*[st.floats(-1, 1, allow_nan=False)] * 3).filter(
+                    lambda v: np.linalg.norm(v) > 1e-3
+                ),
+            )
+        )
+        emb = np.asarray(direction, dtype=np.float64)
+        score = st.one_of(st.sampled_from(_SCORES), st.floats(-1, 1, allow_nan=False))
+        pool.append(
+            Candidate(
+                exemplar_id=draw(st.sampled_from([f"c{i:02d}", "c00", "c03", "b"])),
+                text="t",
+                label=draw(st.sampled_from("xyz")),
+                embedding=emb / np.linalg.norm(emb),
+                relevance=draw(score),
+                vec_score=draw(score),
+                lex_score=0.0,
+                bm25_raw=0.0,
+            )
+        )
+    return pool
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=pools(),
+    data=st.data(),
+    alpha=st.sampled_from([0.0, 0.5, 1.0]),
+    tau=st.sampled_from([-1.0, 0.4, 0.5]),
+    label_cap=st.integers(1, 3),
+    mu=st.sampled_from([0.0, 0.05]),
+)
+def test_greedy_matches_scalar_reference(pool, data, alpha, tau, label_cap, mu):
+    k = data.draw(st.integers(1, len(pool)))
+    cfg = SelectionConfig(alpha=alpha, k=k, tau=tau, label_cap=label_cap, mu=mu)
+    assert outcome(greedy_select(pool, cfg)) == outcome(greedy_reference(pool, cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=pools(), data=st.data(), lambda_mmr=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_mmr_matches_scalar_reference(pool, data, lambda_mmr):
+    k = data.draw(st.integers(1, len(pool)))
+    assert outcome(mmr_select(pool, k, lambda_mmr, 0.5)) == outcome(
+        mmr_reference(pool, k, lambda_mmr, 0.5)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool=pools(), data=st.data())
+def test_fps_matches_scalar_reference(pool, data):
+    k = data.draw(st.integers(1, len(pool)))
+    assert outcome(fps_select(pool, k, 0.5)) == outcome(fps_reference(pool, k, 0.5))
+
+
+def test_full_ties_pick_smallest_id_then_lowest_index():
+    """Identical candidates: every selector takes them in (id, index) order."""
+    e = np.array([1.0, 0.0])
+    pool = [Candidate(eid, "t", lab, e, 0.5, 0.5, 0.0, 0.0)
+            for eid, lab in (("b", "x"), ("a", "y"), ("b", "z"), ("a", "w"))]
+    cfg = SelectionConfig(alpha=0.0, k=4, tau=0.0, label_cap=1, mu=0.0)
+    for result in (greedy_select(pool, cfg), mmr_select(pool, 4, 1.0), fps_select(pool, 4)):
+        assert [m.label for m in result.members] == ["y", "w", "x", "z"]
