@@ -59,7 +59,6 @@ from .retrieval import (
     Candidate,
     ExactScanIndex,
     RetrievalConfig,
-    VectorIndex,
     cosine,
     retrieve_pool,
 )

@@ -11,7 +11,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ConfigError, InvariantViolation
-from .files import read_object
+from .files import overlay, read_object
 
 STAGES = ("ann", "div", "prompt", "llm")
 
@@ -44,24 +44,17 @@ class CostConstants:
             raise ConfigError("r_tok must be positive")
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "c_ann": self.c_ann,
-            "c_bm25": self.c_bm25,
-            "c_sim": self.c_sim,
-            "c_delta": self.c_delta,
-            "c_sum": self.c_sum,
-            "c_fmt": self.c_fmt,
-            "r_tok": self.r_tok,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, float]) -> "CostConstants":
-        """Every constant, by name; a missing or unknown key raises."""
-        names = cls().to_dict()
-        unknown = set(data) - set(names)
-        if unknown:
-            raise ConfigError(f"unknown cost constants: {sorted(unknown)}")
-        return cls(**{k: float(data[k]) for k in names})
+        """Every constant, by name, each a JSON number; a missing or unknown
+        key or a value of another type raises ConfigError."""
+        defaults = cls().to_dict()
+        missing = set(defaults) - set(data)
+        if missing:
+            raise ConfigError(f"missing cost constants: {sorted(missing)}")
+        return cls(**{k: float(v) for k, v in overlay(defaults, data).items()})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CostConstants":
@@ -112,7 +105,6 @@ class LatencyReport:
     t_prompt: float
     t_llm: float
     t_total: float
-    budget: float | None = None
     counters: Counters | None = None
 
     def __post_init__(self):
@@ -161,7 +153,6 @@ def measured_report(
     counters: Counters,
     pool_size: int,
     k: int,
-    budget: float | None = None,
 ) -> LatencyReport:
     """Assemble a measured report and enforce the similarity-count bound
     (each of the k selection steps scans at most pool_size candidates)."""
@@ -178,7 +169,6 @@ def measured_report(
         t_prompt=t["prompt"],
         t_llm=t["llm"],
         t_total=sum(t.values()),
-        budget=budget,
         counters=counters,
     )
 

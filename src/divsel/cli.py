@@ -11,7 +11,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +19,27 @@ import numpy as np
 from . import budget as budget_mod
 from . import harness, memory as memory_mod, prompt as prompt_mod, retrieval, selection, synth, verifier as verifier_mod
 from .encoder import load_weights
-from .errors import ConfigError, DivselError, InvariantViolation
+from .errors import DivselError, InvariantViolation
 from .files import read_object, read_rows, read_text
+
+# The fields of a pool row that `retrieve` prints when it writes no pool file.
+_RETRIEVE_FIELDS = ("id", "label", "relevance", "vec_score", "lex_score")
+
+# WorkloadShape fields by the name both the budget flags and the calibration
+# run rows use.
+_SHAPE_KEYS = {
+    "N": "memory_size",
+    "terms": "query_terms",
+    "L": "pool_size",
+    "K": "k",
+    "turns": "turns",
+    "prompt_tokens": "prompt_tokens",
+    "gen_tokens": "gen_tokens",
+}
+
+# `select` runs one selector; topk_rand_add differs from topk only in the
+# prompt stage, and the brute-force oracle is not a harness method.
+_SELECT_METHODS = tuple(m for m in harness.METHODS if m != "topk_rand_add")
 
 
 def _emit(rows, out_path: str | None) -> None:
@@ -31,14 +50,47 @@ def _emit(rows, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _config_from_args(args) -> harness.ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = harness.ExperimentConfig.from_file(args.config)
+def int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def permute_spec(text: str) -> str | int:
+    """`identity`, `reverse` or an integer shuffle seed."""
+    return text if text in ("identity", "reverse") else int(text)
+
+
+def _shape(values) -> budget_mod.WorkloadShape:
+    return budget_mod.WorkloadShape(**{field: values[key] for key, field in _SHAPE_KEYS.items()})
+
+
+def _constants(args) -> budget_mod.CostConstants:
+    if args.constants:
+        return budget_mod.CostConstants.from_file(args.constants)
+    return budget_mod.CostConstants()
+
+
+def _eval_inputs(args):
+    """Memory, corpus, config, weights and the header row of an eval command,
+    loaded in that order so the first bad input is the one reported."""
+    mem = memory_mod.load(args.memory)
+    corpus = harness.read_corpus(args.corpus)
+    if args.config:
+        config = harness.ExperimentConfig.from_file(args.config)
     else:
-        cfg = harness.ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    return cfg
+        config = harness.ExperimentConfig()
+    if args.seed is not None:
+        config = replace(config, base_seed=args.seed)
+    weights = load_weights(args.weights) if args.weights else None
+    header = {
+        "type": "header",
+        "config_hash": config.config_hash(),
+        "aga_convention": "slot active iff gold value != not_mentioned",
+    }
+    return mem, corpus, config, weights, header
 
 
 def cmd_memory_build(args) -> int:
@@ -66,20 +118,8 @@ def cmd_retrieve(args) -> int:
     if args.out:
         retrieval.write_pool(pool, args.out)
     else:
-        for c in pool:
-            sys.stdout.write(
-                json.dumps(
-                    {
-                        "id": c.exemplar_id,
-                        "label": c.label,
-                        "relevance": c.relevance,
-                        "vec_score": c.vec_score,
-                        "lex_score": c.lex_score,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        rows = map(retrieval.pool_row, pool)
+        _emit(({key: row[key] for key in _RETRIEVE_FIELDS} for row in rows), None)
     return 0
 
 
@@ -124,28 +164,20 @@ def cmd_compose(args) -> int:
         max_prompt_tokens=args.budget, summary_token_cap=min(args.summary_cap, args.budget)
     )
     permutation = None
-    if args.permute and args.permute != "identity":
+    if args.permute != "identity":
         permutation = list(range(len(pairs)))
         if args.permute == "reverse":
             permutation.reverse()
         else:
-            random.Random(int(args.permute)).shuffle(permutation)
+            random.Random(args.permute).shuffle(permutation)
     template = prompt_mod.load_template(args.template) if args.template else prompt_mod.DEFAULT_TEMPLATE
     instruction = args.instruction or prompt_mod.DEFAULT_INSTRUCTION
     result = prompt_mod.compose(instruction, ctx, pairs, budget, permutation, template)
     if args.out:
         Path(args.out).write_text(result.text, encoding="utf-8")
-    _emit(
-        [
-            {
-                "type": "prompt",
-                "token_count": result.token_count,
-                "dropped_summary_turns": result.dropped_summary_turns,
-                "dropped_exemplars": list(result.dropped_exemplars),
-            }
-        ],
-        None,
-    )
+    _emit([{"type": "prompt", "token_count": result.token_count,
+            "dropped_summary_turns": result.dropped_summary_turns,
+            "dropped_exemplars": list(result.dropped_exemplars)}], None)
     if not args.out:
         sys.stdout.write(result.text + "\n")
     return 0
@@ -174,196 +206,110 @@ def cmd_decide(args) -> int:
             raise DivselError("--url is required with the endpoint verifier")
         boundary = verifier_mod.EndpointVerifier(args.url, timeout=args.timeout)
     output = verifier_mod.score_labels(shell, labels, boundary, args.tau_c)
-    _emit(
-        [
-            {
-                "type": "decision",
-                "decision": output.decision,
-                "scores": output.scores,
-                "calibrated": output.calibrated,
-            }
-        ],
-        args.out,
-    )
+    _emit([{"type": "decision", "decision": output.decision, "scores": output.scores,
+            "calibrated": output.calibrated}], args.out)
     return 0
 
 
-def _shape_from_args(args) -> budget_mod.WorkloadShape:
-    return budget_mod.WorkloadShape(
-        memory_size=args.N,
-        query_terms=args.terms,
-        pool_size=args.L,
-        k=args.K,
-        turns=args.turns,
-        prompt_tokens=args.prompt_tokens,
-        gen_tokens=args.gen_tokens,
+def cmd_budget_model(args) -> int:
+    rep = budget_mod.model_latency(_constants(args), _shape(vars(args)))
+    times = {key: getattr(rep, key) for key in ("t_ann", "t_div", "t_prompt", "t_llm", "t_total")}
+    _emit([{"type": "latency_model", **times}], args.out)
+    return 0
+
+
+def cmd_budget_control(args) -> int:
+    decision = budget_mod.budget_control(
+        _constants(args), _shape(vars(args)), args.L, args.K, args.U, args.B
     )
+    _emit([{"type": "budget_control", **asdict(decision)}], args.out)
+    return 0
 
 
 def _calibration_sample(row) -> tuple[budget_mod.LatencyReport, budget_mod.WorkloadShape]:
-    report = budget_mod.LatencyReport(
-        "measured",
-        t_ann=row["t_ann"],
-        t_div=row["t_div"],
-        t_prompt=row["t_prompt"],
-        t_llm=row["t_llm"],
-        t_total=row["t_ann"] + row["t_div"] + row["t_prompt"] + row["t_llm"],
-    )
-    shape = budget_mod.WorkloadShape(
-        memory_size=row["N"],
-        query_terms=row["terms"],
-        pool_size=row["L"],
-        k=row["K"],
-        turns=row["turns"],
-        prompt_tokens=row["prompt_tokens"],
-        gen_tokens=row["gen_tokens"],
-    )
-    return report, shape
+    times = {f"t_{stage}": row[f"t_{stage}"] for stage in budget_mod.STAGES}
+    return budget_mod.LatencyReport("measured", **times, t_total=sum(times.values())), _shape(row)
 
 
-def cmd_budget(args) -> int:
-    constants = (
-        budget_mod.CostConstants.from_file(args.constants)
-        if args.constants
-        else budget_mod.CostConstants()
-    )
-    if args.budget_cmd == "model":
-        rep = budget_mod.model_latency(constants, _shape_from_args(args))
-        _emit(
-            [
-                {
-                    "type": "latency_model",
-                    "t_ann": rep.t_ann,
-                    "t_div": rep.t_div,
-                    "t_prompt": rep.t_prompt,
-                    "t_llm": rep.t_llm,
-                    "t_total": rep.t_total,
-                }
-            ],
-            args.out,
-        )
-    elif args.budget_cmd == "control":
-        decision = budget_mod.budget_control(
-            constants, _shape_from_args(args), args.L, args.K, args.U, args.B
-        )
-        _emit(
-            [
-                {
-                    "type": "budget_control",
-                    "pool_size": decision.pool_size,
-                    "k": decision.k,
-                    "label_cap": decision.label_cap,
-                    "over_budget": decision.over_budget,
-                    "modeled_total": decision.modeled_total,
-                }
-            ],
-            args.out,
-        )
-    else:  # calibrate
-        fitted = budget_mod.calibrate_constants(list(read_rows(args.runs, _calibration_sample)))
-        if args.out:
-            fitted.to_file(args.out)
-        _emit([{"type": "constants", **fitted.to_dict()}], None)
+def cmd_budget_calibrate(args) -> int:
+    fitted = budget_mod.calibrate_constants(list(read_rows(args.runs, _calibration_sample)))
+    if args.out:
+        fitted.to_file(args.out)
+    _emit([{"type": "constants", **fitted.to_dict()}], None)
     return 0
 
 
-def cmd_eval(args) -> int:
-    if args.eval_cmd == "synth":
-        mem, instances = synth.synth_corpus(
-            labels=args.labels,
-            per_label=args.per_label,
-            ambiguity=args.ambiguity,
-            seed=args.seed if args.seed is not None else 0,
-            dim=args.dim,
-            instances=args.instances,
-        )
-        out_dir = Path(args.out or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        memory_mod.persist(mem, out_dir / "memory.divmem")
-        harness.write_corpus(instances, out_dir / "corpus.jsonl")
-        _emit(
-            [
-                {
-                    "type": "synth",
-                    "memory": str(out_dir / "memory.divmem"),
-                    "corpus": str(out_dir / "corpus.jsonl"),
-                    "exemplars": len(mem),
-                    "instances": len(instances),
-                }
-            ],
-            None,
-        )
-        return 0
+def cmd_eval_synth(args) -> int:
+    mem, instances = synth.synth_corpus(
+        args.labels, args.per_label, args.ambiguity, args.seed, args.dim, args.instances
+    )
+    out_dir = Path(args.out or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    mem_path, corpus_path = out_dir / "memory.divmem", out_dir / "corpus.jsonl"
+    memory_mod.persist(mem, mem_path)
+    harness.write_corpus(instances, corpus_path)
+    _emit([{"type": "synth", "memory": str(mem_path), "corpus": str(corpus_path),
+            "exemplars": len(mem), "instances": len(instances)}], None)
+    return 0
 
-    if not (args.memory and args.corpus):
-        raise ConfigError(f"eval {args.eval_cmd} needs --memory and --corpus")
-    mem = memory_mod.load(args.memory)
-    corpus = harness.read_corpus(args.corpus)
-    config = _config_from_args(args)
-    weights = load_weights(args.weights) if args.weights else None
-    header = {
-        "type": "header",
-        "config_hash": config.config_hash(),
-        "aga_convention": "slot active iff gold value != not_mentioned",
-    }
 
-    if args.eval_cmd == "run":
-        rows: list[dict] = [header]
-        reports = []
-        for i in range(config.runs):
-            seed = harness.derive_seed(config.base_seed, "run", i)
-            run_rows, summary, run_reports = harness.evaluate(
-                mem, corpus, config, seed, weights=weights
-            )
-            rows.extend(run_rows)
-            rows.append(summary)
-            reports.extend(run_reports)
-        accs = [r["accuracy"] for r in rows if r.get("type") == "summary"]
-        rows.append(
-            {
-                "type": "aggregate",
-                "runs": config.runs,
-                "accuracy_mean": float(np.mean(accs)),
-                "accuracy_std": float(np.std(accs)),
-            }
+def cmd_eval_run(args) -> int:
+    mem, corpus, config, weights, header = _eval_inputs(args)
+    rows: list[dict] = [header]
+    reports = []
+    for i in range(config.runs):
+        seed = harness.derive_seed(config.base_seed, "run", i)
+        run_rows, summary, run_reports = harness.evaluate(
+            mem, corpus, config, seed, weights=weights
         )
-        _emit(rows, args.out)
-        pct = budget_mod.latency_percentiles(reports)
-        sys.stderr.write(json.dumps({"latency_percentiles": pct}) + "\n")
-    elif args.eval_cmd == "fairness":
-        rows = [header] + harness.fairness_suite(mem, corpus, config, weights=weights)
-        _emit(rows, args.out)
-    elif args.eval_cmd == "sweep":
-        grid = {
-            "k": [int(x) for x in args.k_grid.split(",")],
-            "alpha": [float(x) for x in args.alpha_grid.split(",")],
-            "method": args.methods.split(","),
+        rows.extend(run_rows)
+        rows.append(summary)
+        reports.extend(run_reports)
+    accs = [r["accuracy"] for r in rows if r.get("type") == "summary"]
+    rows.append(
+        {
+            "type": "aggregate",
+            "runs": config.runs,
+            "accuracy_mean": float(np.mean(accs)),
+            "accuracy_std": float(np.std(accs)),
         }
-        seeds = [int(x) for x in args.seeds.split(",")]
-        rows = [header] + harness.sweep(mem, corpus, grid, seeds, config, weights=weights)
-        _emit(rows, args.out)
-    else:  # grid
-        grids = (
-            read_object(args.grids, harness.check_grids)
-            if args.grids
-            else dict(harness.DEFAULT_GRIDS)
-        )
-        constants = (
-            budget_mod.CostConstants.from_file(args.constants)
-            if args.constants
-            else budget_mod.CostConstants()
-        )
-        best, rows = harness.grid_search(
-            mem,
-            corpus,
-            grids,
-            args.B,
-            args.lambda_penalty,
-            config,
-            constants=constants,
-            weights=weights,
-        )
-        _emit([header] + rows + [{**best, "type": "best"}], args.out)
+    )
+    _emit(rows, args.out)
+    pct = budget_mod.latency_percentiles(reports)
+    sys.stderr.write(json.dumps({"latency_percentiles": pct}) + "\n")
+    return 0
+
+
+def cmd_eval_fairness(args) -> int:
+    mem, corpus, config, weights, header = _eval_inputs(args)
+    _emit([header] + harness.fairness_suite(mem, corpus, config, weights=weights), args.out)
+    return 0
+
+
+def cmd_eval_sweep(args) -> int:
+    mem, corpus, config, weights, header = _eval_inputs(args)
+    grid = {"k": args.k_grid, "alpha": args.alpha_grid, "method": args.methods.split(",")}
+    rows = harness.sweep(mem, corpus, grid, args.seeds, config, weights=weights)
+    _emit([header] + rows, args.out)
+    return 0
+
+
+def cmd_eval_grid(args) -> int:
+    mem, corpus, config, weights, header = _eval_inputs(args)
+    grids = (
+        read_object(args.grids, harness.check_grids) if args.grids else dict(harness.DEFAULT_GRIDS)
+    )
+    best, rows = harness.grid_search(
+        mem,
+        corpus,
+        grids,
+        args.B,
+        args.lambda_penalty,
+        config,
+        constants=_constants(args),
+        weights=weights,
+    )
+    _emit([header] + rows + [{**best, "type": "best"}], args.out)
     return 0
 
 
@@ -377,121 +323,126 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = harness.ExperimentConfig()
+    ret, sel = defaults.retrieval, defaults.selection
     parser = _Parser(prog="divsel", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
+    def command(subparsers, name, func, help=None):
+        p = subparsers.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
     p = sub.add_parser("memory", help="memory operations")
     msub = p.add_subparsers(dest="memory_cmd", required=True)
-    mb = msub.add_parser("build", help="build a memory file from JSONL records")
-    mb.add_argument("--in", dest="infile", required=True)
-    mb.add_argument("--out", required=True)
-    mb.add_argument("--k1", type=float, default=memory_mod.DEFAULT_K1)
-    mb.add_argument("--b", type=float, default=memory_mod.DEFAULT_B)
-    mb.set_defaults(func=cmd_memory_build)
+    p = command(msub, "build", cmd_memory_build, "build a memory file from JSONL records")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--k1", type=float, default=memory_mod.DEFAULT_K1)
+    p.add_argument("--b", type=float, default=memory_mod.DEFAULT_B)
 
-    p = sub.add_parser("retrieve", help="score and rank the candidate pool")
+    p = command(sub, "retrieve", cmd_retrieve, "score and rank the candidate pool")
     p.add_argument("--memory", required=True)
     p.add_argument("--query", required=True, help="dialogue JSON file or raw text")
-    p.add_argument("--L", dest="pool_size", type=int, default=128)
-    p.add_argument("--lambda-vec", dest="lambda_vec", type=float, default=0.6)
-    p.add_argument("--normalization", default="minmax")
+    p.add_argument("--L", dest="pool_size", type=int, default=ret.pool_size)
+    p.add_argument("--lambda-vec", dest="lambda_vec", type=float, default=ret.lambda_vec)
+    p.add_argument("--normalization", default=ret.normalization)
     p.add_argument("--weights")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_retrieve)
 
-    p = sub.add_parser("select", help="pick a diverse exemplar subset from a pool file")
+    p = command(sub, "select", cmd_select, "pick a diverse exemplar subset from a pool file")
     p.add_argument("--pool", required=True)
-    p.add_argument(
-        "--method", choices=["ldra", "topk", "mmr", "fps", "random", "oracle"], default="ldra"
-    )
-    p.add_argument("--K", dest="k", type=int, default=6)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--tau", type=float, default=0.4)
-    p.add_argument("--cap", type=int, default=1)
-    p.add_argument("--mu", type=float, default=0.05)
-    p.add_argument("--lambda-mmr", dest="lambda_mmr", type=float, default=0.5)
+    p.add_argument("--method", choices=[*_SELECT_METHODS, "oracle"], default=defaults.method)
+    p.add_argument("--K", dest="k", type=int, default=sel.k)
+    p.add_argument("--alpha", type=float, default=sel.alpha)
+    p.add_argument("--tau", type=float, default=sel.tau)
+    p.add_argument("--cap", type=int, default=sel.label_cap)
+    p.add_argument("--mu", type=float, default=sel.mu)
+    p.add_argument("--lambda-mmr", dest="lambda_mmr", type=float, default=defaults.lambda_mmr)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write chosen exemplars as JSONL here")
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("compose", help="assemble a prompt from a dialogue and a selection")
+    p = command(sub, "compose", cmd_compose, "assemble a prompt from a dialogue and a selection")
     p.add_argument("--dialogue", required=True)
     p.add_argument("--selection", required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--summary-cap", dest="summary_cap", type=int, default=128)
-    p.add_argument("--permute", help="seed|identity|reverse", default="identity")
+    p.add_argument(
+        "--summary-cap", dest="summary_cap", type=int, default=defaults.budget.summary_token_cap
+    )
+    p.add_argument(
+        "--permute", type=permute_spec, help="seed|identity|reverse", default="identity"
+    )
     p.add_argument("--template")
     p.add_argument("--instruction")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("decide", help="score candidate labels through a verifier")
+    p = command(sub, "decide", cmd_decide, "score candidate labels through a verifier")
     p.add_argument("--prompt", required=True)
     p.add_argument("--labels", required=True, help="file with one label per line")
     p.add_argument("--verifier", choices=["mock", "endpoint"], default="mock")
-    p.add_argument("--tau-c", dest="tau_c", type=float, default=1.0)
+    p.add_argument("--tau-c", dest="tau_c", type=float, default=defaults.tau_c)
     p.add_argument("--gold", help="gold label for the mock verifier")
     p.add_argument("--noise-seed", dest="noise_seed", type=int, default=0)
-    p.add_argument("--margin", type=float, default=2.0)
+    p.add_argument("--margin", type=float, default=defaults.mock_margin)
     p.add_argument("--url")
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("budget", help="latency modeling, calibration, and control")
     bsub = p.add_subparsers(dest="budget_cmd", required=True)
-    for name in ("model", "control"):
-        bp = bsub.add_parser(name)
-        bp.add_argument("--constants")
-        bp.add_argument("--N", type=int, default=1000)
-        bp.add_argument("--terms", type=int, default=8)
-        bp.add_argument("--L", type=int, default=128)
-        bp.add_argument("--K", type=int, default=6)
-        bp.add_argument("--turns", type=int, default=2)
-        bp.add_argument("--prompt-tokens", dest="prompt_tokens", type=int, default=300)
-        bp.add_argument("--gen-tokens", dest="gen_tokens", type=int, default=8)
-        bp.add_argument("--out")
+    for name, func in (("model", cmd_budget_model), ("control", cmd_budget_control)):
+        p = command(bsub, name, func)
+        p.add_argument("--constants")
+        p.add_argument("--N", type=int, default=1000)
+        p.add_argument("--terms", type=int, default=8)
+        p.add_argument("--L", type=int, default=ret.pool_size)
+        p.add_argument("--K", type=int, default=sel.k)
+        p.add_argument("--turns", type=int, default=2)
+        p.add_argument("--prompt-tokens", dest="prompt_tokens", type=int, default=300)
+        p.add_argument("--gen-tokens", dest="gen_tokens", type=int, default=8)
+        p.add_argument("--out")
         if name == "control":
-            bp.add_argument("--U", type=int, default=1)
-            bp.add_argument("--B", type=float, required=True)
-        bp.set_defaults(func=cmd_budget)
-    bp = bsub.add_parser("calibrate")
-    bp.add_argument("--runs", required=True, help="JSONL of measured stage timings and sizes")
-    bp.add_argument("--constants")
-    bp.add_argument("--out")
-    bp.set_defaults(func=cmd_budget)
+            p.add_argument("--U", type=int, default=sel.label_cap)
+            p.add_argument("--B", type=float, required=True)
+    p = command(bsub, "calibrate", cmd_budget_calibrate)
+    p.add_argument("--runs", required=True, help="JSONL of measured stage timings and sizes")
+    p.add_argument("--out")
 
     p = sub.add_parser("eval", help="evaluation harness")
     esub = p.add_subparsers(dest="eval_cmd", required=True)
-    shared = {
-        "--memory": dict(required=False),
-        "--corpus": dict(required=False),
-        "--config": dict(),
-        "--weights": dict(),
-        "--seed": dict(type=int),
-        "--out": dict(),
-    }
-    for name in ("run", "fairness", "sweep", "grid", "synth"):
-        ep = esub.add_parser(name)
-        for flag, kw in shared.items():
-            ep.add_argument(flag, **kw)
+    p = command(esub, "synth", cmd_eval_synth)
+    p.add_argument("--labels", type=int, default=50)
+    p.add_argument("--per-label", dest="per_label", type=int, default=20)
+    p.add_argument("--ambiguity", type=float, default=0.6)
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--instances", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out")
+    for name, func in (
+        ("run", cmd_eval_run),
+        ("fairness", cmd_eval_fairness),
+        ("sweep", cmd_eval_sweep),
+        ("grid", cmd_eval_grid),
+    ):
+        p = command(esub, name, func)
+        p.add_argument("--memory", required=True)
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--config")
+        p.add_argument("--weights")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out")
         if name == "sweep":
-            ep.add_argument("--k-grid", dest="k_grid", default="1,3,5,7,10")
-            ep.add_argument("--alpha-grid", dest="alpha_grid", default="0,0.25,0.5,0.75,1")
-            ep.add_argument("--methods", default="ldra,topk,mmr,fps,random")
-            ep.add_argument("--seeds", default="0,1,2")
+            p.add_argument("--k-grid", dest="k_grid", type=int_list, default="1,3,5,7,10")
+            p.add_argument(
+                "--alpha-grid", dest="alpha_grid", type=float_list, default="0,0.25,0.5,0.75,1"
+            )
+            p.add_argument("--methods", default=",".join(_SELECT_METHODS))
+            p.add_argument("--seeds", type=int_list, default="0,1,2")
         if name == "grid":
-            ep.add_argument("--grids", help="JSON file of grid lists")
-            ep.add_argument("--constants")
-            ep.add_argument("--B", type=float, default=1.5)
-            ep.add_argument("--lambda-penalty", dest="lambda_penalty", type=float, default=1.0)
-        if name == "synth":
-            ep.add_argument("--labels", type=int, default=50)
-            ep.add_argument("--per-label", dest="per_label", type=int, default=20)
-            ep.add_argument("--ambiguity", type=float, default=0.6)
-            ep.add_argument("--dim", type=int, default=32)
-            ep.add_argument("--instances", type=int, default=200)
-        ep.set_defaults(func=cmd_eval)
+            p.add_argument("--grids", help="JSON file of grid lists")
+            p.add_argument("--constants")
+            p.add_argument("--B", type=float, default=1.5)
+            p.add_argument("--lambda-penalty", dest="lambda_penalty", type=float, default=1.0)
     return parser
 
 

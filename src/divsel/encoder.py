@@ -8,6 +8,7 @@ central differences; no training loop lives here.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .errors import (
     NonSmoothError,
     VersionMismatchError,
 )
-from .files import open_input
+from .files import open_input, read_exact
 from .retrieval import cosine
 
 WEIGHTS_MAGIC = b"DIVSEL-ENC"
@@ -74,10 +75,16 @@ class EncoderWeights:
 
     def __post_init__(self):
         d = self.w_q.shape[0]
+        if d < 1:
+            raise DimensionError("encoder weights need dimension >= 1")
         for name in ("w_q", "w_k", "w_v", "w_v_prime"):
             m = getattr(self, name)
             if m.shape != (d, d):
                 raise DimensionError(f"{name} must be {d}x{d}, got {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise EncodingError(f"{name} has non-finite entries")
+        if not (math.isfinite(self.recency_lambda) and math.isfinite(self.recency_weight)):
+            raise EncodingError("recency terms must be finite")
         if self.recency_lambda < 0:
             raise ConfigError("recency_lambda must be >= 0")
         if self.recency_weight < 0:
@@ -90,9 +97,15 @@ class EncoderWeights:
         return int(self.w_q.shape[0])
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def default(cls, dim: int) -> "EncoderWeights":
+        """The degenerate weights of a dimension. Retrieval falls back to them
+        on every query without weights, so they are built and validated once
+        per dimension and shared, their matrices read-only."""
         eye = np.eye(dim)
         zero = np.zeros((dim, dim))
+        for m in (eye, zero):
+            m.setflags(write=False)
         return cls(w_q=eye, w_k=eye, w_v=zero, w_v_prime=zero)
 
 
@@ -165,24 +178,16 @@ def load_weights(path: str | Path) -> EncoderWeights:
     with open_input(path, binary=True) as fh:
         if fh.read(len(WEIGHTS_MAGIC)) != WEIGHTS_MAGIC:
             raise MemoryFormatError(f"{path} is not an encoder weight file (bad magic)")
-        head = fh.read(8)
-        if len(head) != 8:
-            raise MemoryFormatError("truncated weight file header")
-        version, d = struct.unpack("<II", head)
+        version, d = struct.unpack("<II", read_exact(fh, 8, "header"))
         if version != WEIGHTS_VERSION:
             raise VersionMismatchError(
                 f"weight format version {version} unsupported (reader expects {WEIGHTS_VERSION})"
             )
         mats = []
         for name in ("w_q", "w_k", "w_v", "w_v_prime"):
-            raw = fh.read(d * d * 8)
-            if len(raw) != d * d * 8:
-                raise MemoryFormatError(f"truncated weight file while reading {name}")
+            raw = read_exact(fh, d * d * 8, name)
             mats.append(np.frombuffer(raw, dtype="<f8").reshape(d, d).copy())
-        tail = fh.read(16)
-        if len(tail) != 16:
-            raise MemoryFormatError("truncated weight file while reading recency terms")
-        lam, rho = struct.unpack("<dd", tail)
+        lam, rho = struct.unpack("<dd", read_exact(fh, 16, "recency terms"))
         if fh.read(1):
             raise MemoryFormatError("trailing data in weight file")
     return EncoderWeights(mats[0], mats[1], mats[2], mats[3], lam, rho)

@@ -1,21 +1,28 @@
 """Input-file boundary shared by the loaders: opening a path, reading a text
-file, and parsing line-delimited JSON rows or a whole-file JSON object, with a
-missing file, text that is not UTF-8, or a malformed row or object raised as
-ConfigError."""
+file, parsing line-delimited JSON rows or a whole-file JSON object, decoding a
+JSON object onto typed defaults, and reading a counted run of bytes from a
+binary file. A missing file, text that is not UTF-8, or a malformed row or
+object raises ConfigError; a binary file shorter than its counts say raises
+MemoryFormatError."""
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
-from .errors import ConfigError, DivselError
+from .errors import ConfigError, DivselError, MemoryFormatError
 
 T = TypeVar("T")
 
-# What a parser raises on a malformed value: bad JSON (ValueError), a missing
-# key, a wrongly typed or out-of-range value, or a non-object.
-_MALFORMED = (DivselError, KeyError, TypeError, ValueError, AttributeError)
+# What a parser raises on a malformed value: bad JSON (ValueError, or
+# RecursionError for nesting deeper than the interpreter's limit), a missing
+# key, a wrongly typed or out-of-range value (OverflowError for an integer too
+# large for a float), or a non-object.
+_MALFORMED = (
+    DivselError, KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError
+)
 
 
 def open_input(path: str | Path, binary: bool = False):
@@ -67,3 +74,49 @@ def read_object(path: str | Path, parse: Callable[[Mapping], T]) -> T:
         return parse(data)
     except _MALFORMED as exc:
         raise ConfigError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
+
+
+def _same_json_type(default, value) -> bool:
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple)) and all(
+            _same_json_type(default[0], v) for v in value
+        )
+    accepted = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+    return type(value) in accepted.get(type(default), ())
+
+
+def overlay(
+    defaults: Mapping, data: Mapping, nullable: Iterable[str] = (), where: str = ""
+) -> dict:
+    """`defaults` with `data` laid over it, nested objects merged key by key;
+    a key `defaults` lacks or a value of another JSON type raises ConfigError
+    (an int passes for a float, and null for a dotted key in `nullable`)."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"config {where.rstrip('.') or 'root'} must be an object")
+    out = dict(defaults)
+    for key, value in data.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {where}{key}")
+        default = defaults[key]
+        if isinstance(default, dict):
+            value = overlay(default, value, nullable, f"{where}{key}.")
+        elif not (_same_json_type(default, value)
+                  or value is None and f"{where}{key}" in nullable):
+            raise ConfigError(
+                f"config key {where}{key} must be {type(default).__name__}, got {value!r}"
+            )
+        out[key] = value
+    return out
+
+
+def read_exact(fh, n: int, what: str) -> bytes:
+    """The next n bytes of a binary file. A count that is negative or larger
+    than what is left raises MemoryFormatError before any read, so a corrupt
+    length never becomes an allocation."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= n <= left:
+        raise MemoryFormatError(f"{fh.name}: truncated file while reading {what}")
+    data = fh.read(n)
+    if len(data) != n:
+        raise MemoryFormatError(f"{fh.name}: truncated file while reading {what}")
+    return data

@@ -31,7 +31,7 @@ import numpy as np
 from .budget import Counters, CostConstants, LatencyReport, StageClock, WorkloadShape, measured_report, model_latency, scalarized_objective
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
-from .files import read_object, read_rows
+from .files import overlay, read_object, read_rows
 from .memory import Memory, tokenize
 from .prompt import (
     BudgetConfig,
@@ -159,39 +159,6 @@ def read_dialogue(path: str | Path) -> DialogueContext:
 # ---------------------------------------------------------------------------
 
 
-_NULLABLE_KEYS = ("fairness.shuffle_seed",)
-
-
-def _same_json_type(default, value) -> bool:
-    if isinstance(default, (list, tuple)):
-        return isinstance(value, (list, tuple)) and all(
-            _same_json_type(default[0], v) for v in value
-        )
-    accepted = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
-    return type(value) in accepted.get(type(default), ())
-
-
-def _overlay(defaults: Mapping, data: Mapping, where: str = "") -> dict:
-    """`defaults` with `data` laid over it, nested objects merged key by key;
-    a key `defaults` lacks or a value of another JSON type raises ConfigError."""
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"config {where.rstrip('.') or 'root'} must be an object")
-    out = dict(defaults)
-    for key, value in data.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown config key {where}{key}")
-        default = defaults[key]
-        if isinstance(default, dict):
-            value = _overlay(default, value, f"{where}{key}.")
-        elif not (_same_json_type(default, value)
-                  or value is None and f"{where}{key}" in _NULLABLE_KEYS):
-            raise ConfigError(
-                f"config key {where}{key} must be {type(default).__name__}, got {value!r}"
-            )
-        out[key] = value
-    return out
-
-
 @dataclass(frozen=True)
 class FairnessConfig:
     """Equal-budget protocol knobs."""
@@ -242,7 +209,7 @@ class ExperimentConfig:
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
         """Defaults overlaid with `data`; an unknown key or a value of another
         JSON type than its default, at any level, raises ConfigError."""
-        merged = _overlay(cls().to_dict(), data)
+        merged = overlay(cls().to_dict(), data, nullable=("fairness.shuffle_seed",))
         fair = merged["fairness"]
         return cls(
             method=merged["method"],
@@ -517,13 +484,10 @@ def run_pipeline(
     """Retrieve, select, prompt and decode one instance; a given pool skips
     the retrieve stage.
 
-    Deterministic under the mock verifier and fixed seeds. The verifier may be
-    a boundary object or a factory called with the instance (the mock needs
-    the gold label). Candidate labels are derived from the exemplars actually
-    present in the composed prompt, extended by the retrieval shortlist.
+    Deterministic under the mock verifier and fixed seeds. Candidate labels
+    are derived from the exemplars actually present in the composed prompt,
+    extended by the retrieval shortlist.
     """
-    if callable(verifier) and not hasattr(verifier, "score"):
-        verifier = verifier(instance)
     clock = StageClock()
     with clock.stage("ann"):
         if pool is None:
@@ -947,6 +911,7 @@ def grid_search(
                 seed=seed,
                 pool=pool_cache[key][: cfg.retrieval.pool_size],
             )
+            verify_run_invariants(result, cfg, inst)
             correct += result.prediction == inst.gold
             tokens += result.prompt.token_count
             calls += len(result.candidate_set)

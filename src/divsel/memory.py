@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from .files import open_input, read_rows
+from .files import open_input, read_exact, read_rows
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 1
@@ -66,6 +66,10 @@ class Memory:
     def __init__(self, exemplars: tuple[Exemplar, ...], k1: float, b: float):
         if not exemplars:
             raise IngestError("cannot build a memory from zero exemplars")
+        if not (math.isfinite(k1) and k1 >= 0.0):
+            raise IngestError(f"k1 must be finite and >= 0, got {k1}")
+        if not 0.0 <= b <= 1.0:
+            raise IngestError(f"b must be in [0, 1], got {b}")
         self.exemplars = exemplars
         self.k1 = float(k1)
         self.b = float(b)
@@ -78,6 +82,8 @@ class Memory:
         label_index: dict[str, list[str]] = {}
         for ex in exemplars:
             label_index.setdefault(ex.label, []).append(ex.id)
+        if "" in label_index:
+            raise IngestError(f"exemplar {label_index[''][0]!r} has an empty label")
         self.label_index = {k: tuple(v) for k, v in label_index.items()}
 
         # Term ids are assigned document by document, so no list of every
@@ -113,10 +119,6 @@ class Memory:
         self.embedding_matrix = matrix
 
     def __len__(self) -> int:
-        return len(self.exemplars)
-
-    @property
-    def size(self) -> int:
         return len(self.exemplars)
 
     def get(self, exemplar_id: str) -> Exemplar:
@@ -248,37 +250,33 @@ def persist(memory: Memory, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(memory.embedding_matrix, dtype=np.float64).tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise MemoryFormatError(f"truncated memory file while reading {what}")
-    return data
-
-
 def load(path: str | Path) -> Memory:
     """Load a memory persisted by :func:`persist`; never returns a partial memory."""
     with open_input(path, binary=True) as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise MemoryFormatError(f"{path} is not a memory file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(
                 f"memory format version {version} unsupported (reader expects {FORMAT_VERSION})"
             )
-        (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, "header length"))
+        (blob_len,) = struct.unpack("<Q", read_exact(fh, 8, "header length"))
         try:
-            header = json.loads(_read_exact(fh, blob_len, "header").decode("utf-8"))
-            dim = int(header["dim"])
-            count = int(header["count"])
-            k1 = float(header["k1"])
-            b = float(header["b"])
+            header = json.loads(read_exact(fh, blob_len, "header").decode("utf-8"))
+            dim, count = header["dim"], header["count"]
+            k1, b = float(header["k1"]), float(header["b"])
             ids, labels, texts = header["ids"], header["labels"], header["texts"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if type(dim) is not int or type(count) is not int or dim < 1 or count < 0:
+                raise ValueError(f"dim {dim!r} and count {count!r} must be integers >= 1 and >= 0")
+            for name, values in (("ids", ids), ("labels", labels), ("texts", texts)):
+                if type(values) is not list or not all(type(v) is str for v in values):
+                    raise TypeError(f"{name} must be a list of strings")
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MemoryFormatError(f"corrupt memory header: {exc}") from exc
         if not (len(ids) == len(labels) == len(texts) == count):
             raise MemoryFormatError("corrupt memory header: record counts disagree")
-        raw = _read_exact(fh, count * dim * 8, "embedding matrix")
+        raw = read_exact(fh, count * dim * 8, "embedding matrix")
         if fh.read(1):
             raise MemoryFormatError("trailing data after embedding matrix")
     matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim)
@@ -289,7 +287,7 @@ def load(path: str | Path) -> Memory:
     for i in range(count):
         emb = np.array(matrix[i], dtype=np.float64)
         emb.setflags(write=False)
-        exemplars.append(Exemplar(str(ids[i]), str(texts[i]), str(labels[i]), emb))
+        exemplars.append(Exemplar(ids[i], texts[i], labels[i], emb))
     try:
         return Memory(tuple(exemplars), k1=k1, b=b)
     except IngestError as exc:

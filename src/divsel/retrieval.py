@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,19 +21,9 @@ from .memory import Memory
 NORMALIZATION_MODES = ("minmax", "none")
 
 
-class VectorIndex(Protocol):
-    """Pluggable vector-similarity backend.
-
-    Returns the raw cosine of a non-zero query against every memory item, in
-    memory order. Any replacement (e.g. an approximate index) must produce the
-    same scores as the exact scan on identical inputs.
-    """
-
-    def query(self, vector: np.ndarray) -> np.ndarray: ...
-
-
 class ExactScanIndex:
-    """Default backend: exact dense scan over the memory's embedding matrix."""
+    """Exact dense scan: the raw cosine of a non-zero query against every
+    memory item, in memory order."""
 
     def __init__(self, memory: Memory):
         self._matrix = memory.embedding_matrix
@@ -113,12 +103,10 @@ def retrieve_pool(
     query_vector: np.ndarray,
     query_text: str,
     cfg: RetrievalConfig,
-    index: VectorIndex | None = None,
 ) -> list[Candidate]:
     """Score every memory item and return the top pool_size by hybrid relevance.
 
-    Deterministic: ties are broken by ascending exemplar id. The default
-    backend is an exact scan; a plugged index must return identical scores.
+    Deterministic: ties are broken by ascending exemplar id.
     """
     z = np.asarray(query_vector, dtype=np.float64)
     if z.ndim != 1 or z.shape[0] != memory.dim:
@@ -127,9 +115,7 @@ def retrieve_pool(
         )
     if not np.all(np.isfinite(z)):
         raise DimensionError("query vector has non-finite entries")
-    if index is None:
-        index = ExactScanIndex(memory)
-    vec_raw = index.query(z)
+    vec_raw = ExactScanIndex(memory).query(z)
     lex_raw = memory.bm25_scores(query_text)
     if cfg.normalization == "minmax":
         vec_n = _normalize_cosines(vec_raw)
@@ -163,21 +149,25 @@ def retrieve_pool(
     ]
 
 
+def pool_row(c: Candidate) -> dict:
+    """The pool-file record of one candidate, component scores included."""
+    return {
+        "id": c.exemplar_id,
+        "text": c.text,
+        "label": c.label,
+        "relevance": c.relevance,
+        "vec_score": c.vec_score,
+        "lex_score": c.lex_score,
+        "bm25_raw": c.bm25_raw,
+        "embedding": [float(x) for x in c.embedding],
+    }
+
+
 def write_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
     """Emit a pool as line-delimited records with component scores."""
     with open(path, "w", encoding="utf-8") as fh:
         for c in candidates:
-            row = {
-                "id": c.exemplar_id,
-                "text": c.text,
-                "label": c.label,
-                "relevance": c.relevance,
-                "vec_score": c.vec_score,
-                "lex_score": c.lex_score,
-                "bm25_raw": c.bm25_raw,
-                "embedding": [float(x) for x in c.embedding],
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(pool_row(c), ensure_ascii=False) + "\n")
 
 
 def _parse_candidate(row: Mapping) -> Candidate:
@@ -201,9 +191,18 @@ def _parse_candidate(row: Mapping) -> Candidate:
 
 
 def read_pool(path: str | Path) -> list[Candidate]:
-    """Read a pool written by :func:`write_pool`; a malformed row raises
-    ConfigError naming path:line."""
-    out = list(read_rows(path, _parse_candidate))
+    """Read a pool written by :func:`write_pool`; a malformed row or a repeated
+    id raises ConfigError naming path:line."""
+    seen: set[str] = set()
+
+    def parse(row: Mapping) -> Candidate:
+        c = _parse_candidate(row)
+        if c.exemplar_id in seen:
+            raise ConfigError(f"duplicate id {c.exemplar_id!r}")
+        seen.add(c.exemplar_id)
+        return c
+
+    out = list(read_rows(path, parse))
     if not out:
         raise SelectionError(f"pool file {path} holds no candidates")
     return out

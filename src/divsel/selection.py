@@ -431,16 +431,14 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
     n = len(pool)
     out = SelectedSet(alpha)
     chosen = np.zeros(n, dtype=bool)
-    best = _argmax(np.arange(n), rel, -rank)
     min_dist = np.full(n, np.inf)
-    while True:
+    while out.size < min(k, n):
+        keys = (min_dist, -rank) if out.size else (rel, -rank)
+        best = _argmax(np.flatnonzero(~chosen), *keys)
         out.add(pool[best])
         chosen[best] = True
         if out.size < n:
             min_dist = np.minimum(min_dist, 1.0 - mat @ mat[best])
             out.sim_ops += n - out.size
-        if out.size >= min(k, n):
-            break
-        best = _argmax(np.flatnonzero(~chosen), min_dist, -rank)
     out.stop_reason = "complete"
     return out

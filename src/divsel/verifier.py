@@ -28,7 +28,7 @@ from .prompt import Prompt
 from .retrieval import Candidate
 
 PAYLOAD_VERSION = 1
-DEFAULT_TOKEN_ENV = "DIVSEL_VERIFIER_TOKEN"
+TOKEN_ENV = "DIVSEL_VERIFIER_TOKEN"
 DEFAULT_TAU_C = 1.0
 
 
@@ -161,14 +161,13 @@ class EndpointVerifier:
     """HTTP adapter for the verifier boundary.
 
     POSTs {"v", "prompt_text", "question_text", "label"} as JSON and expects
-    {"logp_yes", "logp_no"}. A bearer token is read from the environment when
-    present.
+    {"logp_yes", "logp_no"}. A bearer token is read from the TOKEN_ENV
+    environment variable when present.
     """
 
-    def __init__(self, url: str, timeout: float = 10.0, token_env: str = DEFAULT_TOKEN_ENV):
+    def __init__(self, url: str, timeout: float = 10.0):
         self.url = url
         self.timeout = timeout
-        self.token_env = token_env
 
     def score(self, prompt_text: str, question_text: str, label: str) -> tuple[float, float]:
         payload = {
@@ -178,7 +177,7 @@ class EndpointVerifier:
             "label": label,
         }
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env)
+        token = os.environ.get(TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         req = urllib.request.Request(

@@ -309,11 +309,19 @@ class TestExitCodes:
         nan_score.write_text(json.dumps(row) + "\n" + json.dumps({**row, "vec_score": float("nan")}) + "\n")
         nan_emb = tmp_path / "nan_emb.jsonl"
         nan_emb.write_text(json.dumps({**row, "embedding": [float("nan"), 1.0]}) + "\n")
+        dup_pool = tmp_path / "dup_pool.jsonl"
+        dup_pool.write_text(json.dumps(row) + "\n" + json.dumps({**row, "text": "u"}) + "\n")
+        huge_int = tmp_path / "huge_int.jsonl"
+        huge_int.write_text(json.dumps(row).replace("0.5", "9" * 400, 1) + "\n")
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "\n")
         files = {}
         for name, text in {
             "bad_json": '{"c_ann": 1',
             "missing_key": '{"c_ann": 1}',
             "unknown_constant": json.dumps({**CostConstants().to_dict(), "c_x": 1.0}),
+            "string_constant": json.dumps({**CostConstants().to_dict(), "c_ann": "1e-3"}),
+            "bool_constant": json.dumps({**CostConstants().to_dict(), "c_bm25": True}),
             "unknown_nested": '{"selection": {"kk": 3}}',
             "unknown_top": '{"runz": 3}',
             "wrong_type": '{"selection": {"k": "3"}}',
@@ -343,7 +351,6 @@ class TestExitCodes:
             (["eval", "run", "--memory", mem, "--corpus", missing], f"cannot open {missing}"),
             (["eval", "run", "--memory", missing, "--corpus", corpus], f"cannot open {missing}"),
             (["eval", "run", "--memory", mem, "--corpus", mem], f"{mem}: not UTF-8 text"),
-            (["eval", "run", "--corpus", corpus], "needs --memory and --corpus"),
             (eval_run + ["--config", missing], f"cannot open {missing}"),
             (eval_run + ["--weights", missing], f"cannot open {missing}"),
             (["eval", "grid", "--memory", mem, "--corpus", corpus, "--grids", missing],
@@ -355,8 +362,13 @@ class TestExitCodes:
             (build + [str(no_id)], f"{no_id}:1: malformed row"),
             (["select", "--pool", str(nan_score)], f"{nan_score}:2: malformed row"),
             (["select", "--pool", str(nan_emb)], f"{nan_emb}:1: malformed row"),
+            (["select", "--pool", str(dup_pool), "--K", "2", "--tau", "0"],
+             f"{dup_pool}:2: malformed row (ConfigError: duplicate id 'a')"),
+            (["select", "--pool", str(huge_int)], f"{huge_int}:1: malformed row (OverflowError"),
+            (["select", "--pool", str(deep)], f"{deep}:1: malformed row (RecursionError"),
         ]
-        for name in ("bad_json", "missing_key", "unknown_constant", "not_an_object"):
+        for name in ("bad_json", "missing_key", "unknown_constant", "string_constant",
+                     "bool_constant", "not_an_object"):
             cases.append((["budget", "model", "--constants", str(files[name])],
                           f"{files[name]}: malformed file"))
         for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
@@ -369,12 +381,28 @@ class TestExitCodes:
             assert code == 1, argv
             assert message in err, (argv, err)
 
-    def test_usage_errors_exit_one_and_help_exits_zero(self, capsys):
-        for argv in (["select"], ["eval", "grid", "--bogus"], ["select", "--pool", "p", "--K", "x"]):
+    def test_usage_errors_exit_one_and_help_exits_zero(self, workspace, capsys):
+        corpus = str(workspace / "synth" / "corpus.jsonl")
+        for argv, message in (
+            (["select"], "error:"),
+            (["eval", "grid", "--bogus"], "error:"),
+            (["select", "--pool", "p", "--K", "x"], "error:"),
+            (["eval", "run", "--corpus", corpus],
+             "error: the following arguments are required: --memory"),
+            (["eval", "synth", "--config", "x"], "error: unrecognized arguments: --config x"),
+            (["budget", "calibrate", "--runs", "r", "--constants", "c"],
+             "error: unrecognized arguments"),
+            (["compose", "--dialogue", "d", "--selection", "s", "--budget", "9", "--permute", "x"],
+             "error: argument --permute: invalid permute_spec value: 'x'"),
+            (["eval", "sweep", "--memory", "m", "--corpus", "c", "--k-grid", "1,x"],
+             "error: argument --k-grid: invalid int_list value: '1,x'"),
+            (["eval", "sweep", "--memory", "m", "--corpus", "c", "--alpha-grid", "0.5,"],
+             "error: argument --alpha-grid: invalid float_list value: '0.5,'"),
+        ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1, argv
-            assert "error:" in capsys.readouterr().err
+            assert message in capsys.readouterr().err, argv
         with pytest.raises(SystemExit) as exc:
             main(["select", "--help"])
         assert exc.value.code == 0

@@ -174,6 +174,42 @@ class TestWeightsIO:
         with pytest.raises(MemoryFormatError, match="truncated"):
             load_weights(path)
 
+    def test_oversized_dimension_fails_before_reading(self, tmp_path):
+        path = tmp_path / "enc.divenc"
+        save_weights(EncoderWeights.default(3), path)
+        data = bytearray(path.read_bytes())
+        data[14:18] = (2**32 - 1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(MemoryFormatError, match="truncated file while reading w_q"):
+            load_weights(path)
+
+    def test_zero_dimension_rejected(self, tmp_path):
+        path = tmp_path / "enc.divenc"
+        save_weights(EncoderWeights.default(3), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:14] + (0).to_bytes(4, "little") + data[-16:])
+        with pytest.raises(DimensionError, match="dimension >= 1"):
+            load_weights(path)
+
+    def test_default_weights_are_built_once_per_dimension_and_read_only(self):
+        w = EncoderWeights.default(5)
+        assert EncoderWeights.default(5) is w
+        assert EncoderWeights.default(4).dim == 4
+        with pytest.raises(ValueError):
+            w.w_q[0, 0] = 2.0
+
+    @pytest.mark.parametrize("field", ["w_q", "w_v_prime", "recency_lambda", "recency_weight"])
+    def test_non_finite_entries_rejected(self, field):
+        values = {"w_q": np.eye(3), "w_k": np.eye(3), "w_v": np.zeros((3, 3)),
+                  "w_v_prime": np.zeros((3, 3)), "recency_lambda": 0.0, "recency_weight": 0.0}
+        if field.startswith("w_"):
+            values[field] = values[field].copy()
+            values[field][1, 2] = np.nan
+        else:
+            values[field] = float("nan")
+        with pytest.raises(EncodingError, match="finite"):
+            EncoderWeights(**values)
+
 
 class TestMetricLoss:
     def test_perfect_same_pair_contributes_zero(self):

@@ -183,14 +183,6 @@ class TestRunPipeline:
         gc.collect()
         assert freed() is None
 
-    def test_verifier_factory_accepted(self, small_world):
-        mem, corpus = small_world
-        inst = corpus[4]
-        result = run_pipeline(
-            inst, base_config(), mem, lambda i: mock_verifier(i.gold, 0, 2.0), seed=0
-        )
-        assert result.prediction == inst.gold or inst.gold not in result.candidate_set
-
     def test_given_pool_skips_the_retrieve_stage(self, small_world, monkeypatch):
         mem, corpus = small_world
         inst, cfg = corpus[5], base_config()
@@ -333,6 +325,16 @@ class TestGridSearch:
         mem, corpus = small_world
         with pytest.raises(ConfigError):
             grid_search(mem, corpus, {"widgets": [1]}, 1.0, 1.0, base_config())
+
+    def test_every_instance_is_checked_for_invariants(self, small_world, monkeypatch):
+        mem, corpus = small_world
+        checked = []
+        monkeypatch.setattr(
+            harness, "verify_run_invariants",
+            lambda result, config, inst: checked.append((inst.id, config.selection.alpha)),
+        )
+        grid_search(mem, corpus, {"alpha": [0.2, 0.8]}, 10.0, 1.0, base_config())
+        assert checked == [(i.id, a) for a in (0.2, 0.8) for i in corpus]
 
     def test_default_grids_stay_inside_quoted_bounds(self):
         assert all(0.2 <= a <= 0.8 for a in DEFAULT_GRIDS["alpha"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -81,6 +82,23 @@ class TestIngest:
         exemplars = (Exemplar("e1", "a", "x", emb), Exemplar("e1", "b", "y", emb))
         with pytest.raises(IngestError, match="duplicate exemplar id 'e1'"):
             Memory(exemplars, k1=1.2, b=0.75)
+
+    @pytest.mark.parametrize(
+        "label, k1, b, message",
+        [
+            ("x", float("nan"), 0.75, "k1"),
+            ("x", float("inf"), 0.75, "k1"),
+            ("x", -5.0, 0.75, "k1"),
+            ("x", 1.2, 7.0, "b must be"),
+            ("x", 1.2, -0.1, "b must be"),
+            ("x", 1.2, float("nan"), "b must be"),
+            ("", 1.2, 0.75, "empty label"),
+        ],
+    )
+    def test_constructor_rejects_bad_bm25_knobs_and_empty_labels(self, label, k1, b, message):
+        exemplars = (Exemplar("e1", "a", label, np.array([1.0, 0.0])),)
+        with pytest.raises(IngestError, match=message):
+            Memory(exemplars, k1=k1, b=b)
 
 
 class TestBm25:
@@ -199,6 +217,38 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data.replace(b'"e2"', b'"e1"', 1))  # same length keeps the layout
         with pytest.raises(MemoryFormatError, match="duplicate exemplar id 'e1'"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", -1), ("dim", 0), ("dim", "4"), ("count", -1), ("count", 2.0),
+         ("ids", 5), ("labels", [1, 2, 3]), ("texts", None), ("k1", [1]),
+         ("k1", 10**400), ("b", "x"), ("k1", float("nan")), ("b", 7.0),
+         ("labels", ["", "flight", "hotel"])],
+    )
+    def test_load_rejects_bad_header_fields(self, tmp_path, field, value):
+        """Mistyped fields fail inside the header parse, out-of-range ones in
+        the Memory constructor; both as MemoryFormatError."""
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[14:22], "little")
+        header = json.loads(data[22 : 22 + header_len])
+        blob = json.dumps({**header, field: value}).encode("utf-8")
+        tail = data[22 + header_len :]
+        path.write_bytes(data[:14] + len(blob).to_bytes(8, "little") + blob + tail)
+        with pytest.raises(MemoryFormatError, match="corrupt memory"):
+            load(path)
+
+    def test_oversized_length_fails_before_reading(self, tmp_path):
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        data = bytearray(path.read_bytes())
+        data[14:22] = (2**63).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(MemoryFormatError, match="truncated file while reading header"):
             load(path)
 
     def test_missing_file_raises_config_error(self, tmp_path):

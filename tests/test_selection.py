@@ -385,6 +385,12 @@ class TestFps:
         result = fps_select(abc_pool, 1)
         assert result.ids() == ["A"]
 
+    def test_k_zero_selects_nothing_like_the_other_selectors(self, abc_pool):
+        for result in (fps_select(abc_pool, 0), mmr_select(abc_pool, 0, 0.5),
+                       topk_select(abc_pool, 0)):
+            assert result.ids() == []
+            assert result.sim_ops == 0
+
 
 class TestTopkAndRandom:
     def test_topk_prefix(self, abc_pool):
