@@ -58,6 +58,7 @@ from .prompt import (
 from .retrieval import (
     Candidate,
     ExactScanIndex,
+    Pool,
     RetrievalConfig,
     cosine,
     retrieve_pool,

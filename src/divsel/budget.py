@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ConfigError, InvariantViolation
-from .files import overlay, read_object
+from .files import open_output, overlay, read_object
 
 STAGES = ("ann", "div", "prompt", "llm")
 
@@ -61,7 +61,8 @@ class CostConstants:
         return read_object(path, cls.from_dict)
 
     def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with open_output(path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
 @dataclass(frozen=True)

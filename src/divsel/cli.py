@@ -19,8 +19,8 @@ import numpy as np
 from . import budget as budget_mod
 from . import harness, memory as memory_mod, prompt as prompt_mod, retrieval, selection, synth, verifier as verifier_mod
 from .encoder import load_weights
-from .errors import DivselError, InvariantViolation
-from .files import read_object, read_rows, read_text
+from .errors import ConfigError, DivselError, InvariantViolation
+from .files import open_output, read_object, read_rows, read_text
 
 # The fields of a pool row that `retrieve` prints when it writes no pool file.
 _RETRIEVE_FIELDS = ("id", "label", "relevance", "vec_score", "lex_score")
@@ -45,7 +45,8 @@ _SELECT_METHODS = tuple(m for m in harness.METHODS if m != "topk_rand_add")
 def _emit(rows, out_path: str | None) -> None:
     text = "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in rows)
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open_output(out_path) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -105,13 +106,13 @@ def cmd_retrieve(args) -> int:
     cfg = retrieval.RetrievalConfig(
         lambda_vec=args.lambda_vec, pool_size=args.pool_size, normalization=args.normalization
     )
-    if Path(args.query).exists():
+    if args.dialogue is not None:
         weights = load_weights(args.weights) if args.weights else None
-        pool = harness.retrieve_stage(harness.read_dialogue(args.query), mem, cfg, weights)
+        pool = harness.retrieve_stage(harness.read_dialogue(args.dialogue), mem, cfg, weights)
     else:
         if args.lambda_vec != 0.0:
             raise DivselError(
-                "a raw-text query has no embedding; pass a dialogue file or use --lambda-vec 0"
+                "a raw-text query has no embedding; pass --dialogue or use --lambda-vec 0"
             )
         # The query vector is unused at lambda_vec=0, but must be non-zero.
         pool = retrieval.retrieve_pool(mem, np.ones(mem.dim), args.query, cfg)
@@ -148,11 +149,10 @@ def cmd_select(args) -> int:
         }
     ]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             for c in result.members:
-                fh.write(
-                    json.dumps({"id": c.exemplar_id, "text": c.text, "label": c.label}) + "\n"
-                )
+                row = {"id": c.exemplar_id, "text": c.text, "label": c.label}
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     _emit(rows, None)
     return 0
 
@@ -174,7 +174,8 @@ def cmd_compose(args) -> int:
     instruction = args.instruction or prompt_mod.DEFAULT_INSTRUCTION
     result = prompt_mod.compose(instruction, ctx, pairs, budget, permutation, template)
     if args.out:
-        Path(args.out).write_text(result.text, encoding="utf-8")
+        with open_output(args.out) as fh:
+            fh.write(result.text)
     _emit([{"type": "prompt", "token_count": result.token_count,
             "dropped_summary_turns": result.dropped_summary_turns,
             "dropped_exemplars": list(result.dropped_exemplars)}], None)
@@ -244,7 +245,10 @@ def cmd_eval_synth(args) -> int:
         args.labels, args.per_label, args.ambiguity, args.seed, args.dim, args.instances
     )
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror or exc}") from exc
     mem_path, corpus_path = out_dir / "memory.divmem", out_dir / "corpus.jsonl"
     memory_mod.persist(mem, mem_path)
     harness.write_corpus(instances, corpus_path)
@@ -343,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "retrieve", cmd_retrieve, "score and rank the candidate pool")
     p.add_argument("--memory", required=True)
-    p.add_argument("--query", required=True, help="dialogue JSON file or raw text")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--query", help="raw query text (lexical only: needs --lambda-vec 0)")
+    query.add_argument("--dialogue", help="dialogue JSON file (the corpus row format)")
     p.add_argument("--L", dest="pool_size", type=int, default=ret.pool_size)
     p.add_argument("--lambda-vec", dest="lambda_vec", type=float, default=ret.lambda_vec)
     p.add_argument("--normalization", default=ret.normalization)

@@ -25,7 +25,7 @@ from .errors import (
     NonSmoothError,
     VersionMismatchError,
 )
-from .files import open_input, read_exact
+from .files import open_input, open_output, read_exact
 from .retrieval import cosine
 
 WEIGHTS_MAGIC = b"DIVSEL-ENC"
@@ -165,7 +165,7 @@ def encode_context(ctx: DialogueContext, weights: EncoderWeights) -> np.ndarray:
 def save_weights(weights: EncoderWeights, path: str | Path) -> None:
     """Versioned binary: magic, version, d, four dxd row-major matrices, lambda, rho."""
     d = weights.dim
-    with open(path, "wb") as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", WEIGHTS_VERSION))
         fh.write(struct.pack("<I", d))

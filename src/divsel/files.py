@@ -1,8 +1,9 @@
-"""Input-file boundary shared by the loaders: opening a path, reading a text
-file, parsing line-delimited JSON rows or a whole-file JSON object, decoding a
-JSON object onto typed defaults, and reading a counted run of bytes from a
-binary file. A missing file, text that is not UTF-8, or a malformed row or
-object raises ConfigError; a binary file shorter than its counts say raises
+"""File boundary shared by the loaders and writers: opening a path for reading
+or writing, reading a text file, parsing line-delimited JSON rows or a
+whole-file JSON object, decoding a JSON object onto typed defaults, and reading
+a counted run of bytes from a binary file. A missing file, an output path that
+cannot be written, text that is not UTF-8, or a malformed row or object raises
+ConfigError; a binary file shorter than its counts say raises
 MemoryFormatError."""
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ def open_input(path: str | Path, binary: bool = False):
         return open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+
+def open_output(path: str | Path, binary: bool = False):
+    """Open a file for writing, replacing it; a path that cannot be written
+    (a missing directory, a directory, no permission) raises ConfigError."""
+    try:
+        if binary:
+            return open(path, "wb")
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_text(path: str | Path) -> str:

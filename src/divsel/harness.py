@@ -31,7 +31,7 @@ import numpy as np
 from .budget import Counters, CostConstants, LatencyReport, StageClock, WorkloadShape, measured_report, model_latency, scalarized_objective
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
-from .files import overlay, read_object, read_rows
+from .files import open_output, overlay, read_object, read_rows
 from .memory import Memory, tokenize
 from .prompt import (
     BudgetConfig,
@@ -42,7 +42,7 @@ from .prompt import (
     count_tokens,
     render_exemplar_line,
 )
-from .retrieval import Candidate, RetrievalConfig, retrieve_pool
+from .retrieval import Candidate, Pool, RetrievalConfig, retrieve_pool
 from .selection import (
     SelectedSet,
     SelectionConfig,
@@ -90,7 +90,7 @@ class EvalInstance:
 
 
 def write_corpus(instances: Sequence[EvalInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for inst in instances:
             row = {
                 "id": inst.id,
@@ -328,7 +328,7 @@ class PipelineResult:
     prompt: Prompt
     selection: SelectedSet
     extra_exemplars: tuple[tuple[str, str], ...]
-    pool: list[Candidate]
+    pool: Pool
     candidate_set: tuple[str, ...]
     latency: LatencyReport
 
@@ -394,7 +394,7 @@ def retrieve_stage(
     memory: Memory,
     retrieval: RetrievalConfig,
     weights: EncoderWeights | None = None,
-) -> list[Candidate]:
+) -> Pool:
     """Encode the dialogue and rank the memory into a candidate pool."""
     if weights is None:
         weights = EncoderWeights.default(memory.dim)
@@ -479,10 +479,10 @@ def run_pipeline(
     verifier,
     weights: EncoderWeights | None = None,
     seed: int = 0,
-    pool: list[Candidate] | None = None,
+    pool: Sequence[Candidate] | None = None,
 ) -> PipelineResult:
-    """Retrieve, select, prompt and decode one instance; a given pool skips
-    the retrieve stage.
+    """Retrieve, select, prompt and decode one instance; a given pool (a Pool,
+    or candidates in pool order) skips the retrieve stage.
 
     Deterministic under the mock verifier and fixed seeds. Candidate labels
     are derived from the exemplars actually present in the composed prompt,
@@ -492,6 +492,8 @@ def run_pipeline(
     with clock.stage("ann"):
         if pool is None:
             pool = retrieve_stage(instance.dialogue, memory, config.retrieval, weights)
+        else:
+            pool = Pool.from_candidates(pool)
     with clock.stage("div"):
         selection = select_for_method(
             config.method,
@@ -885,7 +887,7 @@ def grid_search(
     # The relevance scan does not depend on pool_size; cache the deepest pool
     # per (instance, lambda_vec) and slice it per configuration.
     max_pool = max(int(v) for v in grids.get("pool_size", [config.retrieval.pool_size]))
-    pool_cache: dict[tuple[str, float], list[Candidate]] = {}
+    pool_cache: dict[tuple[str, float], Pool] = {}
 
     rows: list[dict] = []
     best: dict | None = None

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from .files import open_input, read_exact, read_rows
+from .files import open_input, open_output, read_exact, read_rows
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 1
@@ -61,6 +61,8 @@ class Memory:
     its id, and the postings of term t are ``post_docs[offsets[t]:offsets[t+1]]``
     (ascending memory row) with term frequencies ``post_tfs`` at the same
     positions. ``norm`` holds each row's BM25 length normalization.
+    ``id_rank`` holds each row's rank in id order and ``label_codes`` each
+    row's label code; retrieval builds its pools from them.
     """
 
     def __init__(self, exemplars: tuple[Exemplar, ...], k1: float, b: float):
@@ -86,10 +88,19 @@ class Memory:
             raise IngestError(f"exemplar {label_index[''][0]!r} has an empty label")
         self.label_index = {k: tuple(v) for k, v in label_index.items()}
 
+        # Per-row order and label keys for array-native pools: each row's rank
+        # in id order (ids are unique, so ranks are too; a Python sort keeps
+        # ids that differ only in trailing NULs apart, which numpy strings do
+        # not), and each row's label code, numbered in first-seen order.
+        n = len(exemplars)
+        self.id_rank = np.empty(n, dtype=np.int64)
+        self.id_rank[sorted(range(n), key=lambda i: exemplars[i].id)] = np.arange(n)
+        code = {label: c for c, label in enumerate(label_index)}
+        self.label_codes = np.fromiter((code[ex.label] for ex in exemplars), np.int64, n)
+
         # Term ids are assigned document by document, so no list of every
         # token string is ever held; one sort of term*n + row then groups the
         # postings by term with rows ascending and counts each (term, row).
-        n = len(exemplars)
         vocab: dict[str, int] = {}
         term_id = vocab.setdefault
         term_ids, doc_lens = array("q"), array("q")
@@ -111,7 +122,8 @@ class Memory:
         # one token only keeps the normalization finite.
         self.avg_doc_len = max(int(lengths.sum()), 1) / n
         self.norm = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_doc_len)
-        for arr in (self.post_docs, self.post_tfs, self.offsets, self.norm):
+        for arr in (self.post_docs, self.post_tfs, self.offsets, self.norm, self.id_rank,
+                    self.label_codes):
             arr.setflags(write=False)
 
         matrix = np.stack([ex.embedding for ex in exemplars]).astype(np.float64)
@@ -242,7 +254,7 @@ def persist(memory: Memory, path: str | Path) -> None:
         "texts": [ex.text for ex in memory.exemplars],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))

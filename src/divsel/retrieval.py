@@ -2,21 +2,26 @@
 
 Scores are normalized onto [0, 1] before mixing because the two components
 live on incommensurate scales; see RetrievalConfig.normalization.
+
+A retrieved pool is a :class:`Pool`: the pool's scores, label codes, id order
+and embedding rows held as arrays, which the selectors read directly. It is
+also a read-only sequence of :class:`Candidate`, each built when it is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .files import read_rows
-from .memory import Memory
+from .files import open_output, read_rows
+from .memory import Exemplar, Memory
 
 NORMALIZATION_MODES = ("minmax", "none")
 
@@ -71,6 +76,100 @@ class Candidate:
     bm25_raw: float
 
 
+class Pool(Sequence[Candidate]):
+    """A candidate pool held as arrays, in pool order.
+
+    ``exemplars[rows[i]]`` gives item i's id, text, label and embedding;
+    ``embeddings[i]`` is that embedding as a float64 row. ``relevance``,
+    ``vec_score``, ``lex_score`` and ``bm25_raw`` are the Candidate scores,
+    ``label_codes`` are equal exactly where labels are, and ``rank`` orders
+    the items by (id, pool index). Every array is read-only.
+
+    Indexing and iteration build each Candidate when it is read; a slice is
+    a Pool over the same exemplars. ``labels`` reads labels alone.
+    """
+
+    __slots__ = ("exemplars", "rows", "embeddings", "relevance", "vec_score", "lex_score",
+                 "bm25_raw", "label_codes", "rank")
+
+    def __init__(self, exemplars: Sequence[Exemplar], rows, embeddings, relevance, vec_score,
+                 lex_score, bm25_raw, label_codes, rank):
+        self.exemplars = exemplars
+        self.rows = rows
+        self.embeddings = embeddings
+        self.relevance = relevance
+        self.vec_score = vec_score
+        self.lex_score = lex_score
+        self.bm25_raw = bm25_raw
+        self.label_codes = label_codes
+        self.rank = rank
+        for arr in (rows, embeddings, relevance, vec_score, lex_score, bm25_raw, label_codes,
+                    rank):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_candidates(cls, candidates: Iterable[Candidate]) -> "Pool":
+        """A Pool of the candidates in order; a Pool is returned as it is.
+        Duplicate ids are kept, ranked by pool index; embeddings of different
+        shapes raise DimensionError."""
+        if isinstance(candidates, Pool):
+            return candidates
+        cands = list(candidates)
+        n = len(cands)
+        if n:
+            try:
+                embeddings = np.stack([c.embedding for c in cands]).astype(np.float64)
+            except ValueError as exc:
+                raise DimensionError(f"pool embeddings do not share one shape: {exc}") from exc
+        else:
+            embeddings = np.zeros((0, 0))
+        codes: dict[str, int] = {}
+        rank = np.empty(n, dtype=np.int64)
+        rank[sorted(range(n), key=lambda i: cands[i].exemplar_id)] = np.arange(n)
+
+        def scores(name: str) -> np.ndarray:
+            return np.array([getattr(c, name) for c in cands], dtype=np.float64)
+
+        return cls(
+            tuple(Exemplar(c.exemplar_id, c.text, c.label, c.embedding) for c in cands),
+            np.arange(n),
+            embeddings,
+            scores("relevance"),
+            scores("vec_score"),
+            scores("lex_score"),
+            scores("bm25_raw"),
+            np.array([codes.setdefault(c.label, len(codes)) for c in cands], dtype=np.int64),
+            rank,
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Pool(self.exemplars, *(getattr(self, name)[index] for name in Pool.__slots__[1:]))
+        i = operator.index(index)
+        ex = self.exemplars[self.rows[i]]
+        return Candidate(
+            exemplar_id=ex.id,
+            text=ex.text,
+            label=ex.label,
+            embedding=ex.embedding,
+            relevance=float(self.relevance[i]),
+            vec_score=float(self.vec_score[i]),
+            lex_score=float(self.lex_score[i]),
+            bm25_raw=float(self.bm25_raw[i]),
+        )
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(self.__getitem__, range(len(self.rows)))
+
+    def labels(self, stop: int | None = None) -> list[str]:
+        """The labels of the first `stop` items (all by default), in pool
+        order, read without building candidates."""
+        return [self.exemplars[row].label for row in self.rows[:stop].tolist()]
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity in [-1, 1]; raises on zero vectors or dim mismatch."""
     u = np.asarray(u, dtype=np.float64)
@@ -103,7 +202,7 @@ def retrieve_pool(
     query_vector: np.ndarray,
     query_text: str,
     cfg: RetrievalConfig,
-) -> list[Candidate]:
+) -> Pool:
     """Score every memory item and return the top pool_size by hybrid relevance.
 
     Deterministic: ties are broken by ascending exemplar id.
@@ -130,23 +229,21 @@ def retrieve_pool(
     n = len(memory)
     size = min(cfg.pool_size, n)
     if size < n:
-        above = np.flatnonzero(rel >= np.partition(rel, n - size)[n - size]).tolist()
+        above = np.flatnonzero(rel >= np.partition(rel, n - size)[n - size])
     else:
-        above = range(n)
-    top = sorted(above, key=lambda i: (-rel[i], memory.exemplars[i].id))[:size]
-    return [
-        Candidate(
-            exemplar_id=memory.exemplars[i].id,
-            text=memory.exemplars[i].text,
-            label=memory.exemplars[i].label,
-            embedding=memory.exemplars[i].embedding,
-            relevance=float(rel[i]),
-            vec_score=float(vec_raw[i]),
-            lex_score=float(lex_n[i]),
-            bm25_raw=float(lex_raw[i]),
-        )
-        for i in top
-    ]
+        above = np.arange(n)
+    top = above[np.lexsort((memory.id_rank[above], -rel[above]))[:size]]
+    return Pool(
+        memory.exemplars,
+        top,
+        memory.embedding_matrix[top],
+        rel[top],
+        vec_raw[top],
+        lex_n[top],
+        lex_raw[top],
+        memory.label_codes[top],
+        memory.id_rank[top],
+    )
 
 
 def pool_row(c: Candidate) -> dict:
@@ -165,7 +262,7 @@ def pool_row(c: Candidate) -> dict:
 
 def write_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
     """Emit a pool as line-delimited records with component scores."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for c in candidates:
             fh.write(json.dumps(pool_row(c), ensure_ascii=False) + "\n")
 
@@ -190,7 +287,7 @@ def _parse_candidate(row: Mapping) -> Candidate:
     return c
 
 
-def read_pool(path: str | Path) -> list[Candidate]:
+def read_pool(path: str | Path) -> Pool:
     """Read a pool written by :func:`write_pool`; a malformed row or a repeated
     id raises ConfigError naming path:line."""
     seen: set[str] = set()
@@ -202,7 +299,7 @@ def read_pool(path: str | Path) -> list[Candidate]:
         seen.add(c.exemplar_id)
         return c
 
-    out = list(read_rows(path, parse))
+    out = Pool.from_candidates(read_rows(path, parse))
     if not out:
         raise SelectionError(f"pool file {path} holds no candidates")
     return out

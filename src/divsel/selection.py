@@ -7,9 +7,11 @@ need only running label counts and per-candidate similarity sums, so each
 step costs O(pool) similarity updates. Top-K, MMR, farthest-point, random,
 and an exhaustive oracle selector share the same result shape.
 
-Greedy, MMR and farthest-point share one selection step: score every open
-candidate at once and take the lexicographic maximum of the selector's keys
-(`_argmax`, one `np.lexsort`). The last key is always the negated id rank, so
+Every selector reads the pool as a `retrieval.Pool` (`Pool.from_candidates`
+turns a list of candidates into one) and builds a `Candidate` only for the
+items it chooses. Greedy, MMR and farthest-point share one selection step:
+score every open candidate at once and take the lexicographic maximum of the
+selector's keys (`_argmax`). The last key is always the negated id rank, so
 every tie breaks to the smallest exemplar id and, among duplicate ids, to the
 lowest pool index.
 
@@ -30,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .retrieval import Candidate, cosine
+from .retrieval import Candidate, Pool, cosine
 
 BRUTE_FORCE_GUARD = 1_000_000
 
@@ -102,8 +104,8 @@ def text_diversity(embeddings: Sequence[np.ndarray]) -> float:
     return 1.0 - total / (m * (m - 1) / 2)
 
 
-def r_score(g: float, dtext: float, alpha: float) -> float:
-    """Convex mixture of label and text diversity."""
+def r_score(g: float | np.ndarray, dtext: float | np.ndarray, alpha: float):
+    """Convex mixture of label and text diversity (elementwise over arrays)."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     return alpha * g + (1.0 - alpha) * dtext
@@ -178,7 +180,7 @@ class SelectedSet:
         )
         self.label_counts[candidate.label] = count + 1
         self.members.append(candidate)
-        self.r = self.alpha * self.g + (1.0 - self.alpha) * self.dtext
+        self.r = r_score(self.g, self.dtext, self.alpha)
 
     def recompute(self) -> tuple[float, float, float]:
         """Diversity terms recomputed from scratch (audit path, no increments)."""
@@ -186,7 +188,7 @@ class SelectedSet:
             return 0.0, 0.0, 0.0
         g = label_diversity(self.labels())
         d = text_diversity([c.embedding for c in self.members])
-        return g, d, self.alpha * g + (1.0 - self.alpha) * d
+        return g, d, r_score(g, d, self.alpha)
 
 
 def delta_label_diversity(selected: SelectedSet, incoming_label: str) -> float:
@@ -199,36 +201,31 @@ def delta_text_diversity(selected: SelectedSet, incoming_a: float) -> float:
     return selected.after_add(0, incoming_a)[3] - selected.dtext
 
 
-def _pool_matrix(pool: Sequence[Candidate]) -> np.ndarray:
-    try:
-        mat = np.stack([c.embedding for c in pool]).astype(np.float64)
-    except ValueError as exc:
-        raise DimensionError(f"pool embeddings do not share one shape: {exc}") from exc
+def _pool_arrays(pool: Sequence[Candidate]) -> tuple[Pool, np.ndarray]:
+    """The pool as a Pool and its embeddings scaled to unit norm; a
+    non-finite or zero embedding raises DimensionError, a non-finite
+    vec_score or relevance SelectionError."""
+    pool = Pool.from_candidates(pool)
+    mat = pool.embeddings
     if not np.all(np.isfinite(mat)):
         raise DimensionError("pool contains a non-finite embedding")
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DimensionError("pool contains a zero embedding")
-    return mat / norms
-
-
-def _pool_arrays(pool: Sequence[Candidate]):
-    """Unit embedding rows, vec_score, relevance, and each candidate's rank
-    in (id, pool index) order."""
-    mat = _pool_matrix(pool)
-    vec = np.array([c.vec_score for c in pool], dtype=np.float64)
-    rel = np.array([c.relevance for c in pool], dtype=np.float64)
-    if not (np.all(np.isfinite(vec)) and np.all(np.isfinite(rel))):
+    if not (np.all(np.isfinite(pool.vec_score)) and np.all(np.isfinite(pool.relevance))):
         raise SelectionError("pool contains a non-finite vec_score or relevance")
-    rank = np.empty(len(pool), dtype=np.int64)
-    rank[sorted(range(len(pool)), key=lambda i: pool[i].exemplar_id)] = np.arange(len(pool))
-    return mat, vec, rel, rank
+    return pool, mat / norms
 
 
 def _argmax(cand: np.ndarray, *keys: np.ndarray) -> int:
     """The pool index in `cand` whose (keys[0][i], keys[1][i], ...) is the
-    lexicographic maximum; the last key must be unique per candidate."""
-    return int(cand[np.lexsort([key[cand] for key in reversed(keys)])[-1]])
+    lexicographic maximum; the last key must be unique per candidate. Only the
+    candidates tied on the first key are sorted by the rest."""
+    first = keys[0][cand]
+    tied = cand[first == first.max()]
+    if tied.size == 1:
+        return int(tied[0])
+    return int(tied[np.lexsort([key[tied] for key in reversed(keys[1:])])[-1]])
 
 
 def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSet:
@@ -243,10 +240,9 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
         raise SelectionError("cannot select from an empty pool")
     if cfg.k > len(pool):
         raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    mat, vec, rel, rank = _pool_arrays(pool)
-    label_code: dict[str, int] = {}
-    codes = np.array([label_code.setdefault(c.label, len(label_code)) for c in pool])
-    counts = np.zeros(len(label_code), dtype=np.int64)
+    pool, mat = _pool_arrays(pool)
+    vec, codes, neg_rank = pool.vec_score, pool.label_codes, -pool.rank
+    counts = np.zeros(int(codes.max()) + 1, dtype=np.int64)
     tau_pass = vec >= cfg.tau
     prior = cfg.mu * vec
     pair_sums = np.zeros(len(pool))
@@ -266,18 +262,17 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
             return out
 
         _, _, g, dtext = out.after_add(counts[codes], pair_sums)
-        gain = np.broadcast_to(
-            cfg.alpha * (g - out.g) + (1.0 - cfg.alpha) * (dtext - out.dtext), vec.shape
-        )
+        gain = np.broadcast_to(r_score(g - out.g, dtext - out.dtext, cfg.alpha), vec.shape)
         tilde = gain + prior
-        best = _argmax(cand, tilde, rel, -rank)
+        best = _argmax(cand, tilde, pool.relevance, neg_rank)
         chosen[best] = True
         counts[codes[best]] += 1
-        out.add(pool[best], incoming_a=float(pair_sums[best]))
+        member = pool[best]
+        out.add(member, incoming_a=float(pair_sums[best]))
         out.steps.append(
             StepRecord(
                 index=out.size - 1,
-                exemplar_id=pool[best].exemplar_id,
+                exemplar_id=member.exemplar_id,
                 gain=float(gain[best]),
                 tilde_gain=float(tilde[best]),
                 g=out.g,
@@ -320,11 +315,12 @@ def brute_force_select(
         raise SelectionError("cannot select from an empty pool")
     if cfg.k > len(pool):
         raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    feasible = [i for i, c in enumerate(pool) if c.vec_score >= cfg.tau]
-    per_label: dict[str, int] = {}
+    pool = Pool.from_candidates(pool)
+    feasible = np.flatnonzero(pool.vec_score >= cfg.tau).tolist()
+    labels = pool.label_codes.tolist()
+    per_label: dict[int, int] = {}
     for i in feasible:
-        lab = pool[i].label
-        per_label[lab] = per_label.get(lab, 0) + 1
+        per_label[labels[i]] = per_label.get(labels[i], 0) + 1
     max_size = min(cfg.k, sum(min(cfg.label_cap, n) for n in per_label.values()))
     if max_size == 0:
         out = SelectedSet(cfg.alpha)
@@ -337,14 +333,14 @@ def brute_force_select(
             f"guard is {max_subsets}"
         )
 
-    mat = _pool_matrix(pool)
+    pool, mat = _pool_arrays(pool)
     sims = np.clip(mat @ mat.T, 0.0, 1.0)
-    labels = [c.label for c in pool]
+    ids = [pool.exemplars[row].id for row in pool.rows]
 
     best_key: tuple[float, tuple[str, ...]] | None = None
     best_combo: tuple[int, ...] | None = None
     for combo in itertools.combinations(feasible, max_size):
-        counts: dict[str, int] = {}
+        counts: dict[int, int] = {}
         ok = True
         for i in combo:
             counts[labels[i]] = counts.get(labels[i], 0) + 1
@@ -362,10 +358,10 @@ def brute_force_select(
                 for b in range(a + 1, max_size):
                     total += sims[combo[a], combo[b]]
             d = 1.0 - total / (max_size * (max_size - 1) / 2)
-        r = cfg.alpha * g + (1.0 - cfg.alpha) * d
-        ids = tuple(sorted(pool[i].exemplar_id for i in combo))
-        if best_key is None or r > best_key[0] or (r == best_key[0] and ids < best_key[1]):
-            best_key = (r, ids)
+        r = r_score(g, d, cfg.alpha)
+        combo_ids = tuple(sorted(ids[i] for i in combo))
+        if best_key is None or r > best_key[0] or (r == best_key[0] and combo_ids < best_key[1]):
+            best_key = (r, combo_ids)
             best_combo = combo
     if best_combo is None:
         out = SelectedSet(cfg.alpha)
@@ -379,8 +375,7 @@ def topk_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Select
     """Prefix of the pool's relevance order."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
-    out = _set_from_indices(pool, range(min(k, len(pool))), alpha)
-    return out
+    return _set_from_indices(Pool.from_candidates(pool), range(min(k, len(pool))), alpha)
 
 
 def random_select(
@@ -391,7 +386,7 @@ def random_select(
         raise SelectionError("cannot select from an empty pool")
     rng = random.Random(seed)
     indices = rng.sample(range(len(pool)), min(k, len(pool)))
-    return _set_from_indices(pool, indices, alpha)
+    return _set_from_indices(Pool.from_candidates(pool), indices, alpha)
 
 
 def mmr_select(
@@ -403,14 +398,15 @@ def mmr_select(
         raise SelectionError("cannot select from an empty pool")
     if not 0.0 <= lambda_mmr <= 1.0:
         raise ConfigError(f"lambda_mmr must be in [0, 1], got {lambda_mmr}")
-    mat, vec, _, rank = _pool_arrays(pool)
+    pool, mat = _pool_arrays(pool)
+    vec, neg_rank = pool.vec_score, -pool.rank
     n = len(pool)
     max_sim = np.zeros(n)
     chosen = np.zeros(n, dtype=bool)
     out = SelectedSet(alpha)
     while out.size < min(k, n):
         score = lambda_mmr * vec - (1.0 - lambda_mmr) * max_sim
-        best = _argmax(np.flatnonzero(~chosen), score, -rank)
+        best = _argmax(np.flatnonzero(~chosen), score, neg_rank)
         out.add(pool[best])
         chosen[best] = True
         idx = np.flatnonzero(~chosen)
@@ -427,13 +423,14 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
     distance to the chosen set."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
-    mat, _, rel, rank = _pool_arrays(pool)
+    pool, mat = _pool_arrays(pool)
+    neg_rank = -pool.rank
     n = len(pool)
     out = SelectedSet(alpha)
     chosen = np.zeros(n, dtype=bool)
     min_dist = np.full(n, np.inf)
     while out.size < min(k, n):
-        keys = (min_dist, -rank) if out.size else (rel, -rank)
+        keys = (min_dist, neg_rank) if out.size else (pool.relevance, neg_rank)
         best = _argmax(np.flatnonzero(~chosen), *keys)
         out.add(pool[best])
         chosen[best] = True

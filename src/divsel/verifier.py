@@ -25,7 +25,7 @@ from .errors import (
     VerifierTransportError,
 )
 from .prompt import Prompt
-from .retrieval import Candidate
+from .retrieval import Candidate, Pool
 
 PAYLOAD_VERSION = 1
 TOKEN_ENV = "DIVSEL_VERIFIER_TOKEN"
@@ -69,10 +69,10 @@ def candidate_labels(selected, pool: Sequence[Candidate], shortlist_size: int) -
         if lab not in seen:
             seen.add(lab)
             out.append(lab)
-    for c in pool[:shortlist_size]:
-        if c.label not in seen:
-            seen.add(c.label)
-            out.append(c.label)
+    for lab in Pool.from_candidates(pool).labels(shortlist_size):
+        if lab not in seen:
+            seen.add(lab)
+            out.append(lab)
     if not out:
         raise CandidateSetError("no candidate labels: empty selection and zero shortlist")
     return tuple(out)

@@ -70,7 +70,7 @@ class TestRetrieveSelectComposeDecide:
         pool_path = str(workspace / "pool.jsonl")
         code, out, _ = run(
             capsys,
-            "retrieve", "--memory", mem_path, "--query", str(workspace / "dialogue.json"),
+            "retrieve", "--memory", mem_path, "--dialogue", str(workspace / "dialogue.json"),
             "--L", "16", "--lambda-vec", "0.6", "--out", pool_path,
         )
         assert code == 0
@@ -123,6 +123,36 @@ class TestRetrieveSelectComposeDecide:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    def test_query_is_text_even_when_it_names_a_file(self, workspace, capsys):
+        """`--query` never opens a file; a dialogue file goes to `--dialogue`."""
+        mem_path = str(workspace / "mem.divmem")
+        dialogue = str(workspace / "dialogue.json")
+        code, out, _ = run(
+            capsys, "retrieve", "--memory", mem_path, "--query", dialogue,
+            "--lambda-vec", "0", "--L", "3",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 3
+        code, _, err = run(capsys, "retrieve", "--memory", mem_path, "--query", dialogue)
+        assert code == 1
+        assert "pass --dialogue or use --lambda-vec 0" in err
+
+    def test_select_out_writes_utf8(self, workspace, capsys, tmp_path):
+        pool = tmp_path / "pool.jsonl"
+        row = {"id": "é1", "text": "café crème", "label": "lé", "relevance": 0.5,
+               "vec_score": 0.5, "lex_score": 0.0, "embedding": [1.0, 0.0]}
+        pool.write_text(json.dumps(row) + "\n")
+        sel = tmp_path / "selection.jsonl"
+        code, out, _ = run(
+            capsys, "select", "--pool", str(pool), "--method", "topk", "--K", "1",
+            "--out", str(sel),
+        )
+        assert code == 0
+        assert json.loads(out)["labels"] == ["lé"]
+        assert sel.read_bytes() == (
+            '{"id": "é1", "text": "café crème", "label": "lé"}\n'.encode("utf-8")
+        )
+
     def test_malformed_dialogue_or_corpus_exits_one(self, workspace, capsys):
         mem_path = str(workspace / "synth" / "memory.divmem")
         bad = workspace / "bad_dialogue.json"
@@ -130,7 +160,7 @@ class TestRetrieveSelectComposeDecide:
         empty = workspace / "empty_dialogue.json"
         empty.write_text("")
         for argv in (
-            ["retrieve", "--memory", mem_path, "--query", str(bad)],
+            ["retrieve", "--memory", mem_path, "--dialogue", str(bad)],
             ["eval", "run", "--memory", mem_path, "--corpus", str(bad)],
         ):
             code, _, err = run(capsys, *argv)
@@ -315,6 +345,15 @@ class TestExitCodes:
         huge_int.write_text(json.dumps(row).replace("0.5", "9" * 400, 1) + "\n")
         deep = tmp_path / "deep.jsonl"
         deep.write_text("[" * 100_000 + "\n")
+        runs = tmp_path / "good_runs.jsonl"
+        runs.write_text(json.dumps({
+            "t_ann": 1e-4, "t_div": 1e-4, "t_prompt": 1e-4, "t_llm": 0.1, "N": 1000,
+            "terms": 8, "L": 64, "K": 4, "turns": 2, "prompt_tokens": 300, "gen_tokens": 10,
+        }) + "\n")
+        records = workspace / "records.jsonl"
+        no_dir = tmp_path / "missing_dir"
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
         files = {}
         for name, text in {
             "bad_json": '{"c_ann": 1',
@@ -367,6 +406,25 @@ class TestExitCodes:
             (["select", "--pool", str(huge_int)], f"{huge_int}:1: malformed row (OverflowError"),
             (["select", "--pool", str(deep)], f"{deep}:1: malformed row (RecursionError"),
         ]
+        # Every output path: a missing directory, or a file where a directory
+        # must go, fails naming the path.
+        good_pool = tmp_path / "good_pool.jsonl"
+        good_pool.write_text(json.dumps(row) + "\n")
+        for argv in (
+            ["budget", "model"],
+            ["budget", "control", "--B", "1"],
+            ["budget", "calibrate", "--runs", str(runs)],
+            ["memory", "build", "--in", str(records)],
+            ["retrieve", "--memory", mem, "--dialogue", dialogue],
+            ["select", "--pool", str(good_pool), "--K", "1"],
+            compose + [str(good_sel)],
+            ["decide", "--prompt", str(good_sel), "--labels", str(good_sel), "--gold", "l"],
+            eval_run,
+        ):
+            out = no_dir / "out.json"
+            cases.append((argv + ["--out", str(out)], f"cannot write {out}: No such file"))
+        cases.append((["eval", "synth", "--instances", "2", "--out", str(a_file)],
+                      f"cannot write {a_file}"))
         for name in ("bad_json", "missing_key", "unknown_constant", "string_constant",
                      "bool_constant", "not_an_object"):
             cases.append((["budget", "model", "--constants", str(files[name])],
@@ -398,6 +456,10 @@ class TestExitCodes:
              "error: argument --k-grid: invalid int_list value: '1,x'"),
             (["eval", "sweep", "--memory", "m", "--corpus", "c", "--alpha-grid", "0.5,"],
              "error: argument --alpha-grid: invalid float_list value: '0.5,'"),
+            (["retrieve", "--memory", "m"],
+             "error: one of the arguments --query --dialogue is required"),
+            (["retrieve", "--memory", "m", "--query", "q", "--dialogue", "d"],
+             "error: argument --dialogue: not allowed with argument --query"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)

@@ -90,7 +90,7 @@ def emissions(tmp_path_factory):
     dialogue.write_text(corpus_path.read_text().splitlines()[0] + "\n")
     pool = root / "pool.jsonl"
     out["retrieve"] = _run(
-        ["retrieve", "--memory", mem_path, "--query", dialogue, "--L", "16", "--out", pool], pool
+        ["retrieve", "--memory", mem_path, "--dialogue", dialogue, "--L", "16", "--out", pool], pool
     )
 
     for method in SELECT_METHODS:

@@ -1,0 +1,193 @@
+"""The array-native candidate pool: a `Pool` reads as the list of its
+candidates, and every selector returns the same result for a Pool as for that
+list."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_candidate
+from divsel.errors import DimensionError, SelectionError
+from divsel.memory import ingest
+from divsel.retrieval import Pool, RetrievalConfig, read_pool, retrieve_pool, write_pool
+from divsel.selection import (
+    SelectionConfig,
+    _argmax,
+    brute_force_select,
+    fps_select,
+    greedy_select,
+    mmr_select,
+    random_select,
+    topk_select,
+)
+from divsel.verifier import candidate_labels
+from test_selector_parity import outcome, pools
+
+
+def small_memory(rng: np.random.Generator, n: int):
+    """Few distinct embeddings, texts and labels, so that scores tie; ids are
+    shuffled so that their string order differs from memory order."""
+    vecs = rng.normal(size=(3, 3))
+    ids = [f"e{i}" for i in rng.permutation(n)]  # "e10" sorts before "e9"
+    return ingest(
+        {"id": ids[i], "text": f"word{i % 3} filler", "label": "xyz"[int(rng.integers(3))],
+         "embedding": list(vecs[int(rng.integers(3))])}
+        for i in range(n)
+    ), vecs[0]
+
+
+@st.composite
+def retrieved_pools(draw):
+    n = draw(st.integers(1, 10))
+    mem, z = small_memory(np.random.default_rng(draw(st.integers(0, 2**16))), n)
+    cfg = RetrievalConfig(
+        lambda_vec=draw(st.sampled_from((0.0, 0.6, 1.0))), pool_size=draw(st.integers(1, n))
+    )
+    return retrieve_pool(mem, z, "word1", cfg)
+
+
+def fields(c):
+    return (c.exemplar_id, c.text, c.label, c.embedding.tolist(), c.relevance, c.vec_score,
+            c.lex_score, c.bm25_raw)
+
+
+def select_all(pool, k, tau, label_cap, seed):
+    cfg = SelectionConfig(alpha=0.5, k=k, tau=tau, label_cap=label_cap, mu=0.05)
+    results = (
+        greedy_select(pool, cfg),
+        topk_select(pool, k),
+        mmr_select(pool, k, 0.5),
+        fps_select(pool, k),
+        random_select(pool, k, seed),
+        brute_force_select(pool, cfg),
+    )
+    return [(outcome(r), [m.label for m in r.members]) for r in results]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pool=st.one_of(retrieved_pools(), pools().map(Pool.from_candidates)),
+    data=st.data(),
+    tau=st.sampled_from([-1.0, 0.4]),
+    label_cap=st.integers(1, 3),
+    seed=st.integers(0, 9),
+)
+def test_every_selector_reads_a_pool_as_its_candidate_list(pool, data, tau, label_cap, seed):
+    """Retrieved pools rank by the memory's id ranks, converted lists by
+    their own; both must give the list's ids, steps, sim_ops, g/d/r, stop
+    reason and binding constraint."""
+    k = data.draw(st.integers(1, len(pool)))
+    assert select_all(pool, k, tau, label_cap, seed) == select_all(
+        list(pool), k, tau, label_cap, seed
+    )
+
+
+class TestPool:
+    def pool(self, n=9, size=7):
+        mem, z = small_memory(np.random.default_rng(4), n)
+        return mem, retrieve_pool(mem, z, "word1", RetrievalConfig(pool_size=size))
+
+    def test_candidates_come_from_the_memory_rows(self):
+        mem, pool = self.pool()
+        assert len(pool) == 7
+        for i, c in enumerate(pool):
+            ex = mem.get(c.exemplar_id)
+            assert (c.text, c.label) == (ex.text, ex.label)
+            assert c.embedding is ex.embedding
+            assert np.array_equal(pool.embeddings[i], mem.embedding_matrix[pool.rows[i]])
+            assert type(c.relevance) is float
+        ids = [c.exemplar_id for c in pool]
+        assert sorted(range(7), key=lambda i: ids[i]) == list(np.argsort(pool.rank))
+
+    def test_slices_are_pools_that_read_like_list_slices(self):
+        _, pool = self.pool()
+        whole = [fields(c) for c in pool]
+        for s in (slice(None, 3), slice(2, None), slice(None, None, 2), slice(-3, None),
+                  slice(5, 2), slice(None, 100)):
+            part = pool[s]
+            assert isinstance(part, Pool)
+            assert [fields(c) for c in part] == whole[s]
+        assert not pool[5:2]
+        assert fields(pool[-1]) == whole[-1]
+        assert fields(pool[np.int64(2)]) == whole[2]
+        for i in (7, -8):
+            with pytest.raises(IndexError):
+                pool[i]
+
+    def test_iteration_builds_each_candidate_on_read(self):
+        _, pool = self.pool()
+        assert [fields(c) for c in pool] == [fields(pool[i]) for i in range(len(pool))]
+        assert pool[0] is not pool[0]
+
+    def test_labels_read_without_candidates(self):
+        _, pool = self.pool()
+        labels = [c.label for c in pool]
+        assert pool.labels() == labels
+        for stop in (0, 3, 100):
+            assert pool.labels(stop) == labels[:stop]
+        assert pool[2:].labels(2) == labels[2:4]
+        for shortlist in (0, 2, 9):
+            assert candidate_labels(["q"], pool, shortlist) == candidate_labels(
+                ["q"], list(pool), shortlist
+            )
+
+    def test_arrays_are_read_only(self):
+        _, pool = self.pool()
+        for arr in (pool.relevance, pool.embeddings, pool.rank, pool[:3].vec_score):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_from_candidates_keeps_duplicate_ids_in_index_order(self):
+        cands = [
+            make_candidate(eid, lab, (1.0, float(i)), 0.5)
+            for i, (eid, lab) in enumerate((("b", "x"), ("a", "y"), ("b", "x"), ("a", "w")))
+        ]
+        pool = Pool.from_candidates(cands)
+        assert pool.rank.tolist() == [2, 0, 3, 1]
+        assert pool.label_codes.tolist() == [0, 1, 0, 2]
+        assert [fields(c) for c in pool] == [fields(c) for c in cands]
+        assert Pool.from_candidates(pool) is pool
+
+    def test_from_candidates_rejects_mixed_shapes_and_accepts_none(self):
+        with pytest.raises(DimensionError):
+            Pool.from_candidates(
+                [make_candidate("a", "x", (1.0, 0.0), 0.5), make_candidate("b", "x", (1.0, 0.0, 0.0), 0.5)]
+            )
+        empty = Pool.from_candidates([])
+        assert len(empty) == 0 and list(empty) == []
+        with pytest.raises(SelectionError):
+            topk_select(empty, 1)
+
+    def test_pool_file_round_trip(self, tmp_path):
+        _, pool = self.pool()
+        path = tmp_path / "pool.jsonl"
+        write_pool(pool, path)
+        back = read_pool(path)
+        assert isinstance(back, Pool)
+        assert [fields(c) for c in back] == [fields(c) for c in pool]
+        for name in ("embeddings", "relevance", "vec_score", "lex_score", "bm25_raw"):
+            assert np.array_equal(getattr(back, name), getattr(pool, name))
+        assert np.array_equal(np.argsort(back.rank), np.argsort(pool.rank))
+
+
+class TestArgmax:
+    def test_ties_break_on_later_keys_within_the_candidates(self):
+        first = np.array([3.0, 5.0, 5.0, 5.0, 1.0])
+        second = np.array([9.0, 2.0, 4.0, 4.0, 9.0])
+        last = np.array([0, -1, -2, -3, -4])
+        assert _argmax(np.arange(5), first, second, last) == 2
+        assert _argmax(np.array([0, 3, 4]), first, second, last) == 3
+        assert _argmax(np.array([0, 4]), first, second, last) == 0
+        assert _argmax(np.array([4]), first, second, last) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), n_keys=st.integers(1, 3))
+    def test_matches_the_tuple_maximum(self, data, n, n_keys):
+        keys = [np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0, np.inf]),
+                                            min_size=n, max_size=n)))
+                for _ in range(n_keys - 1)]
+        keys.append(-np.array(data.draw(st.permutations(range(n)))))
+        cand = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        expected = max(cand.tolist(), key=lambda i: tuple(key[i] for key in keys))
+        assert _argmax(cand, *keys) == expected
