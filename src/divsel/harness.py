@@ -333,9 +333,11 @@ class PipelineResult:
     latency: LatencyReport
 
 
-# Token cost of each exemplar's rendered prompt line, per memory. Filled on a
-# memory's first rand-add; weak keys let a replaced memory be freed.
+# Token cost of each exemplar's rendered prompt line, and the smallest of them,
+# per memory. Filled on a memory's first rand-add; weak keys let a replaced
+# memory be freed.
 _LINE_COSTS: "weakref.WeakKeyDictionary[Memory, list[int]]" = weakref.WeakKeyDictionary()
+_CHEAPEST_LINE: "weakref.WeakKeyDictionary[Memory, int]" = weakref.WeakKeyDictionary()
 
 
 def _rand_add_pairs(
@@ -345,17 +347,36 @@ def _rand_add_pairs(
     target: int,
     seed: int,
 ) -> list[tuple[str, str]]:
-    """Random exemplars whose rendered lines still fit under the target."""
+    """Random exemplars whose rendered lines still fit under the target.
+
+    Walks the memory in the order of `random.Random(seed).sample(range(N), N)`
+    and keeps every exemplar outside exclude_ids whose line still fits. The
+    order is replayed lazily rather than drawn whole: for k = n, CPython's
+    `Random.sample` always takes its pool branch, whose i-th pick is
+    `pool[j]` with `j = _randbelow(n - i)`, after which `pool[j]` takes the
+    last open slot `pool[n - i - 1]`. A dict holds only the slots that moved,
+    and the walk stops once what the target leaves is below the cheapest line,
+    so a call costs the picks it makes, not N.
+    `tests/test_rand_add_parity.py` pins this to the full permutation.
+    """
     costs = _LINE_COSTS.get(memory)
     if costs is None:
         costs = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in memory.exemplars]
         _LINE_COSTS[memory] = costs
-    rng = random.Random(seed)
-    order = rng.sample(range(len(memory.exemplars)), len(memory.exemplars))
+        _CHEAPEST_LINE[memory] = min(costs)
+    cheapest = _CHEAPEST_LINE[memory]
+    randbelow = random.Random(seed)._randbelow
+    exemplars = memory.exemplars
+    moved: dict[int, int] = {}
     used = base_tokens
     out: list[tuple[str, str]] = []
-    for i in order:
-        ex = memory.exemplars[i]
+    for last in range(len(exemplars) - 1, -1, -1):
+        if target - used < cheapest:
+            break
+        j = randbelow(last + 1)
+        i = moved.get(j, j)
+        moved[j] = moved.get(last, last)
+        ex = exemplars[i]
         if ex.id in exclude_ids:
             continue
         cost = costs[i]
@@ -631,7 +652,10 @@ def evaluate(
 
 
 def _pad_to_target(prompt: Prompt, target: int) -> Prompt:
-    """Append single-token pad marks until the prompt hits the target exactly."""
+    """Append single-token pad marks until the prompt hits the target exactly.
+
+    The count is not retaken: each " ." is one token, and its leading space
+    keeps it from joining whatever token the text ends with."""
     if prompt.token_count > target:
         raise CompositionError(
             f"prompt holds {prompt.token_count} tokens, above the {target} target"
@@ -639,8 +663,7 @@ def _pad_to_target(prompt: Prompt, target: int) -> Prompt:
     pad = target - prompt.token_count
     if pad == 0:
         return prompt
-    text = prompt.text + (" ." * pad)
-    return replace(prompt, text=text, token_count=count_tokens(text))
+    return replace(prompt, text=prompt.text + (" ." * pad), token_count=target)
 
 
 def _prefix_replace_pairs(
@@ -681,9 +704,10 @@ def fairness_suite(
     if not corpus:
         raise ConfigError("fairness suite needs a non-empty corpus")
     seed = config.base_seed
+    arms = [a for a in FAIRNESS_ARMS if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
 
-    # Retrieval, the base selections and the verifier are target-independent;
-    # build them once per instance.
+    # Retrieval, the base selections, each arm's exemplars and the verifier are
+    # target-independent; build them once per instance.
     per_instance = []
     for inst in corpus:
         pool = retrieve_stage(inst.dialogue, memory, config.retrieval, weights)
@@ -691,9 +715,25 @@ def fairness_suite(
             m: select_for_method(m, pool, config.selection, config.lambda_mmr, seed)
             for m in ("ldra", "topk")
         }
-        per_instance.append((inst, pool, bases, instance_verifier(inst, config, seed)))
+        arm_inputs = {}
+        for arm in arms:
+            base = bases[arm.split("_")[0]]  # each arm is named after its base
+            pairs = [(c.text, c.label) for c in base.members]
+            permutation = None
+            if arm == "ldra_shuffle":
+                permutation = list(range(len(pairs)))
+                random.Random(derive_seed(config.fairness.shuffle_seed, inst.id)).shuffle(permutation)
+            elif arm == "ldra_prefix_replace":
+                pairs = _prefix_replace_pairs(
+                    pairs, memory, base.ids(), derive_seed(seed, inst.id, "prefix")
+                )
+            arm_inputs[arm] = (pairs, permutation, base.ids())
+        per_instance.append((inst, pool, arm_inputs, instance_verifier(inst, config, seed)))
 
-    arms = [a for a in FAIRNESS_ARMS if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
+    # A plain arm's prompt that dropped nothing is what compose returns at
+    # every larger target under the same summary cap; keyed by (instance, arm,
+    # summary cap), it is composed once and only padded further.
+    kept_whole: dict[tuple[int, str, int], Prompt] = {}
     rows: list[dict] = []
     for target in config.fairness.token_targets:
         budget = BudgetConfig(
@@ -705,29 +745,24 @@ def fairness_suite(
             arm_tokens: dict[str, list[int]] = {a: [] for a in arms}
             arm_correct: dict[str, int] = {a: 0 for a in arms}
             arm_covered: dict[str, int] = {a: 0 for a in arms}
-            for inst, pool, bases, verifier in per_instance:
+            for i, (inst, pool, arm_inputs, verifier) in enumerate(per_instance):
                 for arm in arms:
-                    base = bases[arm.split("_")[0]]  # each arm is named after its base
-                    pairs = [(c.text, c.label) for c in base.members]
-                    permutation = None
-                    if arm == "ldra_shuffle":
-                        permutation = list(range(len(pairs)))
-                        random.Random(
-                            derive_seed(config.fairness.shuffle_seed, inst.id)
-                        ).shuffle(permutation)
-                    elif arm == "ldra_prefix_replace":
-                        pairs = _prefix_replace_pairs(
-                            pairs, memory, base.ids(), derive_seed(seed, inst.id, "prefix")
+                    pairs, permutation, exclude_ids = arm_inputs[arm]
+                    key = (i, arm, budget.summary_token_cap)
+                    prompt = kept_whole.get(key)
+                    if prompt is None:
+                        rand_add_seed = (
+                            derive_seed(seed, inst.id, "randadd", target)
+                            if arm == "topk_rand_add"
+                            else None
                         )
-                    rand_add_seed = (
-                        derive_seed(seed, inst.id, "randadd", target)
-                        if arm == "topk_rand_add"
-                        else None
-                    )
-                    prompt, _ = prompt_stage(
-                        inst.dialogue, pairs, config, budget, permutation,
-                        memory=memory, exclude_ids=base.ids(), rand_add_seed=rand_add_seed,
-                    )
+                        prompt, _ = prompt_stage(
+                            inst.dialogue, pairs, config, budget, permutation,
+                            memory=memory, exclude_ids=exclude_ids, rand_add_seed=rand_add_seed,
+                        )
+                        if (rand_add_seed is None and not prompt.dropped_summary_turns
+                                and not prompt.dropped_exemplars):
+                            kept_whole[key] = prompt
                     prompt = _pad_to_target(prompt, target)
                     output = decode_stage(prompt, pool, verifier, config)
                     covered, correct = mock_coverage(f"{inst.id}/{arm}", inst.gold, output)

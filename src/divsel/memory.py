@@ -291,15 +291,14 @@ def load(path: str | Path) -> Memory:
         raw = read_exact(fh, count * dim * 8, "embedding matrix")
         if fh.read(1):
             raise MemoryFormatError("trailing data after embedding matrix")
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim)
+    # One native float64 matrix (a no-copy view on little-endian hosts); each
+    # exemplar holds a read-only row view of it.
+    matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim).astype(np.float64, copy=False)
+    matrix.setflags(write=False)
     norms = np.linalg.norm(matrix, axis=1)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise MemoryFormatError("corrupt memory: stored embeddings are not unit vectors")
-    exemplars = []
-    for i in range(count):
-        emb = np.array(matrix[i], dtype=np.float64)
-        emb.setflags(write=False)
-        exemplars.append(Exemplar(ids[i], texts[i], labels[i], emb))
+    exemplars = [Exemplar(ids[i], texts[i], labels[i], matrix[i]) for i in range(count)]
     try:
         return Memory(tuple(exemplars), k1=k1, b=b)
     except IngestError as exc:

@@ -39,6 +39,9 @@ Exemplars:
 
 {ANSWER_FORMAT}"""
 
+PLACEHOLDERS = ("{INSTRUCTION}", "{SUMMARY}", "{CURRENT}", "{EXEMPLARS}", "{ANSWER_FORMAT}")
+_PLACEHOLDER_RE = re.compile("|".join(map(re.escape, PLACEHOLDERS)))
+
 COMPRESSION_POLICIES = ("summary-first", "strict")
 
 
@@ -114,7 +117,7 @@ def summarize_history(ctx: DialogueContext, cap: int) -> str:
 
 def load_template(path: str | Path) -> str:
     template = read_text(path)
-    for placeholder in ("{INSTRUCTION}", "{SUMMARY}", "{CURRENT}", "{EXEMPLARS}", "{ANSWER_FORMAT}"):
+    for placeholder in PLACEHOLDERS:
         if placeholder not in template:
             raise ConfigError(f"template is missing the {placeholder} placeholder")
     return template
@@ -128,13 +131,16 @@ def _render(
     lines: Sequence[str],
     answer_format: str,
 ) -> str:
-    return (
-        template.replace("{INSTRUCTION}", instruction)
-        .replace("{SUMMARY}", summary)
-        .replace("{CURRENT}", current)
-        .replace("{EXEMPLARS}", "\n".join(lines))
-        .replace("{ANSWER_FORMAT}", answer_format)
-    )
+    """Fill the template's placeholders in one pass over the template alone,
+    so a placeholder inside an inserted text stays as written."""
+    values = {
+        "{INSTRUCTION}": instruction,
+        "{SUMMARY}": summary,
+        "{CURRENT}": current,
+        "{EXEMPLARS}": "\n".join(lines),
+        "{ANSWER_FORMAT}": answer_format,
+    }
+    return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], template)
 
 
 def compose(

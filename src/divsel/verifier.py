@@ -135,7 +135,8 @@ def _log_sigmoid(x: float) -> float:
 class MockVerifier:
     """Deterministic stand-in: the gold label scores +margin iff queried; any
     other label scores -margin plus small seeded noise. End-to-end accuracy
-    under this mock equals the rate at which selection exposes the gold label."""
+    under this mock equals the rate at which selection exposes the gold label.
+    A label's score depends on nothing but the label, so each is drawn once."""
 
     def __init__(self, gold_label: str, noise_seed: int, margin: float = 2.0):
         if margin <= 0:
@@ -143,14 +144,18 @@ class MockVerifier:
         self.gold_label = gold_label
         self.noise_seed = noise_seed
         self.margin = margin
+        self._scores: dict[str, tuple[float, float]] = {}
 
     def score(self, prompt_text: str, question_text: str, label: str) -> tuple[float, float]:
-        if label == self.gold_label:
-            s = self.margin
-        else:
-            rng = random.Random(f"{self.noise_seed}:{label}")
-            s = -self.margin + rng.uniform(-self.margin / 4, self.margin / 4)
-        return _log_sigmoid(s), _log_sigmoid(-s)
+        scores = self._scores.get(label)
+        if scores is None:
+            if label == self.gold_label:
+                s = self.margin
+            else:
+                rng = random.Random(f"{self.noise_seed}:{label}")
+                s = -self.margin + rng.uniform(-self.margin / 4, self.margin / 4)
+            scores = self._scores[label] = (_log_sigmoid(s), _log_sigmoid(-s))
+        return scores
 
 
 def mock_verifier(gold_label: str, noise_seed: int, margin: float = 2.0) -> MockVerifier:

@@ -1,14 +1,17 @@
 import json
+import random
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from divsel import harness
 from divsel.budget import CostConstants
-from divsel.encoder import DialogueContext
-from divsel.errors import ConfigError
+from divsel.encoder import DialogueContext, Turn
+from divsel.errors import CompositionError, ConfigError, InvariantViolation
 from divsel.harness import (
     DEFAULT_GRIDS,
     EvalInstance,
@@ -28,6 +31,7 @@ from divsel.harness import (
     sweep,
     write_corpus,
 )
+from divsel.prompt import BudgetConfig, Prompt, count_tokens
 from divsel.synth import synth_corpus
 from divsel.verifier import mock_verifier
 
@@ -269,6 +273,138 @@ class TestFairnessSuite:
         a = json.dumps(fairness_suite(mem, corpus, cfg), sort_keys=True)
         b = json.dumps(fairness_suite(mem, corpus, cfg), sort_keys=True)
         assert a == b
+
+
+def fairness_reference(memory, corpus, config, dropped):
+    """The suite as it ran before its shortcuts: every arm composed afresh
+    through prompt_stage at every target, padded with a retaken count. Appends
+    to `dropped` the (target, arm) of every prompt that compression cut."""
+    seed = config.base_seed
+    arms = [a for a in harness.FAIRNESS_ARMS
+            if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
+    rows = []
+    for target in config.fairness.token_targets:
+        budget = BudgetConfig(
+            max_prompt_tokens=target,
+            summary_token_cap=min(config.budget.summary_token_cap, target),
+            compression_policy=config.budget.compression_policy,
+        )
+        try:
+            tokens = {a: [] for a in arms}
+            correct = dict.fromkeys(arms, 0)
+            covered = dict.fromkeys(arms, 0)
+            for inst in corpus:
+                pool = harness.retrieve_stage(inst.dialogue, memory, config.retrieval)
+                verifier = harness.instance_verifier(inst, config, seed)
+                for arm in arms:
+                    base = harness.select_for_method(
+                        arm.split("_")[0], pool, config.selection, config.lambda_mmr, seed
+                    )
+                    pairs = [(c.text, c.label) for c in base.members]
+                    permutation = None
+                    if arm == "ldra_shuffle":
+                        permutation = list(range(len(pairs)))
+                        random.Random(
+                            derive_seed(config.fairness.shuffle_seed, inst.id)
+                        ).shuffle(permutation)
+                    elif arm == "ldra_prefix_replace":
+                        pairs = harness._prefix_replace_pairs(
+                            pairs, memory, base.ids(), derive_seed(seed, inst.id, "prefix")
+                        )
+                    rand_add_seed = (
+                        derive_seed(seed, inst.id, "randadd", target) if arm == "topk_rand_add" else None
+                    )
+                    prompt, _ = harness.prompt_stage(
+                        inst.dialogue, pairs, config, budget, permutation,
+                        memory=memory, exclude_ids=base.ids(), rand_add_seed=rand_add_seed,
+                    )
+                    if prompt.dropped_summary_turns or prompt.dropped_exemplars:
+                        dropped.append((target, arm))
+                    text = prompt.text + " ." * (target - prompt.token_count)
+                    prompt = replace(prompt, text=text, token_count=count_tokens(text))
+                    output = harness.decode_stage(prompt, pool, verifier, config)
+                    cov, ok = harness.mock_coverage(inst.id, inst.gold, output)
+                    tokens[arm].append(prompt.token_count)
+                    correct[arm] += ok
+                    covered[arm] += cov
+            means = {a: sum(v) / len(v) for a, v in tokens.items()}
+            deviation = (max(means.values()) - min(means.values())) / min(means.values()) * 100.0
+            if deviation > harness.TOKEN_DEVIATION_LIMIT_PCT:
+                raise InvariantViolation(f"target {target}: deviation {deviation:.2f}%")
+            n = len(corpus)
+            rows.extend(
+                {"type": "fairness", "target": target, "arm": a, "n": n,
+                 "accuracy": correct[a] / n, "coverage": covered[a] / n,
+                 "mean_tokens": means[a], "token_deviation_pct": deviation}
+                for a in arms
+            )
+        except CompositionError as exc:
+            rows.append({"type": "fairness_skip", "target": target, "reason": str(exc)})
+    return rows
+
+
+def with_long_history(inst, words):
+    """The instance with two more turns: an old one of `words` words, then a
+    short one, so the summary cap decides whether the old turn fits."""
+    e = inst.dialogue.current_embedding
+    old = Turn(user=" ".join(f"w{i}" for i in range(words)), agent="noted",
+               user_embedding=e, agent_embedding=e)
+    new = Turn(user="and then", agent="sure", user_embedding=e, agent_embedding=e)
+    return replace(inst, dialogue=replace(inst.dialogue, turns=inst.dialogue.turns + (old, new)))
+
+
+class TestFairnessShortcuts:
+    """The suite composes a plain arm once while nothing is dropped and the
+    summary cap holds, pads without recounting and replays rand-add lazily;
+    its rows must equal the per-target reference loop's."""
+
+    @pytest.mark.parametrize("policy", ["summary-first", "strict"])
+    @pytest.mark.parametrize("words", [0, 90])
+    @pytest.mark.parametrize("summary_cap", [90, 250])
+    def test_rows_match_per_target_reference(self, small_world, monkeypatch, policy, words,
+                                             summary_cap):
+        """Rows and every decoded prompt (text, token count, exemplars) agree.
+        The targets straddle the summary cap: below it the budget's cap is the
+        target itself, so it changes from target to target."""
+        mem, corpus = small_world
+        corpus = [with_long_history(inst, words) if words else inst for inst in corpus[:10]]
+        cfg = base_config(
+            fairness=FairnessConfig(token_targets=(40, 75, 100, 130, 220, 300)),
+            budget=BudgetConfig(max_prompt_tokens=400, summary_token_cap=summary_cap,
+                                compression_policy=policy),
+        )
+        decoded = []
+        decode = harness.decode_stage
+        monkeypatch.setattr(
+            harness, "decode_stage",
+            lambda prompt, *a: decoded.append(prompt) or decode(prompt, *a),
+        )
+        dropped = []
+        expected = fairness_reference(mem, corpus, cfg, dropped)
+        expected_prompts, decoded[:] = decoded[:], []
+        assert fairness_suite(mem, corpus, cfg) == expected
+        assert decoded == expected_prompts
+        # The run covers what the shortcuts must respect: an unreachable
+        # target, and a reachable smallest target that compression cuts.
+        assert expected[0]["type"] == "fairness_skip"
+        if policy == "summary-first":
+            assert expected[1]["type"] == "fairness"
+            assert any(t == 75 for t, _ in dropped)
+
+    @given(st.text(), st.integers(0, 40))
+    @example("ends in a word", 3)
+    @example("ends in punctuation!", 2)
+    @example("ends in space \n\t ", 4)
+    @example("", 1)
+    @example("naïve café ß", 5)
+    def test_padding_count_equals_a_fresh_count(self, text, pad):
+        prompt = Prompt(
+            instruction="", summary="", current="", exemplars=(), answer_format="",
+            text=text, token_count=count_tokens(text),
+        )
+        target = prompt.token_count + pad
+        padded = harness._pad_to_target(prompt, target)
+        assert padded.token_count == target == count_tokens(padded.text)
 
 
 class TestSweep:

@@ -210,6 +210,20 @@ class TestPersistence:
             assert np.array_equal(getattr(loaded, attr), getattr(mem, attr)), attr
         assert loaded.avg_doc_len == mem.avg_doc_len
 
+    def test_loaded_embeddings_are_read_only_rows_of_one_matrix(self, tmp_path):
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        loaded = load(path)
+        matrix = loaded.exemplars[0].embedding.base
+        assert matrix is not None and matrix.nbytes == len(mem) * mem.dim * 8
+        for ex, orig in zip(loaded.exemplars, mem.exemplars):
+            assert ex.embedding.dtype == np.float64 and ex.embedding.dtype.isnative
+            assert not ex.embedding.flags.writeable
+            assert ex.embedding.base is matrix
+            assert np.array_equal(ex.embedding, orig.embedding)
+        assert np.array_equal(loaded.embedding_matrix, mem.embedding_matrix)
+
     def test_load_rejects_duplicate_ids(self, tmp_path):
         mem = ingest(small_records())
         path = tmp_path / "mem.divmem"

@@ -199,6 +199,39 @@ class TestTemplate:
             assert ph in DEFAULT_TEMPLATE
 
 
+class TestPlaceholdersInText:
+    """The template is filled in one pass over the template itself, so a
+    placeholder written inside user text is kept verbatim."""
+
+    def test_placeholders_in_inserted_text_stay_literal(self):
+        turn = Turn(
+            user="say {SUMMARY} twice",
+            agent="ok {CURRENT}",
+            user_embedding=E,
+            agent_embedding=E,
+        )
+        ctx = DialogueContext(
+            turns=(turn,), current="book it {ANSWER_FORMAT} now", current_embedding=E
+        )
+        p = compose(
+            "Classify {EXEMPLARS}.",
+            ctx,
+            [("find {INSTRUCTION} please", "lab{CURRENT}")],
+            BudgetConfig(),
+            answer_format="Answer briefly.",
+        )
+        expected = (
+            "Classify {EXEMPLARS}.\n\n"
+            "Conversation so far:\nUser: say {SUMMARY} twice\nAgent: ok {CURRENT}\n\n"
+            "Current utterance:\nUser: book it {ANSWER_FORMAT} now\n\n"
+            "Exemplars:\nUser: find {INSTRUCTION} please => Intent: lab{CURRENT}\n\n"
+            "Answer briefly."
+        )
+        assert p.text == expected
+        assert p.text.count("Answer briefly.") == 1
+        assert p.token_count == count_tokens(p.text)
+
+
 class TestBudgetConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):

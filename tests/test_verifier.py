@@ -103,6 +103,17 @@ class TestMockVerifier:
         assert a.scores == b.scores
         assert a.decision == b.decision
 
+    def test_repeated_and_interleaved_calls_match_a_fresh_mock(self):
+        """Each label's score is drawn once and kept; what a call returns must
+        not depend on which labels were asked before, or how often."""
+        labels = ["gold", "a", "b", "a", "gold", "c", "b", "a"]
+        v = mock_verifier("gold", noise_seed=11, margin=2.0)
+        for label in labels + labels[::-1]:
+            fresh = mock_verifier("gold", noise_seed=11, margin=2.0)
+            assert v.score("p", question_for(label), label) == fresh.score("q", "other", label)
+        other = mock_verifier("gold", noise_seed=12, margin=2.0)
+        assert v.score("p", "", "a") != other.score("p", "", "a")
+
     def test_replies_are_log_probabilities(self):
         v = mock_verifier("gold", noise_seed=3, margin=1.5)
         yes, no = v.score("p", question_for("gold"), "gold")
