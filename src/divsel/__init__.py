@@ -20,14 +20,9 @@ from .encoder import (
     DialogueContext,
     EncoderWeights,
     Turn,
-    distill_loss,
-    distill_loss_gradient,
     encode_context,
-    finite_difference_check,
     layer_norm,
     load_weights,
-    metric_loss,
-    metric_loss_gradient,
     save_weights,
 )
 from .errors import DivselError
@@ -35,14 +30,11 @@ from .harness import (
     EvalInstance,
     ExperimentConfig,
     FairnessConfig,
-    aga,
     evaluate,
     fairness_suite,
     grid_search,
     jga,
-    parse_state,
     read_corpus,
-    render_state,
     run_pipeline,
     sweep,
     write_corpus,
@@ -53,7 +45,6 @@ from .prompt import (
     Prompt,
     compose,
     count_tokens,
-    summarize_history,
 )
 from .retrieval import (
     Candidate,

@@ -281,10 +281,8 @@ def calibrate_constants(
     )
 
 
-def latency_percentiles(
-    reports: Iterable[LatencyReport], percentiles: Sequence[float] = (50, 90)
-) -> dict[str, dict[str, float]]:
-    """Per-stage and total latency percentiles across a run set."""
+def latency_percentiles(reports: Iterable[LatencyReport]) -> dict[str, dict[str, float]]:
+    """Per-stage and total p50 and p90 latencies across a run set."""
     rows = list(reports)
     if not rows:
         raise ConfigError("no reports to aggregate")
@@ -292,5 +290,5 @@ def latency_percentiles(
     fields = {"t_ann": "ann", "t_div": "div", "t_prompt": "prompt", "t_llm": "llm", "t_total": "total"}
     for attr, name in fields.items():
         values = np.array([getattr(r, attr) for r in rows])
-        out[name] = {f"p{int(p)}": float(np.percentile(values, p)) for p in percentiles}
+        out[name] = {f"p{p}": float(np.percentile(values, p)) for p in (50, 90)}
     return out

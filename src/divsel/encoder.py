@@ -1,9 +1,8 @@
-"""Context-aware query encoding plus the pure metric / distillation losses.
+"""Context-aware query encoding and the encoder weight file.
 
 The encoder cross-attends the current utterance to per-turn history embeddings
-with a recency bias, then layer-normalizes the blended vector. Losses are
-exposed as pure functions with analytic gradients so they can be checked by
-central differences; no training loop lives here.
+with a recency bias, then layer-normalizes the blended vector. Its weights are
+fixed inputs, read from a versioned binary file; nothing here trains them.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,11 +20,9 @@ from .errors import (
     DimensionError,
     EncodingError,
     MemoryFormatError,
-    NonSmoothError,
     VersionMismatchError,
 )
 from .files import open_input, open_output, read_exact
-from .retrieval import cosine
 
 WEIGHTS_MAGIC = b"DIVSEL-ENC"
 WEIGHTS_VERSION = 1
@@ -192,144 +188,3 @@ def load_weights(path: str | Path) -> EncoderWeights:
             raise MemoryFormatError("trailing data in weight file")
     return EncoderWeights(mats[0], mats[1], mats[2], mats[3], lam, rho)
 
-
-# ---------------------------------------------------------------------------
-# Pure loss functions (evaluation + analytic gradients only; no training).
-# ---------------------------------------------------------------------------
-
-Pair = tuple[np.ndarray, np.ndarray, bool]
-
-
-def _validate_margin(margin: float) -> None:
-    if not 0.0 < margin < 1.0:
-        raise ConfigError(f"margin must lie in (0, 1), got {margin}")
-
-
-def metric_loss(pairs: Sequence[Pair], margin: float) -> float:
-    """Hinge contrastive loss: same-label pairs pulled to cosine 1, different-
-    label pairs pushed below the margin. Always non-negative."""
-    _validate_margin(margin)
-    total = 0.0
-    for e_u, e_v, same in pairs:
-        s = cosine(e_u, e_v)
-        total += max(0.0, 1.0 - s) if same else max(0.0, s - margin)
-    return total
-
-
-def _cosine_grads(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DimensionError("cosine is undefined for a zero vector")
-    s = float(np.dot(u, v) / (nu * nv))
-    du = v / (nu * nv) - s * u / (nu * nu)
-    dv = u / (nu * nv) - s * v / (nv * nv)
-    return s, du, dv
-
-
-def metric_loss_gradient(
-    pairs: Sequence[Pair], margin: float
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Analytic gradients of metric_loss with respect to each pair's vectors."""
-    _validate_margin(margin)
-    grads_u, grads_v = [], []
-    for e_u, e_v, same in pairs:
-        u = np.asarray(e_u, dtype=np.float64)
-        v = np.asarray(e_v, dtype=np.float64)
-        s, du, dv = _cosine_grads(u, v)
-        if same:
-            active = s < 1.0
-            sign = -1.0
-        else:
-            active = s > margin
-            sign = 1.0
-        if active:
-            grads_u.append(sign * du)
-            grads_v.append(sign * dv)
-        else:
-            grads_u.append(np.zeros_like(u))
-            grads_v.append(np.zeros_like(v))
-    return grads_u, grads_v
-
-
-def _check_label_sets(teacher: Mapping[str, float], student: Mapping[str, float]) -> list[str]:
-    if set(teacher) != set(student):
-        raise ConfigError(
-            f"teacher and student label sets differ: {sorted(teacher)} vs {sorted(student)}"
-        )
-    if not teacher:
-        raise ConfigError("distillation needs at least one label")
-    return sorted(teacher)
-
-
-def distill_loss(
-    teacher_logodds: Mapping[str, float],
-    temperature: float,
-    student_logits: Mapping[str, float],
-) -> float:
-    """Cross-entropy of the student softmax against the tempered teacher softmax."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    labels = _check_label_sets(teacher_logodds, student_logits)
-    t = np.array([teacher_logodds[y] for y in labels]) / temperature
-    z = np.array([student_logits[y] for y in labels])
-    p_teacher = _softmax(t)
-    log_p_student = z - (z.max() + math.log(np.exp(z - z.max()).sum()))
-    return float(-(p_teacher * log_p_student).sum())
-
-
-def distill_loss_gradient(
-    teacher_logodds: Mapping[str, float],
-    temperature: float,
-    student_logits: Mapping[str, float],
-) -> dict[str, float]:
-    """Gradient of distill_loss with respect to each student logit."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be positive, got {temperature}")
-    labels = _check_label_sets(teacher_logodds, student_logits)
-    t = np.array([teacher_logodds[y] for y in labels]) / temperature
-    z = np.array([student_logits[y] for y in labels])
-    grad = _softmax(z) - _softmax(t)
-    return {y: float(grad[i]) for i, y in enumerate(labels)}
-
-
-def finite_difference_check(
-    loss_fn: Callable[[np.ndarray], float],
-    gradient_fn: Callable[[np.ndarray], np.ndarray],
-    point: np.ndarray,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between the analytic gradient and central differences.
-
-    Raises NonSmoothError when one-sided differences disagree enough to signal
-    a hinge kink at (or within step of) the evaluation point, and EncodingError
-    when the loss is non-finite at a perturbed point.
-    """
-    if not 1e-6 <= step <= 1e-3:
-        raise ConfigError(f"step must lie in [1e-6, 1e-3], got {step}")
-    x = np.asarray(point, dtype=np.float64).copy()
-    analytic = np.asarray(gradient_fn(x), dtype=np.float64)
-    if analytic.shape != x.shape:
-        raise DimensionError("gradient shape does not match the evaluation point")
-    f0 = float(loss_fn(x))
-    worst = 0.0
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + step
-        f_plus = float(loss_fn(x))
-        x[i] = orig - step
-        f_minus = float(loss_fn(x))
-        x[i] = orig
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise EncodingError(f"loss is non-finite near coordinate {i}")
-        forward = (f_plus - f0) / step
-        backward = (f0 - f_minus) / step
-        if abs(forward - backward) > 1e-3 * max(1.0, abs(forward), abs(backward)):
-            raise NonSmoothError(
-                f"one-sided differences disagree at coordinate {i}; "
-                "evaluation point sits on a hinge kink"
-            )
-        central = (f_plus - f_minus) / (2.0 * step)
-        err = abs(analytic[i] - central) / max(1.0, abs(analytic[i]), abs(central))
-        worst = max(worst, err)
-    return worst

@@ -33,10 +33,6 @@ class EncodingError(DivselError):
     """Dialogue encoding failed (bad embeddings, NaNs, ...)."""
 
 
-class NonSmoothError(DivselError):
-    """Gradient check evaluated at (or too close to) a hinge kink."""
-
-
 class SelectionError(DivselError):
     """Subset selection was called with unusable inputs."""
 

@@ -24,7 +24,7 @@ import random
 import weakref
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,8 +61,6 @@ FAIRNESS_ARMS = ("ldra", "topk", "topk_rand_add", "ldra_shuffle", "ldra_prefix_r
 
 TOKEN_DEVIATION_LIMIT_PCT = 2.0
 
-NOT_MENTIONED = "not_mentioned"
-
 
 def derive_seed(*parts) -> int:
     """Stable cross-platform seed from arbitrary parts."""
@@ -82,7 +80,6 @@ class EvalInstance:
     id: str
     dialogue: DialogueContext
     gold: str
-    slots: tuple[Mapping[str, str], ...] | None = None
 
     def __post_init__(self):
         if not self.gold:
@@ -107,8 +104,6 @@ def write_corpus(instances: Sequence[EvalInstance], path: str | Path) -> None:
                 "current_embedding": [float(x) for x in inst.dialogue.current_embedding],
                 "gold": inst.gold,
             }
-            if inst.slots is not None:
-                row["slots"] = [dict(s) for s in inst.slots]
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 
@@ -131,12 +126,11 @@ def _parse_dialogue(row: Mapping) -> DialogueContext:
 
 
 def _parse_instance(row: Mapping) -> EvalInstance:
-    slots = row.get("slots")
+    """One corpus row; keys other than the ones read here are ignored."""
     return EvalInstance(
         id=str(row["id"]),
         dialogue=_parse_dialogue(row),
         gold=str(row["gold"]),
-        slots=tuple(slots) if slots is not None else None,
     )
 
 
@@ -255,62 +249,6 @@ def jga(predictions: Sequence[str], golds: Sequence[str]) -> float:
         raise ConfigError("jga needs at least one aligned pair")
     hits = sum(1 for p, g in zip(predictions, golds) if _canon(p) == _canon(g))
     return hits / len(golds)
-
-
-def aga(
-    predicted_slots: Sequence[Mapping[str, str]],
-    gold_slots: Sequence[Mapping[str, str]],
-) -> float:
-    """Mean per-turn slot accuracy over active slots.
-
-    A slot is active iff its gold value differs from not_mentioned; turns with
-    no active slots are skipped.
-    """
-    if len(predicted_slots) != len(gold_slots):
-        raise ConfigError(
-            f"prediction/gold length mismatch: {len(predicted_slots)} vs {len(gold_slots)}"
-        )
-    per_turn: list[float] = []
-    for pred, gold in zip(predicted_slots, gold_slots):
-        active = [slot for slot, v in gold.items() if _canon(str(v)) != NOT_MENTIONED]
-        if not active:
-            continue
-        correct = sum(
-            1
-            for slot in active
-            if _canon(str(pred.get(slot, NOT_MENTIONED))) == _canon(str(gold[slot]))
-        )
-        per_turn.append(correct / len(active))
-    if not per_turn:
-        raise ConfigError("aga is undefined: no turn has an active gold slot")
-    return sum(per_turn) / len(per_turn)
-
-
-def render_state(state: Mapping[str, Mapping[str, str]]) -> str:
-    """Canonical label string for a slot-value state: sorted 'domain-slot=value'
-    entries joined by ';', not_mentioned slots omitted."""
-    parts = []
-    for domain, slots in state.items():
-        for slot, value in slots.items():
-            v = _canon(str(value))
-            if v == NOT_MENTIONED:
-                continue
-            parts.append(f"{_canon(str(domain))}-{_canon(str(slot))}={v}")
-    return ";".join(sorted(parts))
-
-
-def parse_state(canonical: str) -> dict[str, dict[str, str]]:
-    """Inverse of render_state for well-formed canonical strings."""
-    out: dict[str, dict[str, str]] = {}
-    if not canonical:
-        return out
-    for part in canonical.split(";"):
-        key, _, value = part.partition("=")
-        domain, _, slot = key.partition("-")
-        if not (domain and slot and value):
-            raise ConfigError(f"malformed canonical state entry {part!r}")
-        out.setdefault(domain, {})[slot] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +533,18 @@ def evaluate(
     config: ExperimentConfig,
     seed: int,
     weights: EncoderWeights | None = None,
-    verifier_factory: Callable[[EvalInstance], object] | None = None,
 ) -> tuple[list[dict], dict, list[LatencyReport]]:
     """Run the pipeline over a corpus; returns per-instance rows, a summary,
     and the measured latency reports (kept out of the deterministic rows)."""
-    mock = verifier_factory is None
-    if verifier_factory is None:
-        verifier_factory = lambda inst: instance_verifier(inst, config, seed)  # noqa: E731
     rows: list[dict] = []
     reports: list[LatencyReport] = []
     predictions: list[str] = []
     golds: list[str] = []
     for inst in corpus:
         result = run_pipeline(
-            inst, config, memory, verifier_factory(inst), weights=weights, seed=seed
+            inst, config, memory, instance_verifier(inst, config, seed), weights=weights, seed=seed
         )
-        verify_run_invariants(result, config, inst, mock=mock)
+        verify_run_invariants(result, config, inst)
         predictions.append(result.prediction)
         golds.append(inst.gold)
         reports.append(result.latency)

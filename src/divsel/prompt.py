@@ -110,11 +110,6 @@ def _summary_turns(ctx: DialogueContext, cap: int) -> list[str]:
     return kept
 
 
-def summarize_history(ctx: DialogueContext, cap: int) -> str:
-    """Extractive recency-first summary of the dialogue history."""
-    return "\n".join(_summary_turns(ctx, cap))
-
-
 def load_template(path: str | Path) -> str:
     template = read_text(path)
     for placeholder in PLACEHOLDERS:

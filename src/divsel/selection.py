@@ -302,7 +302,6 @@ def _set_from_indices(
 def brute_force_select(
     pool: Sequence[Candidate],
     cfg: SelectionConfig,
-    max_subsets: int = BRUTE_FORCE_GUARD,
 ) -> SelectedSet:
     """Exhaustive arg-max over feasible subsets; test/audit oracle only.
 
@@ -327,10 +326,10 @@ def brute_force_select(
         out.stop_reason = "infeasible"
         out.binding_constraint = "tau" if not feasible else "cap"
         return out
-    if math.comb(len(feasible), max_size) > max_subsets:
+    if math.comb(len(feasible), max_size) > BRUTE_FORCE_GUARD:
         raise SelectionError(
             f"brute force would enumerate C({len(feasible)}, {max_size}) subsets; "
-            f"guard is {max_subsets}"
+            f"guard is {BRUTE_FORCE_GUARD}"
         )
 
     pool, mat = _pool_arrays(pool)

@@ -7,22 +7,15 @@ from divsel.encoder import (
     DialogueContext,
     EncoderWeights,
     Turn,
-    distill_loss,
-    distill_loss_gradient,
     encode_context,
-    finite_difference_check,
     layer_norm,
     load_weights,
-    metric_loss,
-    metric_loss_gradient,
     save_weights,
 )
 from divsel.errors import (
-    ConfigError,
     DimensionError,
     EncodingError,
     MemoryFormatError,
-    NonSmoothError,
     VersionMismatchError,
 )
 
@@ -209,141 +202,3 @@ class TestWeightsIO:
             values[field] = float("nan")
         with pytest.raises(EncodingError, match="finite"):
             EncoderWeights(**values)
-
-
-class TestMetricLoss:
-    def test_perfect_same_pair_contributes_zero(self):
-        e = np.array([1.0, 0.0])
-        assert metric_loss([(e, e, True)], margin=0.2) == 0.0
-
-    def test_different_pair_above_margin(self):
-        u = np.array([1.0, 0.0])
-        v = np.array([0.5, math.sqrt(0.75)])  # cosine 0.5
-        np.testing.assert_allclose(metric_loss([(u, v, False)], 0.2), 0.3, atol=1e-12)
-
-    def test_different_pair_below_margin(self):
-        u = np.array([1.0, 0.0])
-        s = 0.1
-        v = np.array([s, math.sqrt(1 - s * s)])
-        assert metric_loss([(u, v, False)], 0.2) == 0.0
-
-    def test_nonnegative_on_random_pairs(self):
-        rng = np.random.default_rng(7)
-        pairs = [(unit(rng), unit(rng), bool(rng.integers(2))) for _ in range(50)]
-        assert metric_loss(pairs, 0.2) >= 0.0
-
-    def test_margin_validation(self):
-        with pytest.raises(ConfigError):
-            metric_loss([], margin=1.5)
-
-
-class TestDistillLoss:
-    def test_uniform_self_distillation_is_ln2(self):
-        t = {"a": 0.0, "b": 0.0}
-        np.testing.assert_allclose(distill_loss(t, 1.0, t), math.log(2), atol=1e-12)
-
-    def test_identical_distributions_give_entropy(self):
-        t = {"a": 3.0, "b": 0.0, "c": -1.0}
-        z = np.array([3.0, 0.0, -1.0])
-        p = np.exp(z - z.max())
-        p /= p.sum()
-        entropy = float(-(p * np.log(p)).sum())
-        np.testing.assert_allclose(distill_loss(t, 1.0, dict(t)), entropy, atol=1e-12)
-
-    def test_perturbing_wrong_label_increases_loss(self):
-        """Numeric check: bumping the low-probability label's student logit by
-        0.1 moves the student away from the teacher."""
-        teacher = {"a": 2.0, "b": 0.0}
-        base = distill_loss(teacher, 1.0, {"a": 2.0, "b": 0.0})
-        perturbed = distill_loss(teacher, 1.0, {"a": 2.0, "b": 0.1})
-        assert perturbed > base
-
-    def test_shift_invariance_in_student_logits(self):
-        rng = np.random.default_rng(8)
-        teacher = {f"l{i}": float(rng.normal()) for i in range(5)}
-        student = {f"l{i}": float(rng.normal()) for i in range(5)}
-        shifted = {k: v + 17.3 for k, v in student.items()}
-        np.testing.assert_allclose(
-            distill_loss(teacher, 1.1, student), distill_loss(teacher, 1.1, shifted), atol=1e-9
-        )
-
-    def test_label_set_mismatch(self):
-        with pytest.raises(ConfigError):
-            distill_loss({"a": 0.0}, 1.0, {"b": 0.0})
-
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            distill_loss({"a": 0.0}, 0.0, {"a": 0.0})
-
-
-def _metric_point_fns(same_flags, margin, dim=4):
-    """Bundle metric_loss over a flat parameter vector of stacked pair vectors."""
-    n = len(same_flags)
-
-    def unpack(x):
-        vecs = x.reshape(2 * n, dim)
-        return [(vecs[2 * i], vecs[2 * i + 1], same_flags[i]) for i in range(n)]
-
-    def f(x):
-        return metric_loss(unpack(x), margin)
-
-    def grad(x):
-        gu, gv = metric_loss_gradient(unpack(x), margin)
-        out = np.zeros((2 * n, dim))
-        for i in range(n):
-            out[2 * i] = gu[i]
-            out[2 * i + 1] = gv[i]
-        return out.ravel()
-
-    return f, grad
-
-
-class TestFiniteDifferenceCheck:
-    def test_metric_loss_gradient_matches(self):
-        rng = np.random.default_rng(9)
-        flags = [True, False, True]
-        f, grad = _metric_point_fns(flags, margin=0.2)
-        point = rng.normal(size=2 * 3 * 4)
-        err = finite_difference_check(f, grad, point, step=1e-5)
-        assert err <= 1e-4
-
-    def test_distill_loss_gradient_matches(self):
-        rng = np.random.default_rng(10)
-        labels = [f"l{i}" for i in range(6)]
-        teacher = {y: float(rng.normal()) for y in labels}
-
-        def f(x):
-            return distill_loss(teacher, 1.2, dict(zip(labels, x)))
-
-        def grad(x):
-            g = distill_loss_gradient(teacher, 1.2, dict(zip(labels, x)))
-            return np.array([g[y] for y in labels])
-
-        err = finite_difference_check(f, grad, rng.normal(size=6), step=1e-5)
-        assert err <= 1e-4
-
-    def test_exact_hinge_kink_is_flagged(self):
-        """A different-label pair sitting exactly at cosine == margin is not
-        differentiable; the check must refuse rather than report an error."""
-        margin = 0.5
-        u = np.array([1.0, 0.0, 0.0, 0.0])
-        v = np.array([margin, math.sqrt(1 - margin**2), 0.0, 0.0])
-        flags = [False]
-        f, grad = _metric_point_fns(flags, margin)
-        point = np.concatenate([u, v])
-        with pytest.raises(NonSmoothError):
-            finite_difference_check(f, grad, point, step=1e-5)
-
-    def test_non_finite_loss_is_an_error(self):
-        def f(x):
-            return float("inf") if x[0] > 0.5 else float(x @ x)
-
-        def grad(x):
-            return 2 * x
-
-        with pytest.raises(EncodingError):
-            finite_difference_check(f, grad, np.array([0.5, 0.0]), step=1e-5)
-
-    def test_step_range_validated(self):
-        with pytest.raises(ConfigError):
-            finite_difference_check(lambda x: 0.0, lambda x: x, np.zeros(2), step=1e-2)

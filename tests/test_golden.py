@@ -116,3 +116,22 @@ def test_every_emission_is_pinned(emissions):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_emission_is_byte_identical(emissions, name):
     assert _digest(emissions[name]) == GOLDEN[name]
+
+
+SYNTH_GOLDEN = {
+    "stdout": "13e51297ff0eb3352f4f4d056cb5e24f76f4024bd0b823815f1baf11f4482f37",
+    "corpus.jsonl": "9e99f1799187262334f3f00b872ad586c8e144d5524c8ca0d765c289caba84ee",
+    "memory.divmem": "d9dc0a430939894b66b328eacdfced83d5b4723358ede177befb25214c77cf3a",
+}
+
+
+def test_eval_synth_is_byte_identical(tmp_path, monkeypatch):
+    """`eval synth` writes the corpus and memory files every other emission
+    reads; a relative --out keeps the paths in its stdout row stable."""
+    monkeypatch.chdir(tmp_path)
+    stdout = _run(["eval", "synth", "--labels", 8, "--per-label", 6, "--ambiguity", 0.6,
+                   "--dim", 16, "--instances", 10, "--seed", 5, "--out", "synth"])
+    digests = {"stdout": _digest(stdout)}
+    for name in ("corpus.jsonl", "memory.divmem"):
+        digests[name] = _digest((tmp_path / "synth" / name).read_bytes())
+    assert digests == SYNTH_GOLDEN

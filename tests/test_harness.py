@@ -17,16 +17,13 @@ from divsel.harness import (
     EvalInstance,
     ExperimentConfig,
     FairnessConfig,
-    aga,
     derive_seed,
     evaluate,
     fairness_suite,
     grid_search,
     jga,
-    parse_state,
     read_corpus,
     read_dialogue,
-    render_state,
     run_pipeline,
     sweep,
     write_corpus,
@@ -49,46 +46,6 @@ class TestJga:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             jga(["a"], ["a", "b"])
-
-
-class TestAga:
-    def test_half_correct_turn(self):
-        gold = [{"s1": "v1", "s2": "v2", "s3": "v3", "s4": "v4"}]
-        pred = [{"s1": "v1", "s2": "v2", "s3": "x", "s4": "y"}]
-        assert aga(pred, gold) == 0.5
-
-    def test_mean_over_turns(self):
-        gold = [{"s1": "v1"}, {"s1": "v1", "s2": "v2"}]
-        pred = [{"s1": "v1"}, {"s1": "v1", "s2": "nope"}]
-        assert aga(pred, gold) == 0.75
-
-    def test_inactive_turns_skipped(self):
-        gold = [{"s1": "not_mentioned"}, {"s1": "v1"}]
-        pred = [{"s1": "whatever"}, {"s1": "v1"}]
-        assert aga(pred, gold) == 1.0
-
-    def test_all_slotless_is_an_error(self):
-        with pytest.raises(ConfigError):
-            aga([{}], [{}])
-
-    def test_missing_predicted_slot_counts_as_not_mentioned(self):
-        gold = [{"s1": "v1", "s2": "not_mentioned"}]
-        pred = [{}]
-        assert aga(pred, gold) == 0.0
-
-
-class TestCanonicalState:
-    def test_render_sorted_and_filtered(self):
-        state = {"Taxi": {"dest": "Centre", "leaveAt": "not_mentioned"}, "hotel": {"area": "north"}}
-        assert render_state(state) == "hotel-area=north;taxi-dest=centre"
-
-    def test_round_trip(self):
-        canonical = "hotel-area=north;taxi-dest=centre"
-        assert render_state(parse_state(canonical)) == canonical
-
-    def test_malformed_entry(self):
-        with pytest.raises(ConfigError):
-            parse_state("justoneword")
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +474,20 @@ class TestCorpusIO:
             read_corpus(corpus_path)
         with pytest.raises(ConfigError, match=re.escape(f"{dialogue_path}:2:")):
             read_dialogue(dialogue_path)
+
+    def test_rows_carrying_slots_load_as_rows_without_them(self, small_world, tmp_path):
+        """`slots` is not read: a list of slot maps and a non-list value both
+        load to the instance of the same row without the key."""
+        _, corpus = small_world
+        plain, slotted = tmp_path / "plain.jsonl", tmp_path / "slotted.jsonl"
+        write_corpus(corpus[:2], plain)
+        rows = [json.loads(line) for line in plain.read_text(encoding="utf-8").splitlines()]
+        rows[0]["slots"] = [{"hotel-area": "north"}, {"taxi-dest": "not_mentioned"}]
+        rows[1]["slots"] = 7
+        slotted.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rewritten = tmp_path / "rewritten.jsonl"
+        write_corpus(read_corpus(slotted), rewritten)
+        assert rewritten.read_bytes() == plain.read_bytes()
 
     def test_empty_dialogue_file_rejected(self, tmp_path):
         path = tmp_path / "dialogue.json"

@@ -10,7 +10,6 @@ from divsel.prompt import (
     count_tokens,
     load_template,
     render_exemplar_line,
-    summarize_history,
 )
 
 E = np.array([1.0, 0.0])
@@ -43,13 +42,19 @@ class TestCountTokens:
         assert count_tokens("a\nb\n\nc") == count_tokens("a b c")
 
 
+def compose_summary(ctx, cap):
+    """The summary section compose keeps under a summary cap of `cap` when the
+    prompt budget drops nothing."""
+    return compose("Classify.", ctx, [], BudgetConfig(max_prompt_tokens=10_000, summary_token_cap=cap)).summary
+
+
 class TestSummarizeHistory:
     def test_empty_history(self):
-        assert summarize_history(ctx_with_turns(0), cap=100) == ""
+        assert compose_summary(ctx_with_turns(0), cap=100) == ""
 
     def test_everything_fits_verbatim(self):
         ctx = ctx_with_turns(2)
-        summary = summarize_history(ctx, cap=1000)
+        summary = compose_summary(ctx, cap=1000)
         assert "u0w0" in summary and "a1w2" in summary
         assert summary.index("u0w0") < summary.index("u1w0")
 
@@ -58,12 +63,12 @@ class TestSummarizeHistory:
         three words per side); a 30-token cap admits exactly the last 3 of 10."""
         ctx = ctx_with_turns(10)
         per_turn = count_tokens("User: u0w0 u0w1 u0w2\nAgent: a0w0 a0w1 a0w2")
-        summary = summarize_history(ctx, cap=3 * per_turn)
+        summary = compose_summary(ctx, cap=3 * per_turn)
         assert [f"u{t}w0" in summary for t in range(10)] == [t >= 7 for t in range(10)]
         assert summary.index("u7w0") < summary.index("u8w0") < summary.index("u9w0")
 
     def test_zero_cap_is_empty(self):
-        assert summarize_history(ctx_with_turns(3), cap=0) == ""
+        assert compose_summary(ctx_with_turns(3), cap=0) == ""
 
 
 class TestCompose:

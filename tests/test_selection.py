@@ -323,7 +323,7 @@ class TestBruteForce:
         pool = random_pool(rng, 40, n_labels=10)
         cfg = SelectionConfig(alpha=0.5, k=12, tau=-1.0, label_cap=12, mu=0.0)
         with pytest.raises(SelectionError, match="guard"):
-            brute_force_select(pool, cfg, max_subsets=1000)
+            brute_force_select(pool, cfg)
 
     def test_never_below_greedy(self):
         rng = np.random.default_rng(16)
