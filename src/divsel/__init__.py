@@ -7,7 +7,6 @@ seeded evaluation harness with budget/position fairness controls."""
 from .budget import (
     ControlDecision,
     CostConstants,
-    Counters,
     LatencyReport,
     WorkloadShape,
     budget_control,
@@ -33,7 +32,6 @@ from .harness import (
     evaluate,
     fairness_suite,
     grid_search,
-    jga,
     read_corpus,
     run_pipeline,
     sweep,

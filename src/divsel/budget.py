@@ -1,7 +1,7 @@
 """Latency model, per-stage measurement, and the anytime budget controller.
 
 Modeled reports come from closed-form stage estimates over workload shape;
-measured reports come from wall-clock stage timers plus operation counters.
+measured reports come from wall-clock stage timers.
 The two kinds are never mixed in one report object.
 """
 
@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 from .files import open_output, overlay, read_object
 
 STAGES = ("ann", "div", "prompt", "llm")
@@ -86,17 +86,6 @@ class WorkloadShape:
 
 
 @dataclass(frozen=True)
-class Counters:
-    """Operation counts collected from an instrumented run."""
-
-    sim_ops: int = 0
-    verifier_calls: int = 0
-    prompt_tokens: int = 0
-    gen_tokens: int = 0
-    turns: int = 0
-
-
-@dataclass(frozen=True)
 class LatencyReport:
     """Four-stage latency decomposition; kind is 'modeled' or 'measured'."""
 
@@ -106,7 +95,6 @@ class LatencyReport:
     t_prompt: float
     t_llm: float
     t_total: float
-    counters: Counters | None = None
 
     def __post_init__(self):
         if self.kind not in ("modeled", "measured"):
@@ -148,30 +136,17 @@ class StageClock:
         finally:
             self.times[name] += time.perf_counter() - start
 
-
-def measured_report(
-    clock: StageClock,
-    counters: Counters,
-    pool_size: int,
-    k: int,
-) -> LatencyReport:
-    """Assemble a measured report and enforce the similarity-count bound
-    (each of the k selection steps scans at most pool_size candidates)."""
-    if counters.sim_ops > pool_size * k:
-        raise InvariantViolation(
-            f"selection performed {counters.sim_ops} similarity computations; "
-            f"bound is pool_size*k = {pool_size * k}"
+    def report(self) -> LatencyReport:
+        """The measured report of the stage times accumulated so far."""
+        t = self.times
+        return LatencyReport(
+            kind="measured",
+            t_ann=t["ann"],
+            t_div=t["div"],
+            t_prompt=t["prompt"],
+            t_llm=t["llm"],
+            t_total=sum(t.values()),
         )
-    t = clock.times
-    return LatencyReport(
-        kind="measured",
-        t_ann=t["ann"],
-        t_div=t["div"],
-        t_prompt=t["prompt"],
-        t_llm=t["llm"],
-        t_total=sum(t.values()),
-        counters=counters,
-    )
 
 
 @dataclass(frozen=True)

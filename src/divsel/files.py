@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .errors import ConfigError, DivselError, MemoryFormatError
 
@@ -97,12 +97,10 @@ def _same_json_type(default, value) -> bool:
     return type(value) in accepted.get(type(default), ())
 
 
-def overlay(
-    defaults: Mapping, data: Mapping, nullable: Iterable[str] = (), where: str = ""
-) -> dict:
+def overlay(defaults: Mapping, data: Mapping, where: str = "") -> dict:
     """`defaults` with `data` laid over it, nested objects merged key by key;
     a key `defaults` lacks or a value of another JSON type raises ConfigError
-    (an int passes for a float, and null for a dotted key in `nullable`)."""
+    (an int passes for a float)."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"config {where.rstrip('.') or 'root'} must be an object")
     out = dict(defaults)
@@ -111,9 +109,8 @@ def overlay(
             raise ConfigError(f"unknown config key {where}{key}")
         default = defaults[key]
         if isinstance(default, dict):
-            value = overlay(default, value, nullable, f"{where}{key}.")
-        elif not (_same_json_type(default, value)
-                  or value is None and f"{where}{key}" in nullable):
+            value = overlay(default, value, f"{where}{key}.")
+        elif not _same_json_type(default, value):
             raise ConfigError(
                 f"config key {where}{key} must be {type(default).__name__}, got {value!r}"
             )

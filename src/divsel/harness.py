@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .budget import Counters, CostConstants, LatencyReport, StageClock, WorkloadShape, measured_report, model_latency, scalarized_objective
+from .budget import CostConstants, LatencyReport, StageClock, WorkloadShape, model_latency, scalarized_objective
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
 from .files import open_output, overlay, read_object, read_rows
@@ -157,7 +157,7 @@ def read_dialogue(path: str | Path) -> DialogueContext:
 class FairnessConfig:
     """Equal-budget protocol knobs."""
 
-    shuffle_seed: int | None = 13
+    shuffle_seed: int = 13
     prefix_replace: bool = True
     token_targets: tuple[int, ...] = (260, 285, 310, 330, 360)
 
@@ -203,7 +203,7 @@ class ExperimentConfig:
     def from_dict(cls, data: Mapping) -> "ExperimentConfig":
         """Defaults overlaid with `data`; an unknown key or a value of another
         JSON type than its default, at any level, raises ConfigError."""
-        merged = overlay(cls().to_dict(), data, nullable=("fairness.shuffle_seed",))
+        merged = overlay(cls().to_dict(), data)
         fair = merged["fairness"]
         return cls(
             method=merged["method"],
@@ -231,27 +231,6 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-
-def _canon(value: str) -> str:
-    return value.strip().lower()
-
-
-def jga(predictions: Sequence[str], golds: Sequence[str]) -> float:
-    """Exact-match rate after canonical normalization (lowercase, trim)."""
-    if len(predictions) != len(golds):
-        raise ConfigError(
-            f"prediction/gold length mismatch: {len(predictions)} vs {len(golds)}"
-        )
-    if not golds:
-        raise ConfigError("jga needs at least one aligned pair")
-    hits = sum(1 for p, g in zip(predictions, golds) if _canon(p) == _canon(g))
-    return hits / len(golds)
-
-
-# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -265,7 +244,6 @@ class PipelineResult:
     output: VerifierOutput
     prompt: Prompt
     selection: SelectedSet
-    extra_exemplars: tuple[tuple[str, str], ...]
     pool: Pool
     candidate_set: tuple[str, ...]
     latency: LatencyReport
@@ -274,8 +252,7 @@ class PipelineResult:
 # Token cost of each exemplar's rendered prompt line, and the smallest of them,
 # per memory. Filled on a memory's first rand-add; weak keys let a replaced
 # memory be freed.
-_LINE_COSTS: "weakref.WeakKeyDictionary[Memory, list[int]]" = weakref.WeakKeyDictionary()
-_CHEAPEST_LINE: "weakref.WeakKeyDictionary[Memory, int]" = weakref.WeakKeyDictionary()
+_LINE_COSTS: "weakref.WeakKeyDictionary[Memory, tuple[list[int], int]]" = weakref.WeakKeyDictionary()
 
 
 def _rand_add_pairs(
@@ -297,12 +274,11 @@ def _rand_add_pairs(
     so a call costs the picks it makes, not N.
     `tests/test_rand_add_parity.py` pins this to the full permutation.
     """
-    costs = _LINE_COSTS.get(memory)
-    if costs is None:
+    entry = _LINE_COSTS.get(memory)
+    if entry is None:
         costs = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in memory.exemplars]
-        _LINE_COSTS[memory] = costs
-        _CHEAPEST_LINE[memory] = min(costs)
-    cheapest = _CHEAPEST_LINE[memory]
+        entry = _LINE_COSTS[memory] = (costs, min(costs))
+    costs, cheapest = entry
     randbelow = random.Random(seed)._randbelow
     exemplars = memory.exemplars
     moved: dict[int, int] = {}
@@ -394,10 +370,10 @@ def prompt_stage(
     memory: Memory | None = None,
     exclude_ids: Sequence[str] = (),
     rand_add_seed: int | None = None,
-) -> tuple[Prompt, tuple[tuple[str, str], ...]]:
+) -> Prompt:
     """Compose the prompt under the budget. With a rand-add seed, fill what the
     budget leaves with random memory exemplars outside exclude_ids and compose
-    again. Returns the prompt and the added pairs."""
+    again; the added pairs are then the tail of the prompt's exemplars."""
     prompt = compose(
         config.instruction,
         dialogue,
@@ -407,7 +383,7 @@ def prompt_stage(
         answer_format=config.answer_format,
     )
     if rand_add_seed is None:
-        return prompt, ()
+        return prompt
     added = _rand_add_pairs(
         memory, set(exclude_ids), prompt.token_count, budget.max_prompt_tokens, rand_add_seed
     )
@@ -419,7 +395,7 @@ def prompt_stage(
             budget,
             answer_format=config.answer_format,
         )
-    return prompt, tuple(added)
+    return prompt
 
 
 def decode_stage(
@@ -462,7 +438,7 @@ def run_pipeline(
             derive_seed(seed, instance.id, "random"),
         )
     with clock.stage("prompt"):
-        prompt, extras = prompt_stage(
+        prompt = prompt_stage(
             instance.dialogue,
             [(c.text, c.label) for c in selection.members],
             config,
@@ -477,25 +453,15 @@ def run_pipeline(
         )
     with clock.stage("llm"):
         output = decode_stage(prompt, pool, verifier, config)
-    labels = output.candidate_set
-    counters = Counters(
-        sim_ops=selection.sim_ops,
-        verifier_calls=len(labels),
-        prompt_tokens=prompt.token_count,
-        gen_tokens=len(labels),  # one yes/no token per verifier call
-        turns=len(instance.dialogue.turns),
-    )
-    latency = measured_report(clock, counters, len(pool), config.selection.k)
     return PipelineResult(
         instance_id=instance.id,
         prediction=output.decision,
         output=output,
         prompt=prompt,
         selection=selection,
-        extra_exemplars=extras,
         pool=pool,
-        candidate_set=labels,
-        latency=latency,
+        candidate_set=output.candidate_set,
+        latency=clock.report(),
     )
 
 
@@ -507,6 +473,13 @@ def verify_run_invariants(
 ) -> None:
     """Runtime self-checks; raises InvariantViolation when any fails."""
     sel = result.selection
+    bound = len(result.pool) * config.selection.k
+    if sel.sim_ops > bound:
+        # Each of the k selection steps scans at most the whole pool.
+        raise InvariantViolation(
+            f"{instance.id}: selection performed {sel.sim_ops} similarity "
+            f"computations; bound is pool_size*k = {bound}"
+        )
     if config.method == "ldra":
         for c in sel.members:
             if c.vec_score < config.selection.tau - 1e-12:
@@ -533,20 +506,21 @@ def evaluate(
     config: ExperimentConfig,
     seed: int,
     weights: EncoderWeights | None = None,
+    pools: Sequence[Sequence[Candidate]] | None = None,
 ) -> tuple[list[dict], dict, list[LatencyReport]]:
     """Run the pipeline over a corpus; returns per-instance rows, a summary,
-    and the measured latency reports (kept out of the deterministic rows)."""
+    and the measured latency reports (kept out of the deterministic rows).
+    Given pools (one per instance, in corpus order) skip the retrieve stage.
+    The summary's accuracy is the share of rows whose prediction matches the
+    gold label exactly."""
     rows: list[dict] = []
     reports: list[LatencyReport] = []
-    predictions: list[str] = []
-    golds: list[str] = []
-    for inst in corpus:
+    for i, inst in enumerate(corpus):
         result = run_pipeline(
-            inst, config, memory, instance_verifier(inst, config, seed), weights=weights, seed=seed
+            inst, config, memory, instance_verifier(inst, config, seed), weights=weights,
+            seed=seed, pool=None if pools is None else pools[i],
         )
         verify_run_invariants(result, config, inst)
-        predictions.append(result.prediction)
-        golds.append(inst.gold)
         reports.append(result.latency)
         rows.append(
             {
@@ -572,7 +546,7 @@ def evaluate(
         "method": config.method,
         "seed": seed,
         "n": len(corpus),
-        "accuracy": jga(predictions, golds),
+        "accuracy": sum(1 for r in rows if r["correct"]) / len(rows),
         "coverage_rate": sum(1 for r in rows if r["covered"]) / len(rows),
         "mean_r": sum(r["r"] for r in rows) / len(rows),
         "mean_tokens": sum(r["tokens"] for r in rows) / len(rows),
@@ -690,7 +664,7 @@ def fairness_suite(
                             if arm == "topk_rand_add"
                             else None
                         )
-                        prompt, _ = prompt_stage(
+                        prompt = prompt_stage(
                             inst.dialogue, pairs, config, budget, permutation,
                             memory=memory, exclude_ids=exclude_ids, rand_add_seed=rand_add_seed,
                         )
@@ -866,27 +840,17 @@ def grid_search(
     for combo in itertools.product(*values):
         theta = dict(zip(keys, combo))
         cfg = _apply_theta(config, theta)
-        correct = 0
-        tokens = 0
-        calls = 0
+        pools = []
         for inst in corpus:
             key = (inst.id, cfg.retrieval.lambda_vec)
             if key not in pool_cache:
                 deep = replace(cfg.retrieval, pool_size=max_pool)
                 pool_cache[key] = retrieve_stage(inst.dialogue, memory, deep, weights)
-            result = run_pipeline(
-                inst,
-                cfg,
-                memory,
-                instance_verifier(inst, cfg, seed),
-                seed=seed,
-                pool=pool_cache[key][: cfg.retrieval.pool_size],
-            )
-            verify_run_invariants(result, cfg, inst)
-            correct += result.prediction == inst.gold
-            tokens += result.prompt.token_count
-            calls += len(result.candidate_set)
+            pools.append(pool_cache[key][: cfg.retrieval.pool_size])
+        inst_rows, summary, _ = evaluate(memory, corpus, cfg, seed, pools=pools)
         n = len(corpus)
+        tokens = sum(r["tokens"] for r in inst_rows)
+        calls = sum(r["verifier_calls"] for r in inst_rows)
         shape = WorkloadShape(
             memory_size=len(memory),
             query_terms=round(mean_terms),
@@ -897,7 +861,7 @@ def grid_search(
             gen_tokens=round(calls / n),
         )
         t_model = model_latency(constants, shape).t_total
-        accuracy = correct / n
+        accuracy = summary["accuracy"]
         objective = scalarized_objective(accuracy, t_model, budget_b, lambda_penalty)
         row = {
             "type": "grid",

@@ -126,7 +126,7 @@ class Memory:
                     self.label_codes):
             arr.setflags(write=False)
 
-        matrix = np.stack([ex.embedding for ex in exemplars]).astype(np.float64)
+        matrix = np.stack([ex.embedding for ex in exemplars], dtype=np.float64)
         matrix.setflags(write=False)
         self.embedding_matrix = matrix
 

@@ -149,14 +149,11 @@ def compose(
 ) -> Prompt:
     """Assemble the prompt sections in fixed order under the token budget.
 
-    `selected` may be a SelectedSet or any sequence of (text, label) pairs;
-    an empty sequence composes a zero-shot prompt. A permutation reorders the
-    exemplar block without changing the token count.
+    `selected` is a sequence of (text, label) pairs; an empty sequence
+    composes a zero-shot prompt. A permutation reorders the exemplar block
+    without changing the token count.
     """
-    if hasattr(selected, "members"):
-        pairs = [(c.text, c.label) for c in selected.members]
-    else:
-        pairs = [(str(t), str(l)) for t, l in selected]
+    pairs = [(str(t), str(l)) for t, l in selected]
     if permutation is not None:
         if sorted(permutation) != list(range(len(pairs))):
             raise ConfigError("permutation must reorder exactly the selected exemplars")

@@ -54,28 +54,18 @@ def question_for(label: str) -> str:
     return f"Is intent = {label}?"
 
 
-def candidate_labels(selected, pool: Sequence[Candidate], shortlist_size: int) -> tuple[str, ...]:
+def candidate_labels(
+    selected: Sequence[str], pool: Sequence[Candidate], shortlist_size: int
+) -> tuple[str, ...]:
     """Unique labels exposed by the selection, extended by the labels of the
     top shortlist_size pool items; order is first-seen and deterministic."""
     if shortlist_size < 0:
         raise ConfigError("shortlist_size must be >= 0")
-    if hasattr(selected, "labels"):
-        base = list(selected.labels())
-    else:
-        base = [str(lab) for lab in selected]
-    out: list[str] = []
-    seen: set[str] = set()
-    for lab in base:
-        if lab not in seen:
-            seen.add(lab)
-            out.append(lab)
-    for lab in Pool.from_candidates(pool).labels(shortlist_size):
-        if lab not in seen:
-            seen.add(lab)
-            out.append(lab)
+    labels = [*map(str, selected), *Pool.from_candidates(pool).labels(shortlist_size)]
+    out = tuple(dict.fromkeys(labels))
     if not out:
         raise CandidateSetError("no candidate labels: empty selection and zero shortlist")
-    return tuple(out)
+    return out
 
 
 def _logistic(x: float) -> float:

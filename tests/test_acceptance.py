@@ -244,7 +244,7 @@ def test_criterion_4_coverage_separation(fixed_corpus):
             ("ldra", lambda p: greedy_select(p, config.selection)),
             ("topk", lambda p: topk_select(p, config.selection.k)),
         ):
-            labels = candidate_labels(selector(pool), pool, config.shortlist_size)
+            labels = candidate_labels(selector(pool).labels(), pool, config.shortlist_size)
             oracle_hits[arm] += inst.gold in labels
     oracle_cov = {arm: hits / len(corpus) for arm, hits in oracle_hits.items()}
 
@@ -282,10 +282,10 @@ def test_criterion_6_cost_model_conformance(fixed_corpus):
     memory, corpus = fixed_corpus
     config = ExperimentConfig()
     config = replace(config, selection=replace(config.selection, k=6))
-    _, _, reports = evaluate(memory, corpus[:60], config, seed=0)
+    rows, _, _ = evaluate(memory, corpus[:60], config, seed=0)
     bound = config.retrieval.pool_size * config.selection.k
-    for rep in reports:
-        assert rep.counters.sim_ops <= bound
+    for row in rows:
+        assert row["sim_ops"] <= bound
 
     constants = CostConstants(c_sim=3.3e-6, c_delta=0.0, r_tok=100.0)
     shape = WorkloadShape(

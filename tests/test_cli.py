@@ -365,6 +365,7 @@ class TestExitCodes:
             "unknown_top": '{"runz": 3}',
             "wrong_type": '{"selection": {"k": "3"}}',
             "float_for_int": '{"retrieval": {"pool_size": 2.5}}',
+            "null_seed": '{"fairness": {"shuffle_seed": null}}',
             "not_an_object": "[1, 2]",
             "section_not_object": '{"budget": 3}',
             "grid_value": '{"alpha": 3}',
@@ -430,7 +431,7 @@ class TestExitCodes:
             cases.append((["budget", "model", "--constants", str(files[name])],
                           f"{files[name]}: malformed file"))
         for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
-                     "not_an_object", "section_not_object", "bad_json"):
+                     "null_seed", "not_an_object", "section_not_object", "bad_json"):
             cases.append((eval_run + ["--config", str(files[name])], f"{files[name]}: malformed file"))
         for name in ("not_an_object", "grid_value", "grid_key"):
             cases.append((grid + [str(files[name])], f"{files[name]}: malformed file"))

@@ -21,31 +21,16 @@ from divsel.harness import (
     evaluate,
     fairness_suite,
     grid_search,
-    jga,
     read_corpus,
     read_dialogue,
     run_pipeline,
     sweep,
+    verify_run_invariants,
     write_corpus,
 )
 from divsel.prompt import BudgetConfig, Prompt, count_tokens
 from divsel.synth import synth_corpus
 from divsel.verifier import mock_verifier
-
-
-class TestJga:
-    def test_counting(self):
-        assert jga(["a", "b", "x"], ["a", "b", "c"]) == pytest.approx(2 / 3)
-
-    def test_all_match(self):
-        assert jga(["a", "b"], ["a", "b"]) == 1.0
-
-    def test_normalization(self):
-        assert jga(["  Taxi-Book "], ["taxi-book"]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            jga(["a"], ["a", "b"])
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +57,7 @@ class TestRunPipeline:
         assert result.prompt.token_count <= cfg.budget.max_prompt_tokens
         assert len(result.pool) == 32
         assert result.latency.kind == "measured"
-        assert result.latency.counters.verifier_calls == len(result.candidate_set)
+        assert list(result.output.scores) == list(result.candidate_set)
 
     def test_deterministic_prompt_and_prediction(self, small_world):
         mem, corpus = small_world
@@ -138,7 +123,7 @@ class TestRunPipeline:
         assert harness._rand_add_pairs(mem, set(), 0, 60, seed=1) == first
         assert len(calls) == len(mem)
         expected = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in mem.exemplars]
-        assert harness._LINE_COSTS[mem] == expected
+        assert harness._LINE_COSTS[mem] == (expected, min(expected))
         freed = weakref.ref(mem)
         del mem
         gc.collect()
@@ -158,6 +143,20 @@ class TestRunPipeline:
         assert reused.prompt.text == full.prompt.text
         assert reused.candidate_set == full.candidate_set
 
+    def test_similarity_count_bound_is_a_run_invariant(self, small_world):
+        """Each of the k selection steps scans at most the whole pool, so a
+        selection that reports more than pool_size * k similarity computations
+        fails the run's self-checks."""
+        mem, corpus = small_world
+        inst, cfg = corpus[6], base_config()
+        result = run_pipeline(inst, cfg, mem, mock_verifier(inst.gold, 1, 2.0), seed=0)
+        bound = len(result.pool) * cfg.selection.k
+        result.selection.sim_ops = bound
+        verify_run_invariants(result, cfg, inst)
+        result.selection.sim_ops = bound + 1
+        with pytest.raises(InvariantViolation, match="similarity computations"):
+            verify_run_invariants(result, cfg, inst)
+
 
 class TestEvaluate:
     def test_coverage_bridge_holds(self, small_world):
@@ -168,6 +167,15 @@ class TestEvaluate:
         assert summary["accuracy"] == summary["coverage_rate"]
         assert len(reports) == len(corpus)
 
+    def test_accuracy_is_the_rows_exact_match_rate(self):
+        """A prediction that differs from the gold label only in case is wrong,
+        in the rows and in the summary alike."""
+        mem, corpus = synth_corpus(labels=6, per_label=5, ambiguity=0.5, seed=3, dim=16, instances=12)
+        upper = [replace(inst, gold=inst.gold.upper()) for inst in corpus]
+        rows, summary, _ = evaluate(mem, upper, base_config(), seed=0)
+        assert not any(row["correct"] for row in rows)
+        assert summary["accuracy"] == sum(row["correct"] for row in rows) / len(rows) == 0.0
+
     def test_rows_are_deterministic(self, small_world):
         mem, corpus = small_world
         rows_a, summary_a, _ = evaluate(mem, corpus, base_config(), seed=0)
@@ -176,12 +184,13 @@ class TestEvaluate:
         assert summary_a == summary_b
 
     def test_counters_identical_across_runs_and_mock_decode_is_cheap(self, small_world):
-        """Timings vary run to run; operation counters must not. The mock
+        """Timings vary run to run; operation counts must not. The mock
         verifier runs in-process, so decode wall time stays near zero."""
         mem, corpus = small_world
-        _, _, reports_a = evaluate(mem, corpus, base_config(), seed=1)
-        _, _, reports_b = evaluate(mem, corpus, base_config(), seed=1)
-        assert [r.counters for r in reports_a] == [r.counters for r in reports_b]
+        rows_a, _, reports_a = evaluate(mem, corpus, base_config(), seed=1)
+        rows_b, _, _ = evaluate(mem, corpus, base_config(), seed=1)
+        counts = [(r["sim_ops"], r["verifier_calls"], r["tokens"]) for r in rows_a]
+        assert counts == [(r["sim_ops"], r["verifier_calls"], r["tokens"]) for r in rows_b]
         assert all(r.t_llm < 0.25 for r in reports_a)
 
     def test_counter_bound_at_small_pool(self, small_world):
@@ -192,8 +201,8 @@ class TestEvaluate:
             retrieval=replace(cfg.retrieval, pool_size=16),
             selection=replace(cfg.selection, k=4),
         )
-        _, _, reports = evaluate(mem, corpus, cfg, seed=0)
-        assert all(r.counters.sim_ops <= 16 * 4 for r in reports)
+        rows, _, _ = evaluate(mem, corpus, cfg, seed=0)
+        assert all(r["sim_ops"] <= 16 * 4 for r in rows)
 
 
 class TestFairnessSuite:
@@ -271,7 +280,7 @@ def fairness_reference(memory, corpus, config, dropped):
                     rand_add_seed = (
                         derive_seed(seed, inst.id, "randadd", target) if arm == "topk_rand_add" else None
                     )
-                    prompt, _ = harness.prompt_stage(
+                    prompt = harness.prompt_stage(
                         inst.dialogue, pairs, config, budget, permutation,
                         memory=memory, exclude_ids=base.ids(), rand_add_seed=rand_add_seed,
                     )

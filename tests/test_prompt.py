@@ -172,15 +172,6 @@ class TestCompose:
         b = compose("Classify.", ctx, self.pairs(3), BudgetConfig())
         assert a.text == b.text
 
-    def test_selected_set_input(self, abc_pool):
-        from divsel.selection import topk_select
-
-        ctx = ctx_with_turns(0)
-        sel = topk_select(abc_pool, 2)
-        prompt = compose("Classify.", ctx, sel, BudgetConfig())
-        assert len(prompt.exemplars) == 2
-        assert prompt.exemplars[0][1] == "x"
-
 
 class TestTemplate:
     def test_custom_template_round_trip(self, tmp_path):

@@ -22,7 +22,7 @@ def coverage_oracle(memory, corpus, config, select_fn):
         z = encode_context(inst.dialogue, weights)
         pool = retrieve_pool(memory, z, inst.dialogue.current, config.retrieval)
         selected = select_fn(pool)
-        labels = set(candidate_labels(selected, pool, config.shortlist_size))
+        labels = set(candidate_labels(selected.labels(), pool, config.shortlist_size))
         hits += inst.gold in labels
     return hits / len(corpus)
 

@@ -9,7 +9,6 @@ import pytest
 from conftest import make_candidate
 from divsel.errors import CandidateSetError, ConfigError, VerifierProtocolError, VerifierTransportError
 from divsel.prompt import Prompt, count_tokens
-from divsel.selection import topk_select
 from divsel.verifier import (
     EndpointVerifier,
     candidate_labels,
@@ -51,10 +50,6 @@ class TestCandidateLabels:
     def test_shortlist_covering_known_labels_is_idempotent(self):
         labels = candidate_labels(["c", "d"], self.pool(), shortlist_size=2)
         assert labels == ("c", "d")
-
-    def test_selected_set_input(self, abc_pool):
-        sel = topk_select(abc_pool, 2)
-        assert candidate_labels(sel, abc_pool, 0) == ("x",)
 
     def test_empty_everything_is_an_error(self):
         with pytest.raises(CandidateSetError):
