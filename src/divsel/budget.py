@@ -1,6 +1,6 @@
 """Latency model, per-stage measurement, and the anytime budget controller.
 
-Modeled reports come from closed-form stage estimates over workload shape;
+Modeled reports evaluate the cost terms in TERMS over a workload shape;
 measured reports come from wall-clock stage timers.
 The two kinds are never mixed in one report object.
 """
@@ -11,7 +11,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -22,6 +22,17 @@ from .errors import ConfigError
 from .files import open_output, overlay, read_object
 
 STAGES = ("ann", "div", "prompt", "llm")
+
+# The latency model, one (constant, sizes) row per cost term: a stage's time is
+# the sum of its terms, each a CostConstants field times WorkloadShape sizes.
+# Decoding is token throughput, decode_tokens / r_tok; the fit reads it as the
+# one term of _DECODE_TERMS, whose slope is 1 / r_tok.
+TERMS = {
+    "ann": (("c_ann", ("log_memory_size",)), ("c_bm25", ("query_terms",))),
+    "div": (("c_sim", ("pool_size", "k")), ("c_delta", ("k",))),
+    "prompt": (("c_sum", ("turns",)), ("c_fmt", ("k",))),
+}
+_DECODE_TERMS = (("r_tok", ("decode_tokens",)),)
 
 
 @dataclass(frozen=True)
@@ -37,9 +48,10 @@ class CostConstants:
     r_tok: float = 50.0
 
     def __post_init__(self):
-        for name in ("c_ann", "c_bm25", "c_sim", "c_delta", "c_sum", "c_fmt"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for terms in TERMS.values():
+            for name, _ in terms:
+                if getattr(self, name) < 0:
+                    raise ConfigError(f"{name} must be >= 0")
         if self.r_tok <= 0:
             raise ConfigError("r_tok must be positive")
 
@@ -54,7 +66,7 @@ class CostConstants:
         missing = set(defaults) - set(data)
         if missing:
             raise ConfigError(f"missing cost constants: {sorted(missing)}")
-        return cls(**{k: float(v) for k, v in overlay(defaults, data).items()})
+        return cls(**overlay(defaults, data))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CostConstants":
@@ -78,11 +90,18 @@ class WorkloadShape:
     gen_tokens: int
 
     def __post_init__(self):
-        if self.memory_size < 1:
-            raise ConfigError("memory_size must be >= 1")
-        for name in ("query_terms", "pool_size", "k", "turns", "prompt_tokens", "gen_tokens"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+        for f in fields(self):
+            floor = 1 if f.name == "memory_size" else 0
+            if getattr(self, f.name) < floor:
+                raise ConfigError(f"{f.name} must be >= {floor}")
+
+    @property
+    def log_memory_size(self) -> float:
+        return math.log(self.memory_size)
+
+    @property
+    def decode_tokens(self) -> int:
+        return self.prompt_tokens + self.gen_tokens
 
 
 @dataclass(frozen=True)
@@ -100,24 +119,22 @@ class LatencyReport:
         if self.kind not in ("modeled", "measured"):
             raise ConfigError(f"report kind must be 'modeled' or 'measured', got {self.kind!r}")
 
+    @classmethod
+    def of_stages(cls, kind: str, times: Mapping[str, float]) -> "LatencyReport":
+        """The report of per-stage times keyed by STAGES; the total is their sum."""
+        stage_times = [times[s] for s in STAGES]
+        return cls(kind, *stage_times, t_total=sum(stage_times))
+
 
 def model_latency(constants: CostConstants, shape: WorkloadShape) -> LatencyReport:
-    """Closed-form stage estimates: retrieval is logarithmic in memory size
-    plus linear in query terms; diversification is linear in pool x steps;
-    prompt assembly is linear in turns and exemplars; decoding is token
-    throughput."""
-    t_ann = constants.c_ann * math.log(shape.memory_size) + constants.c_bm25 * shape.query_terms
-    t_div = constants.c_sim * shape.pool_size * shape.k + constants.c_delta * shape.k
-    t_prompt = constants.c_sum * shape.turns + constants.c_fmt * shape.k
-    t_llm = (shape.prompt_tokens + shape.gen_tokens) / constants.r_tok
-    return LatencyReport(
-        kind="modeled",
-        t_ann=t_ann,
-        t_div=t_div,
-        t_prompt=t_prompt,
-        t_llm=t_llm,
-        t_total=t_ann + t_div + t_prompt + t_llm,
-    )
+    """Evaluate TERMS, each term its constant times its sizes left to right."""
+    times = {"llm": shape.decode_tokens / constants.r_tok}
+    for stage, terms in TERMS.items():
+        times[stage] = sum(
+            math.prod((getattr(shape, n) for n in sizes), start=getattr(constants, c))
+            for c, sizes in terms
+        )
+    return LatencyReport.of_stages("modeled", times)
 
 
 class StageClock:
@@ -138,15 +155,7 @@ class StageClock:
 
     def report(self) -> LatencyReport:
         """The measured report of the stage times accumulated so far."""
-        t = self.times
-        return LatencyReport(
-            kind="measured",
-            t_ann=t["ann"],
-            t_div=t["div"],
-            t_prompt=t["prompt"],
-            t_llm=t["llm"],
-            t_total=sum(t.values()),
-        )
+        return LatencyReport.of_stages("measured", self.times)
 
 
 @dataclass(frozen=True)
@@ -155,40 +164,33 @@ class ControlDecision:
 
     pool_size: int
     k: int
-    label_cap: int
     over_budget: bool
     modeled_total: float
 
 
-def budget_control(
-    constants: CostConstants,
-    shape: WorkloadShape,
-    pool_size: int,
-    k: int,
-    label_cap: int,
-    budget: float,
-) -> ControlDecision:
-    """Greedily shrink (pool_size, k) until the modeled total fits the budget.
+def budget_control(constants: CostConstants, shape: WorkloadShape, budget: float) -> ControlDecision:
+    """Greedily shrink the shape's (pool_size, k) until the modeled total fits.
 
     Halves pool_size first (floored at k), then decrements k (floored at 1,
-    pool_size following it down); the per-label cap is never touched. Returns
-    the first feasible pair, or the floor pair flagged over budget.
+    pool_size following it down). Returns the first feasible pair, or the
+    floor pair flagged over budget.
     """
     if budget <= 0:
         raise ConfigError("budget must be positive")
+    pool_size, k = shape.pool_size, shape.k
     if k < 1 or pool_size < k:
         raise ConfigError("need pool_size >= k >= 1")
     while True:
         total = model_latency(constants, replace(shape, pool_size=pool_size, k=k)).t_total
         if total <= budget:
-            return ControlDecision(pool_size, k, label_cap, False, total)
+            return ControlDecision(pool_size, k, False, total)
         if pool_size > k:
             pool_size = max(k, pool_size // 2)
         elif k > 1:
             k -= 1
             pool_size = k
         else:
-            return ControlDecision(pool_size, k, label_cap, True, total)
+            return ControlDecision(pool_size, k, True, total)
 
 
 def scalarized_objective(
@@ -206,54 +208,23 @@ def scalarized_objective(
 def calibrate_constants(
     samples: Sequence[tuple[LatencyReport, WorkloadShape]]
 ) -> CostConstants:
-    """Fit stage coefficients to measured reports by non-negative least squares."""
+    """Fit each stage's TERMS to measured reports by non-negative least
+    squares, one column per term: the product of its sizes."""
     if not samples:
         raise ConfigError("calibration needs at least one sample")
-    for report, _ in samples:
-        if report.kind != "measured":
-            raise ConfigError("calibration consumes measured reports only")
-
-    def fit(columns: list[list[float]], target: list[float]) -> np.ndarray:
-        a = np.array(columns, dtype=np.float64).T
-        b = np.array(target, dtype=np.float64)
-        coef, _ = nnls(a, b)
-        return coef
-
-    ann = fit(
-        [
-            [math.log(s.memory_size) for _, s in samples],
-            [float(s.query_terms) for _, s in samples],
-        ],
-        [r.t_ann for r, _ in samples],
-    )
-    div = fit(
-        [
-            [float(s.pool_size * s.k) for _, s in samples],
-            [float(s.k) for _, s in samples],
-        ],
-        [r.t_div for r, _ in samples],
-    )
-    prompt = fit(
-        [
-            [float(s.turns) for _, s in samples],
-            [float(s.k) for _, s in samples],
-        ],
-        [r.t_prompt for r, _ in samples],
-    )
-    llm = fit(
-        [[float(s.prompt_tokens + s.gen_tokens) for _, s in samples]],
-        [r.t_llm for r, _ in samples],
-    )
-    slope = max(float(llm[0]), 1e-12)
-    return CostConstants(
-        c_ann=float(ann[0]),
-        c_bm25=float(ann[1]),
-        c_sim=float(div[0]),
-        c_delta=float(div[1]),
-        c_sum=float(prompt[0]),
-        c_fmt=float(prompt[1]),
-        r_tok=1.0 / slope,
-    )
+    if any(report.kind != "measured" for report, _ in samples):
+        raise ConfigError("calibration consumes measured reports only")
+    fitted: dict[str, float] = {}
+    for stage in STAGES:
+        terms = TERMS.get(stage, _DECODE_TERMS)
+        columns = [
+            [float(math.prod(getattr(s, n) for n in sizes)) for _, s in samples] for _, sizes in terms
+        ]
+        target = np.array([getattr(r, f"t_{stage}") for r, _ in samples], dtype=np.float64)
+        coef, _ = nnls(np.array(columns, dtype=np.float64).T, target)
+        fitted.update((name, float(c)) for (name, _), c in zip(terms, coef))
+    fitted["r_tok"] = 1.0 / max(fitted["r_tok"], 1e-12)
+    return CostConstants(**fitted)
 
 
 def latency_percentiles(reports: Iterable[LatencyReport]) -> dict[str, dict[str, float]]:
@@ -262,8 +233,7 @@ def latency_percentiles(reports: Iterable[LatencyReport]) -> dict[str, dict[str,
     if not rows:
         raise ConfigError("no reports to aggregate")
     out: dict[str, dict[str, float]] = {}
-    fields = {"t_ann": "ann", "t_div": "div", "t_prompt": "prompt", "t_llm": "llm", "t_total": "total"}
-    for attr, name in fields.items():
-        values = np.array([getattr(r, attr) for r in rows])
+    for name in (*STAGES, "total"):
+        values = np.array([getattr(r, f"t_{name}") for r in rows])
         out[name] = {f"p{p}": float(np.percentile(values, p)) for p in (50, 90)}
     return out

@@ -189,15 +189,6 @@ def cmd_decide(args) -> int:
     labels = [
         line.strip() for line in read_text(args.labels).splitlines() if line.strip()
     ]
-    shell = prompt_mod.Prompt(
-        instruction="",
-        summary="",
-        current="",
-        exemplars=(),
-        answer_format="",
-        text=prompt_text,
-        token_count=prompt_mod.count_tokens(prompt_text),
-    )
     if args.verifier == "mock":
         if not args.gold:
             raise DivselError("--gold is required with the mock verifier")
@@ -206,7 +197,7 @@ def cmd_decide(args) -> int:
         if not args.url:
             raise DivselError("--url is required with the endpoint verifier")
         boundary = verifier_mod.EndpointVerifier(args.url, timeout=args.timeout)
-    output = verifier_mod.score_labels(shell, labels, boundary, args.tau_c)
+    output = verifier_mod.score_labels(prompt_text, labels, boundary, args.tau_c)
     _emit([{"type": "decision", "decision": output.decision, "scores": output.scores,
             "calibrated": output.calibrated}], args.out)
     return 0
@@ -214,22 +205,20 @@ def cmd_decide(args) -> int:
 
 def cmd_budget_model(args) -> int:
     rep = budget_mod.model_latency(_constants(args), _shape(vars(args)))
-    times = {key: getattr(rep, key) for key in ("t_ann", "t_div", "t_prompt", "t_llm", "t_total")}
+    times = {f"t_{name}": getattr(rep, f"t_{name}") for name in (*budget_mod.STAGES, "total")}
     _emit([{"type": "latency_model", **times}], args.out)
     return 0
 
 
 def cmd_budget_control(args) -> int:
-    decision = budget_mod.budget_control(
-        _constants(args), _shape(vars(args)), args.L, args.K, args.U, args.B
-    )
+    decision = budget_mod.budget_control(_constants(args), _shape(vars(args)), args.B)
     _emit([{"type": "budget_control", **asdict(decision)}], args.out)
     return 0
 
 
 def _calibration_sample(row) -> tuple[budget_mod.LatencyReport, budget_mod.WorkloadShape]:
-    times = {f"t_{stage}": row[f"t_{stage}"] for stage in budget_mod.STAGES}
-    return budget_mod.LatencyReport("measured", **times, t_total=sum(times.values())), _shape(row)
+    times = {stage: row[f"t_{stage}"] for stage in budget_mod.STAGES}
+    return budget_mod.LatencyReport.of_stages("measured", times), _shape(row)
 
 
 def cmd_budget_calibrate(args) -> int:
@@ -408,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gen-tokens", dest="gen_tokens", type=int, default=8)
         p.add_argument("--out")
         if name == "control":
-            p.add_argument("--U", type=int, default=sel.label_cap)
             p.add_argument("--B", type=float, required=True)
     p = command(bsub, "calibrate", cmd_budget_calibrate)
     p.add_argument("--runs", required=True, help="JSONL of measured stage timings and sizes")

@@ -67,7 +67,6 @@ class EncoderWeights:
     w_v_prime: np.ndarray
     recency_lambda: float = 0.0
     recency_weight: float = 0.0
-    ln_epsilon: float = LN_EPSILON
 
     def __post_init__(self):
         d = self.w_q.shape[0]
@@ -85,8 +84,6 @@ class EncoderWeights:
             raise ConfigError("recency_lambda must be >= 0")
         if self.recency_weight < 0:
             raise ConfigError("recency_weight must be >= 0")
-        if self.ln_epsilon <= 0:
-            raise ConfigError("ln_epsilon must be positive")
 
     @property
     def dim(self) -> int:
@@ -155,7 +152,7 @@ def encode_context(ctx: DialogueContext, weights: EncoderWeights) -> np.ndarray:
         gamma = _softmax((g @ weights.w_k.T) @ q_proj / scale + rec)
         user_sum = weights.w_v @ (beta @ h)
         agent_sum = weights.w_v_prime @ (gamma @ g)
-    return layer_norm(e_q + user_sum + agent_sum, weights.ln_epsilon)
+    return layer_norm(e_q + user_sum + agent_sum)
 
 
 def save_weights(weights: EncoderWeights, path: str | Path) -> None:

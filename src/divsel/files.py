@@ -98,9 +98,10 @@ def _same_json_type(default, value) -> bool:
 
 
 def overlay(defaults: Mapping, data: Mapping, where: str = "") -> dict:
-    """`defaults` with `data` laid over it, nested objects merged key by key;
-    a key `defaults` lacks or a value of another JSON type raises ConfigError
-    (an int passes for a float)."""
+    """`defaults` with `data` laid over it, nested objects merged key by key,
+    each value taking its default's type (an int becomes a float, a list a
+    tuple); a key `defaults` lacks or a value of another JSON type raises
+    ConfigError."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"config {where.rstrip('.') or 'root'} must be an object")
     out = dict(defaults)
@@ -114,6 +115,8 @@ def overlay(defaults: Mapping, data: Mapping, where: str = "") -> dict:
             raise ConfigError(
                 f"config key {where}{key} must be {type(default).__name__}, got {value!r}"
             )
+        elif isinstance(default, (float, tuple)):
+            value = type(default)(value)
         out[key] = value
     return out
 

@@ -22,7 +22,7 @@ import json
 import math
 import random
 import weakref
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -204,22 +204,10 @@ class ExperimentConfig:
         """Defaults overlaid with `data`; an unknown key or a value of another
         JSON type than its default, at any level, raises ConfigError."""
         merged = overlay(cls().to_dict(), data)
-        fair = merged["fairness"]
-        return cls(
-            method=merged["method"],
-            selection=SelectionConfig(**merged["selection"]),
-            retrieval=RetrievalConfig(**merged["retrieval"]),
-            budget=BudgetConfig(**merged["budget"]),
-            fairness=FairnessConfig(**{**fair, "token_targets": tuple(fair["token_targets"])}),
-            runs=merged["runs"],
-            base_seed=merged["base_seed"],
-            shortlist_size=merged["shortlist_size"],
-            mock_margin=float(merged["mock_margin"]),
-            tau_c=float(merged["tau_c"]),
-            lambda_mmr=float(merged["lambda_mmr"]),
-            instruction=merged["instruction"],
-            answer_format=merged["answer_format"],
-        )
+        for f in fields(cls):
+            if f.default_factory is not MISSING:
+                merged[f.name] = f.default_factory(**merged[f.name])
+        return cls(**merged)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -404,7 +392,7 @@ def decode_stage(
     """Score the labels the prompt exposes, extended by the pool's shortlist."""
     exposed = [label for _, label in prompt.exemplars]
     labels = candidate_labels(exposed, pool, config.shortlist_size)
-    return score_labels(prompt, labels, verifier, config.tau_c)
+    return score_labels(prompt.text, labels, verifier, config.tau_c)
 
 
 def run_pipeline(

@@ -24,7 +24,6 @@ from .errors import (
     VerifierProtocolError,
     VerifierTransportError,
 )
-from .prompt import Prompt
 from .retrieval import Candidate, Pool
 
 PAYLOAD_VERSION = 1
@@ -96,7 +95,7 @@ def decide_from_scores(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C
 
 
 def score_labels(
-    prompt: Prompt,
+    prompt_text: str,
     labels: Sequence[str],
     verifier: VerifierBoundary,
     tau_c: float = DEFAULT_TAU_C,
@@ -110,7 +109,7 @@ def score_labels(
         raise CandidateSetError("score_labels needs at least one candidate label")
     scores: dict[str, float] = {}
     for label in labels:
-        logp_yes, logp_no = verifier.score(prompt.text, question_for(label), label)
+        logp_yes, logp_no = verifier.score(prompt_text, question_for(label), label)
         scores[label] = logp_yes - logp_no
     return decide_from_scores(scores, tau_c)
 

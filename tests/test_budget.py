@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divsel.budget import (
+    TERMS,
     CostConstants,
     LatencyReport,
     StageClock,
@@ -55,6 +56,10 @@ class TestModelLatency:
         np.testing.assert_allclose(t2, 3 * t1, atol=1e-15)
         np.testing.assert_allclose(t3, 3 * t1, atol=1e-15)
 
+    def test_every_constant_but_the_rate_is_one_term(self):
+        names = [name for terms in TERMS.values() for name, _ in terms]
+        assert sorted(names) == sorted(set(CostConstants().to_dict()) - {"r_tok"})
+
     def test_rate_must_be_positive(self):
         with pytest.raises(ConfigError):
             CostConstants(r_tok=0.0)
@@ -78,29 +83,25 @@ class TestBudgetControl:
                               c_ann=0.0, c_bm25=0.0, r_tok=1e9)
 
     def test_already_under_budget_is_a_no_op(self):
-        decision = budget_control(self.constants, shape(), 128, 6, 1, budget=10.0)
+        decision = budget_control(self.constants, shape(pool_size=128, k=6), budget=10.0)
         assert (decision.pool_size, decision.k) == (128, 6)
         assert not decision.over_budget
 
     def test_halves_pool_when_scan_dominates(self):
         # t_div = 1e-4 * L * K; with L=128, K=6 that's 0.0768
-        decision = budget_control(self.constants, shape(), 128, 6, 1, budget=0.05)
+        decision = budget_control(self.constants, shape(pool_size=128, k=6), budget=0.05)
         assert decision.pool_size <= 64
         assert not decision.over_budget
         assert decision.modeled_total <= 0.05
 
     def test_floor_pair_with_flag_when_budget_unreachable(self):
         slow = CostConstants(c_sim=10.0, r_tok=1e9)
-        decision = budget_control(slow, shape(), 128, 6, 1, budget=1e-9)
+        decision = budget_control(slow, shape(pool_size=128, k=6), budget=1e-9)
         assert (decision.pool_size, decision.k) == (1, 1)
         assert decision.over_budget
 
-    def test_cap_is_preserved(self):
-        decision = budget_control(self.constants, shape(), 128, 6, 3, budget=0.01)
-        assert decision.label_cap == 3
-
     def test_never_increases_and_terminates(self):
-        decision = budget_control(self.constants, shape(), 256, 8, 1, budget=0.001)
+        decision = budget_control(self.constants, shape(pool_size=256, k=8), budget=0.001)
         assert decision.pool_size <= 256 and decision.k <= 8
         assert decision.pool_size >= decision.k or decision.k == 1
 
@@ -148,7 +149,7 @@ class TestCalibration:
             }
             samples.append((clock.report(), s))
         fitted = calibrate_constants(samples)
-        for name in ("c_ann", "c_bm25", "c_sim", "c_delta", "c_sum", "c_fmt"):
+        for name, _ in (term for terms in TERMS.values() for term in terms):
             np.testing.assert_allclose(getattr(fitted, name), getattr(truth, name), rtol=1e-6)
         np.testing.assert_allclose(fitted.r_tok, truth.r_tok, rtol=1e-6)
 

@@ -207,7 +207,7 @@ class TestBudgetCli:
         assert row["t_total"] > 0
 
         code, out, _ = run(
-            capsys, "budget", "control", "--L", "128", "--K", "6", "--U", "1", "--B", "100",
+            capsys, "budget", "control", "--L", "128", "--K", "6", "--B", "100",
         )
         assert code == 0
         row = json.loads(out.splitlines()[0])

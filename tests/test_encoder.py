@@ -150,6 +150,8 @@ class TestWeightsIO:
             assert np.array_equal(getattr(back, name), getattr(w, name))
         assert back.recency_lambda == w.recency_lambda
         assert back.recency_weight == w.recency_weight
+        ctx = make_ctx(rng, 3)
+        assert np.array_equal(encode_context(ctx, back), encode_context(ctx, w))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "enc.divenc"

@@ -20,6 +20,9 @@ from divsel.cli import main
 SELECT_METHODS = ("ldra", "topk", "mmr", "fps", "random", "oracle")
 
 GOLDEN = {
+    "budget calibrate": "88194fea4d689e8a7dc85bb0273a59cb2d0421534599f2f08b9280a6d218a977",
+    "budget control": "9a0fcf6263833b7205637b4e10c5e7b3f5bc12070a2dc04e8baa59f65669f61e",
+    "budget model": "172e0d2a2755990a884bf477feb9eed9d385f2608c559dd7c6707e3fca684bf1",
     "compose": "c82cf7bfddf1e90828f4000d39cd8074d806e70f0a7a969c324da122aeb7c652",
     "eval fairness": "7e106d6df2b62048fa8fa28e6fbcc5c85638720095c3aaf23e4df2a9457291a0",
     "eval grid": "d2a388a4530f69f27af8e4c5ac2f0af7d239d23b9469f703a9535c3f23edbfb8",
@@ -106,7 +109,41 @@ def emissions(tmp_path_factory):
          "--budget", "310", "--permute", "5", "--out", prompt],
         None,
     ) + prompt.read_bytes()
+
+    out["budget model"] = _run(
+        ["budget", "model", "--N", 5000, "--terms", 12, "--L", 64, "--K", 5,
+         "--turns", 3, "--prompt-tokens", 280, "--gen-tokens", 6]
+    )
+    runs = root / "runs.jsonl"
+    runs.write_text("".join(json.dumps(row) + "\n" for row in _calibration_rows()))
+    constants = root / "constants.json"
+    out["budget calibrate"] = _run(
+        ["budget", "calibrate", "--runs", runs, "--out", constants], None
+    ) + constants.read_bytes()
+    constants.write_text(json.dumps({
+        "c_ann": 1e-4, "c_bm25": 2e-5, "c_sim": 1e-4, "c_delta": 3e-5,
+        "c_sum": 1e-4, "c_fmt": 5e-5, "r_tok": 1e9,
+    }))
+    out["budget control"] = _run(
+        ["budget", "control", "--constants", constants, "--L", 128, "--K", 6, "--B", 0.05]
+    )
     return out
+
+
+def _calibration_rows():
+    """Measured stage times and sizes for `budget calibrate`: a fixed, slightly
+    noisy set, so the fit is not an exact recovery."""
+    rows = []
+    for i in range(12):
+        row = {"N": 400 * (i + 1), "terms": 3 + i % 7, "L": 16 * (1 + i % 5), "K": 2 + i % 4,
+               "turns": i % 3, "prompt_tokens": 120 + 37 * i, "gen_tokens": 4 + i % 5}
+        jitter = 1.0 + 0.03 * ((7 * i) % 5 - 2)
+        row["t_ann"] = jitter * (2e-4 * (i + 1) ** 0.5 + 3e-5 * row["terms"])
+        row["t_div"] = jitter * (1e-6 * row["L"] * row["K"] + 5e-6 * row["K"])
+        row["t_prompt"] = jitter * (7e-4 * row["turns"] + 2e-4 * row["K"])
+        row["t_llm"] = jitter * (row["prompt_tokens"] + row["gen_tokens"]) / 80.0
+        rows.append(row)
+    return rows
 
 
 def test_every_emission_is_pinned(emissions):

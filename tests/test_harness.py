@@ -521,6 +521,22 @@ class TestConfig:
         # The eval header row carries this hash; it moves only with a config field.
         assert ExperimentConfig().config_hash() == "1131f3ddbdd2"
 
+    @pytest.mark.parametrize("data", [
+        {"tau_c": 2},
+        {"selection": {"alpha": 1}},
+        {"retrieval": {"lambda_vec": 0}},
+    ])
+    def test_integer_spelling_of_a_float_hashes_the_same(self, data):
+        def spelled_as_float(value):
+            if isinstance(value, dict):
+                return {k: spelled_as_float(v) for k, v in value.items()}
+            return float(value) if isinstance(value, int) else value
+
+        as_int = ExperimentConfig.from_dict(data)
+        as_float = ExperimentConfig.from_dict(spelled_as_float(data))
+        assert as_int == as_float
+        assert as_int.config_hash() == as_float.config_hash()
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(method="quantum")

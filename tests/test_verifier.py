@@ -8,7 +8,6 @@ import pytest
 
 from conftest import make_candidate
 from divsel.errors import CandidateSetError, ConfigError, VerifierProtocolError, VerifierTransportError
-from divsel.prompt import Prompt, count_tokens
 from divsel.verifier import (
     EndpointVerifier,
     candidate_labels,
@@ -17,18 +16,6 @@ from divsel.verifier import (
     question_for,
     score_labels,
 )
-
-
-def shell_prompt(text="Some prompt."):
-    return Prompt(
-        instruction="",
-        summary="",
-        current="",
-        exemplars=(),
-        answer_format="",
-        text=text,
-        token_count=count_tokens(text),
-    )
 
 
 class TestCandidateLabels:
@@ -83,18 +70,18 @@ class TestDecide:
 class TestMockVerifier:
     def test_gold_in_candidates_wins(self):
         v = mock_verifier("gold", noise_seed=1, margin=2.0)
-        out = score_labels(shell_prompt(), ["a", "gold", "b"], v)
+        out = score_labels("Some prompt.", ["a", "gold", "b"], v)
         assert out.decision == "gold"
 
     def test_gold_absent_never_predicted(self):
         v = mock_verifier("gold", noise_seed=1, margin=2.0)
-        out = score_labels(shell_prompt(), ["a", "b"], v)
+        out = score_labels("Some prompt.", ["a", "b"], v)
         assert out.decision != "gold"
 
     def test_seeded_determinism_and_order_independence(self):
         v = mock_verifier("gold", noise_seed=7, margin=2.0)
-        a = score_labels(shell_prompt(), ["x", "y", "z"], v)
-        b = score_labels(shell_prompt(), ["z", "y", "x"], v)
+        a = score_labels("Some prompt.", ["x", "y", "z"], v)
+        b = score_labels("Some prompt.", ["z", "y", "x"], v)
         assert a.scores == b.scores
         assert a.decision == b.decision
 
@@ -129,7 +116,7 @@ class TestMockVerifier:
                 return (-0.1, -2.0)
 
         labels = ["a", "b", "c", "d"]
-        score_labels(shell_prompt(), labels, Counting())
+        score_labels("Some prompt.", labels, Counting())
         assert calls == labels
 
 
@@ -171,7 +158,7 @@ class TestEndpointVerifier:
         _Handler.behavior = "ok"
         port = http_verifier_server.server_address[1]
         v = EndpointVerifier(f"http://127.0.0.1:{port}/score", timeout=5.0)
-        out = score_labels(shell_prompt(), ["a", "gold"], v)
+        out = score_labels("Some prompt.", ["a", "gold"], v)
         assert out.decision == "gold"
         assert out.scores["gold"] > 0 > out.scores["a"]
 
@@ -180,13 +167,13 @@ class TestEndpointVerifier:
         port = http_verifier_server.server_address[1]
         v = EndpointVerifier(f"http://127.0.0.1:{port}/score", timeout=5.0)
         with pytest.raises(VerifierProtocolError):
-            score_labels(shell_prompt(), ["a"], v)
+            score_labels("Some prompt.", ["a"], v)
         _Handler.behavior = "ok"
 
     def test_unreachable_endpoint_is_retryable_transport_error(self):
         v = EndpointVerifier("http://127.0.0.1:1/score", timeout=0.3)
         with pytest.raises(VerifierTransportError):
-            score_labels(shell_prompt(), ["a"], v)
+            score_labels("Some prompt.", ["a"], v)
 
     def test_bearer_token_header_sent(self, http_verifier_server, monkeypatch):
         seen = {}
@@ -201,5 +188,5 @@ class TestEndpointVerifier:
         monkeypatch.setenv("DIVSEL_VERIFIER_TOKEN", "sekret")
         port = http_verifier_server.server_address[1]
         v = EndpointVerifier(f"http://127.0.0.1:{port}/score", timeout=5.0)
-        score_labels(shell_prompt(), ["gold"], v)
+        score_labels("Some prompt.", ["gold"], v)
         assert seen["auth"] == "Bearer sekret"
