@@ -56,8 +56,6 @@ from .selection import (
     SelectedSet,
     SelectionConfig,
     brute_force_select,
-    delta_label_diversity,
-    delta_text_diversity,
     fps_select,
     greedy_select,
     label_diversity,

@@ -106,7 +106,8 @@ class WorkloadShape:
 
 @dataclass(frozen=True)
 class LatencyReport:
-    """Four-stage latency decomposition; kind is 'modeled' or 'measured'."""
+    """Four-stage latency decomposition; kind is 'modeled' or 'measured', and
+    every time is finite and >= 0."""
 
     kind: str
     t_ann: float
@@ -118,6 +119,10 @@ class LatencyReport:
     def __post_init__(self):
         if self.kind not in ("modeled", "measured"):
             raise ConfigError(f"report kind must be 'modeled' or 'measured', got {self.kind!r}")
+        for stage in (*STAGES, "total"):
+            t = getattr(self, f"t_{stage}")
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ConfigError(f"t_{stage} must be finite and >= 0, got {t}")
 
     @classmethod
     def of_stages(cls, kind: str, times: Mapping[str, float]) -> "LatencyReport":

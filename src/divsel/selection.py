@@ -15,6 +15,15 @@ selector's keys (`_argmax`). The last key is always the negated id rank, so
 every tie breaks to the smallest exemplar id and, among duplicate ids, to the
 lowest pool index.
 
+Every selector adds members through one similarity step (`_take`): one matvec
+of the open rows of unit embeddings against the new member's row. Its clamped
+values accumulate each open row's similarity sum to the members, which `add`
+takes as the closed-form increment, and `sim_ops` counts the similarities it
+computed. Greedy, MMR and farthest-point step over the whole pool; top-K,
+random and the brute-force result over the unit rows of their chosen items
+only. The scalar `text_diversity`, `SelectedSet.recompute` and the
+brute-force Gram enumeration stay as independent oracles.
+
 Conventions for tiny sets (the objective is otherwise undefined): the label
 diversity of a singleton is 0, its text diversity is 1, and the empty set
 scores 0. Pairwise similarities are clamped at 0 from below inside the text
@@ -71,11 +80,6 @@ class StepRecord:
     r: float
 
 
-def clamped_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Pairwise cosine clamped at 0 from below, as used inside text diversity."""
-    return max(0.0, cosine(u, v))
-
-
 def label_diversity(labels: Iterable[str]) -> float:
     """One minus the sum of squared label proportions; 0 iff a single label."""
     counts: dict[str, int] = {}
@@ -100,7 +104,7 @@ def text_diversity(embeddings: Sequence[np.ndarray]) -> float:
     total = 0.0
     for i in range(m):
         for j in range(i + 1, m):
-            total += clamped_similarity(embeddings[i], embeddings[j])
+            total += max(0.0, cosine(embeddings[i], embeddings[j]))
     return 1.0 - total / (m * (m - 1) / 2)
 
 
@@ -146,14 +150,6 @@ class SelectedSet:
     def labels(self) -> list[str]:
         return [c.label for c in self.members]
 
-    def incoming_similarity(self, candidate: Candidate) -> float:
-        """Sum of clamped similarities between the candidate and all members."""
-        total = 0.0
-        for m in self.members:
-            total += clamped_similarity(candidate.embedding, m.embedding)
-            self.sim_ops += 1
-        return total
-
     def after_add(self, count: int | np.ndarray, incoming_a: float | np.ndarray):
         """Closed-form (sum of squared counts, mean pairwise similarity, g,
         dtext) after adding one member of a label already counted `count`
@@ -166,14 +162,10 @@ class SelectedSet:
         sbar = (m * (m - 1) / 2 * self.mean_pairwise_sim + incoming_a) / ((m + 1) * m / 2)
         return sum_sq, sbar, 1.0 - sum_sq / ((m + 1) * (m + 1)), 1.0 - sbar
 
-    def add(self, candidate: Candidate, incoming_a: float | None = None) -> None:
-        """Append a candidate, updating diversity terms via closed-form increments.
-
-        incoming_a is the candidate's clamped-similarity sum against current
-        members; it is computed here when not supplied by the caller.
-        """
-        if incoming_a is None:
-            incoming_a = self.incoming_similarity(candidate)
+    def add(self, candidate: Candidate, incoming_a: float) -> None:
+        """Append a candidate whose clamped-similarity sum against the current
+        members is incoming_a, updating diversity terms via closed-form
+        increments."""
         count = self.label_counts.get(candidate.label, 0)
         self.sum_sq_counts, self.mean_pairwise_sim, self.g, self.dtext = self.after_add(
             count, incoming_a
@@ -191,30 +183,39 @@ class SelectedSet:
         return g, d, r_score(g, d, self.alpha)
 
 
-def delta_label_diversity(selected: SelectedSet, incoming_label: str) -> float:
-    """Closed-form change in label diversity from adding one more of a label."""
-    return selected.after_add(selected.label_counts.get(incoming_label, 0), 0.0)[2] - selected.g
-
-
-def delta_text_diversity(selected: SelectedSet, incoming_a: float) -> float:
-    """Closed-form change in text diversity given the candidate's similarity sum."""
-    return selected.after_add(0, incoming_a)[3] - selected.dtext
+def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
+    """The embeddings scaled to unit norm; a non-finite or zero row raises
+    DimensionError."""
+    if not np.all(np.isfinite(embeddings)):
+        raise DimensionError("pool contains a non-finite embedding")
+    norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise DimensionError("pool contains a zero embedding")
+    return embeddings / norms
 
 
 def _pool_arrays(pool: Sequence[Candidate]) -> tuple[Pool, np.ndarray]:
-    """The pool as a Pool and its embeddings scaled to unit norm; a
-    non-finite or zero embedding raises DimensionError, a non-finite
-    vec_score or relevance SelectionError."""
+    """The pool as a Pool and its unit embedding rows (`_unit_rows`); a
+    non-finite vec_score or relevance raises SelectionError."""
     pool = Pool.from_candidates(pool)
-    mat = pool.embeddings
-    if not np.all(np.isfinite(mat)):
-        raise DimensionError("pool contains a non-finite embedding")
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DimensionError("pool contains a zero embedding")
+    mat = _unit_rows(pool.embeddings)
     if not (np.all(np.isfinite(pool.vec_score)) and np.all(np.isfinite(pool.relevance))):
         raise SelectionError("pool contains a non-finite vec_score or relevance")
-    return pool, mat / norms
+    return pool, mat
+
+
+def _take(out: SelectedSet, member: Candidate, mat: np.ndarray, best: int,
+          chosen: np.ndarray, pair_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The similarity step: add `member` (row `best` of `mat`) with incoming_a
+    `pair_sums[best]`, mark it chosen, and return the open rows and their raw
+    similarities to it, whose clamped values go into `pair_sums`."""
+    out.add(member, float(pair_sums[best]))
+    chosen[best] = True
+    open_rows = np.flatnonzero(~chosen)
+    sims = mat[open_rows] @ mat[best]
+    pair_sums[open_rows] += np.clip(sims, 0.0, 1.0)
+    out.sim_ops += open_rows.size
+    return open_rows, sims
 
 
 def _argmax(cand: np.ndarray, *keys: np.ndarray) -> int:
@@ -231,7 +232,7 @@ def _argmax(cand: np.ndarray, *keys: np.ndarray) -> int:
 def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSet:
     """Greedy arg-max of the marginal diversity gain plus a relevance prior.
 
-    Feasibility demands query cosine >= tau and per-label count < label_cap.
+    Feasibility demands vec_score >= tau and per-label count < label_cap.
     Ties on the prior-adjusted gain break by candidate relevance, then id,
     then pool index. When no candidate is feasible at the first step, the result is empty and
     carries the binding constraint.
@@ -265,10 +266,9 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
         gain = np.broadcast_to(r_score(g - out.g, dtext - out.dtext, cfg.alpha), vec.shape)
         tilde = gain + prior
         best = _argmax(cand, tilde, pool.relevance, neg_rank)
-        chosen[best] = True
         counts[codes[best]] += 1
         member = pool[best]
-        out.add(member, incoming_a=float(pair_sums[best]))
+        _take(out, member, mat, best, chosen, pair_sums)
         out.steps.append(
             StepRecord(
                 index=out.size - 1,
@@ -280,21 +280,21 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
                 r=out.r,
             )
         )
-        idx = np.flatnonzero(~chosen)
-        if idx.size:
-            pair_sums[idx] += np.clip(mat[idx] @ mat[best], 0.0, 1.0)
-            out.sim_ops += idx.size
 
     out.stop_reason = "complete" if out.size == cfg.k else "exhausted"
     return out
 
 
-def _set_from_indices(
-    pool: Sequence[Candidate], indices: Sequence[int], alpha: float
-) -> SelectedSet:
+def _set_from_indices(pool: Pool, indices: Sequence[int], alpha: float) -> SelectedSet:
+    """The pool items at `indices`, added in order through `_take` over their
+    unit rows alone: K(K-1)/2 similarities, and only those rows are validated."""
+    indices = list(indices)
+    mat = _unit_rows(pool.embeddings[indices])
+    chosen = np.zeros(len(indices), dtype=bool)
+    pair_sums = np.zeros(len(indices))
     out = SelectedSet(alpha)
-    for i in indices:
-        out.add(pool[i])
+    for j, i in enumerate(indices):
+        _take(out, pool[i], mat, j, chosen, pair_sums)
     out.stop_reason = "complete"
     return out
 
@@ -391,7 +391,7 @@ def random_select(
 def mmr_select(
     pool: Sequence[Candidate], k: int, lambda_mmr: float, alpha: float = 0.5
 ) -> SelectedSet:
-    """Maximal marginal relevance: query cosine traded against the max
+    """Maximal marginal relevance: query similarity traded against the max
     similarity to anything already chosen. Ties break by id, then pool index."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
@@ -401,24 +401,21 @@ def mmr_select(
     vec, neg_rank = pool.vec_score, -pool.rank
     n = len(pool)
     max_sim = np.zeros(n)
+    pair_sums = np.zeros(n)
     chosen = np.zeros(n, dtype=bool)
     out = SelectedSet(alpha)
     while out.size < min(k, n):
         score = lambda_mmr * vec - (1.0 - lambda_mmr) * max_sim
         best = _argmax(np.flatnonzero(~chosen), score, neg_rank)
-        out.add(pool[best])
-        chosen[best] = True
-        idx = np.flatnonzero(~chosen)
-        if idx.size:
-            max_sim[idx] = np.maximum(max_sim[idx], mat[idx] @ mat[best])
-            out.sim_ops += idx.size
+        open_rows, sims = _take(out, pool[best], mat, best, chosen, pair_sums)
+        max_sim[open_rows] = np.maximum(max_sim[open_rows], sims)
     out.stop_reason = "complete"
     return out
 
 
 def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> SelectedSet:
     """Farthest-point traversal in embedding space, seeded at the most
-    relevant item; distance is one minus cosine, criterion is the minimum
+    relevant item; distance is one minus similarity, criterion is the minimum
     distance to the chosen set."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
@@ -427,14 +424,12 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
     n = len(pool)
     out = SelectedSet(alpha)
     chosen = np.zeros(n, dtype=bool)
+    pair_sums = np.zeros(n)
     min_dist = np.full(n, np.inf)
     while out.size < min(k, n):
         keys = (min_dist, neg_rank) if out.size else (pool.relevance, neg_rank)
         best = _argmax(np.flatnonzero(~chosen), *keys)
-        out.add(pool[best])
-        chosen[best] = True
-        if out.size < n:
-            min_dist = np.minimum(min_dist, 1.0 - mat @ mat[best])
-            out.sim_ops += n - out.size
+        open_rows, sims = _take(out, pool[best], mat, best, chosen, pair_sums)
+        min_dist[open_rows] = np.minimum(min_dist[open_rows], 1.0 - sims)
     out.stop_reason = "complete"
     return out

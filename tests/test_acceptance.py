@@ -32,8 +32,6 @@ from divsel.selection import (
     SelectedSet,
     SelectionConfig,
     brute_force_select,
-    delta_label_diversity,
-    delta_text_diversity,
     greedy_select,
     topk_select,
 )
@@ -112,11 +110,12 @@ def test_criterion_1_closed_form_increment_equivalence():
         selected = SelectedSet(alpha=float(rng.uniform(0, 1)))
         for i in range(size):
             selected.add(
-                Candidate(f"c{i}", "", labels[i], embs[i], 0.5, 0.5, 0.0, 0.0)
+                Candidate(f"c{i}", "", labels[i], embs[i], 0.5, 0.5, 0.0, 0.0),
+                float(np.clip(embs[:i] @ embs[i], 0.0, 1.0).sum()),
             )
         incoming_a = float(np.clip(embs[:size] @ embs[size], 0.0, 1.0).sum())
-        dg = delta_label_diversity(selected, labels[size])
-        dd = delta_text_diversity(selected, incoming_a)
+        g, d = selected.after_add(selected.label_counts.get(labels[size], 0), incoming_a)[2:]
+        dg, dd = g - selected.g, d - selected.dtext
         g_direct = scratch_g(labels) - scratch_g(labels[:size])
         d_direct = scratch_d(list(embs)) - scratch_d(list(embs[:size]))
         worst = max(worst, abs(dg - g_direct), abs(dd - d_direct))

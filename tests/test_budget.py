@@ -77,6 +77,11 @@ class TestMeasuredReport:
         with pytest.raises(ConfigError):
             LatencyReport(kind="hybrid", t_ann=0, t_div=0, t_prompt=0, t_llm=0, t_total=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-6])
+    def test_times_finite_and_non_negative(self, bad):
+        with pytest.raises(ConfigError, match="t_div must be finite and >= 0"):
+            LatencyReport.of_stages("measured", {"ann": 0.1, "div": bad, "prompt": 0.0, "llm": 0.2})
+
 
 class TestBudgetControl:
     constants = CostConstants(c_sim=1e-4, c_delta=0.0, c_sum=0.0, c_fmt=0.0,

@@ -345,11 +345,16 @@ class TestExitCodes:
         huge_int.write_text(json.dumps(row).replace("0.5", "9" * 400, 1) + "\n")
         deep = tmp_path / "deep.jsonl"
         deep.write_text("[" * 100_000 + "\n")
-        runs = tmp_path / "good_runs.jsonl"
-        runs.write_text(json.dumps({
+        run_row = {
             "t_ann": 1e-4, "t_div": 1e-4, "t_prompt": 1e-4, "t_llm": 0.1, "N": 1000,
             "terms": 8, "L": 64, "K": 4, "turns": 2, "prompt_tokens": 300, "gen_tokens": 10,
-        }) + "\n")
+        }
+        runs = tmp_path / "good_runs.jsonl"
+        runs.write_text(json.dumps(run_row) + "\n")
+        nan_runs = tmp_path / "nan_runs.jsonl"
+        nan_runs.write_text(json.dumps(run_row) + "\n" + json.dumps({**run_row, "t_ann": float("nan")}) + "\n")
+        negative_runs = tmp_path / "negative_runs.jsonl"
+        negative_runs.write_text(json.dumps({**run_row, "t_llm": -0.1}) + "\n")
         records = workspace / "records.jsonl"
         no_dir = tmp_path / "missing_dir"
         a_file = tmp_path / "a_file"
@@ -383,6 +388,10 @@ class TestExitCodes:
             (compose + [str(bad_sel)], f"{bad_sel}:3: malformed row"),
             (compose + [str(good_sel), "--template", missing], f"cannot open {missing}"),
             (["budget", "calibrate", "--runs", str(bad_runs)], f"{bad_runs}:1: malformed row"),
+            (["budget", "calibrate", "--runs", str(nan_runs)],
+             f"{nan_runs}:2: malformed row (ConfigError: t_ann must be finite and >= 0"),
+            (["budget", "calibrate", "--runs", str(negative_runs)],
+             f"{negative_runs}:1: malformed row (ConfigError: t_llm must be finite and >= 0"),
             (["budget", "model", "--constants", missing], f"cannot open {missing}"),
             (build + [missing], f"cannot open {missing}"),
             (build + [str(not_object)], f"{not_object}:1: malformed row"),

@@ -26,17 +26,17 @@ GOLDEN = {
     "compose": "c82cf7bfddf1e90828f4000d39cd8074d806e70f0a7a969c324da122aeb7c652",
     "eval fairness": "7e106d6df2b62048fa8fa28e6fbcc5c85638720095c3aaf23e4df2a9457291a0",
     "eval grid": "d2a388a4530f69f27af8e4c5ac2f0af7d239d23b9469f703a9535c3f23edbfb8",
-    "eval run fps": "3d6bb592dc1d7154042534893579e8b638cc8b6f692d67aaa169fb64655c8f86",
+    "eval run fps": "b5d5aebc47cd4f2d08cec887b99166f10557e0600b0dd02ebf2e66cf82dbf694",
     "eval run ldra": "d175f689284155285ccbd914d452525861b5776a15e520a9aec2e31a3c22a20f",
-    "eval run mmr": "2fc81862495903293f2d91970f512d4f6adf7fe84f3930571849d717b60b165e",
-    "eval run random": "a996b8c622e5430db24419277cf5e3405a56d46b077c7e2a07f65ed49d74f65d",
-    "eval run topk": "07e3d52e99d1b88cbdc76bc72059ae8f8b50e320da3419e4595fb70026733f29",
-    "eval run topk_rand_add": "0258abf2b33059243aff85dae58493630d8bebc3300d4fea9518486007999314",
-    "eval sweep": "9ca2213e1666f0b7c3f0c5cb11a2c68366271506c894f8546d6007392023bb0f",
+    "eval run mmr": "f68a909772db3cd126e7559bf143cf852943002aed7664f267e59a97394e0747",
+    "eval run random": "d1e70605a1a33a9f8b805702204ca465d5669c02f20011e197ba47149ec2f9ec",
+    "eval run topk": "788f64e674cb97d454116b83cb65bf8b93e86197aa4a3c85463a87f6b7f980df",
+    "eval run topk_rand_add": "f0ed492d8f86f89c0c5f5ccb485fb41f99c6f734057cee6efaf349934a70da3b",
+    "eval sweep": "ae407078afb3d08a0d017d1813a064d52c882c97262be917c1c47db05608a16f",
     "retrieve": "ccb1a8b2a0ce29dfba50c8b00288c19eaae22ab4e8358dbf95da50491b624f26",
-    "select fps": "effc461407b327722eb631127cad5e0830879aca3f1760083cf6e8c2a1422ca3",
+    "select fps": "fd36a5100354e1c764f9a1fe8e6db4556ccde9687869c4a48192aed873a52dd7",
     "select ldra": "b34f7016327bd0729ae9f1c852d7ad91f6e1ce3e1e0d793918ed448160898154",
-    "select mmr": "9332f973b885b29ad4f5a21307178695afd706462685f4b3e72bdcb20b8d5ca6",
+    "select mmr": "0a9822a414b2cad3b8b3aae58efbbed8a2b2e8dfdee26af27fb87992f0f39b39",
     "select oracle": "3e4abdfd050e94001b0d830d3df669ce2afc2b0e5bf96d091b8fdee6495850df",
     "select random": "433ce1df3f8187da7c2d2a3254b1c5804278b218d9c84bc34565d624648d2cac",
     "select topk": "b3be77a60694c2af241e8d3d264e1b309bb18404a6b53f8bb3cc65d28da6a8ce",

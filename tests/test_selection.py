@@ -9,12 +9,11 @@ from dataclasses import replace
 
 from conftest import make_candidate, random_pool, unit
 from divsel.errors import ConfigError, DimensionError, SelectionError
+from divsel.retrieval import Candidate
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
     brute_force_select,
-    delta_label_diversity,
-    delta_text_diversity,
     fps_select,
     greedy_select,
     label_diversity,
@@ -46,6 +45,11 @@ def scratch_d(embeddings):
             sim = float(embeddings[i] @ embeddings[j])
             total += max(0.0, min(1.0, sim))
     return 1.0 - total / (m * (m - 1) / 2)
+
+
+def clamped_sum(candidate, members):
+    """The candidate's clamped-similarity sum against the members."""
+    return sum(max(0.0, min(1.0, float(candidate.embedding @ m.embedding))) for m in members)
 
 
 def scratch_r(members, alpha):
@@ -118,33 +122,41 @@ class TestRScore:
 
 
 class TestClosedFormDeltas:
+    """The change in g and dtext from one more member, read off
+    `SelectedSet.after_add(count, incoming_a)[2:]`."""
+
     def test_new_label_on_two_distinct(self):
         """{a, b} gaining c: label diversity moves 1/2 -> 2/3."""
         s = SelectedSet(alpha=1.0)
-        s.add(make_candidate("1", "a", (1, 0, 0), 0.5))
-        s.add(make_candidate("2", "b", (0, 1, 0), 0.5))
-        dg = delta_label_diversity(s, "c")
-        np.testing.assert_allclose(dg, 2 / 3 - 1 / 2, atol=1e-12)
+        s.add(make_candidate("1", "a", (1, 0, 0), 0.5), 0.0)
+        s.add(make_candidate("2", "b", (0, 1, 0), 0.5), 0.0)
+        g, _ = s.after_add(0, 0.0)[2:]
+        np.testing.assert_allclose(g - s.g, 2 / 3 - 1 / 2, atol=1e-12)
         np.testing.assert_allclose(1 - (2 + 0 + 1) / 9, 2 / 3, atol=1e-12)
 
     def test_repeated_label_keeps_zero(self):
         s = SelectedSet(alpha=1.0)
         for i in range(3):
-            s.add(make_candidate(str(i), "a", (1, 0), 0.5))
-        assert delta_label_diversity(s, "a") == 0.0
+            s.add(make_candidate(str(i), "a", (1, 0), 0.5), float(i))
+        g, _ = s.after_add(s.label_counts["a"], 3.0)[2:]
+        assert g - s.g == 0.0
 
     def test_empty_set_delta_is_zero(self):
-        assert delta_label_diversity(SelectedSet(alpha=0.5), "a") == 0.0
+        s = SelectedSet(alpha=0.5)
+        g, _ = s.after_add(0, 0.0)[2:]
+        assert g - s.g == 0.0
 
     def test_orthogonal_add_keeps_text_diversity(self):
         s = SelectedSet(alpha=0.5)
-        s.add(make_candidate("1", "a", (1, 0), 0.5))
-        assert delta_text_diversity(s, incoming_a=0.0) == 0.0
+        s.add(make_candidate("1", "a", (1, 0), 0.5), 0.0)
+        _, d = s.after_add(0, 0.0)[2:]
+        assert d - s.dtext == 0.0
 
     def test_duplicate_add_drops_text_diversity_to_zero(self):
         s = SelectedSet(alpha=0.5)
-        s.add(make_candidate("1", "a", (1, 0), 0.5))
-        assert delta_text_diversity(s, incoming_a=1.0) == -1.0
+        s.add(make_candidate("1", "a", (1, 0), 0.5), 0.0)
+        _, d = s.after_add(0, 1.0)[2:]
+        assert d - s.dtext == -1.0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
@@ -155,13 +167,10 @@ class TestClosedFormDeltas:
         pool = random_pool(rng, size + 1, n_labels=3, dim=4)
         s = SelectedSet(alpha=float(rng.uniform(0, 1)))
         for c in pool[:size]:
-            s.add(c)
+            s.add(c, clamped_sum(c, s.members))
         incoming = pool[size]
-        a = sum(
-            max(0.0, min(1.0, float(incoming.embedding @ c.embedding))) for c in s.members
-        )
-        dg = delta_label_diversity(s, incoming.label)
-        dd = delta_text_diversity(s, a)
+        g, d = s.after_add(s.label_counts.get(incoming.label, 0), clamped_sum(incoming, s.members))[2:]
+        dg, dd = g - s.g, d - s.dtext
         labels_before = [c.label for c in s.members]
         embs_before = [c.embedding for c in s.members]
         g_direct = scratch_g(labels_before + [incoming.label]) - scratch_g(labels_before)
@@ -230,10 +239,21 @@ class TestGreedySelect:
         result = greedy_select(pool, cfg)
         assert result.sim_ops <= 64 * 4
 
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_incremental_state_matches_scratch(self, seed):
-        """After every step the running G/D/R agree with scratch recomputation."""
+    SELECTORS = {
+        "greedy": lambda pool, cfg, x: greedy_select(pool, cfg),
+        "topk": lambda pool, cfg, x: topk_select(pool, cfg.k, cfg.alpha),
+        "mmr": lambda pool, cfg, x: mmr_select(pool, cfg.k, x, cfg.alpha),
+        "fps": lambda pool, cfg, x: fps_select(pool, cfg.k, cfg.alpha),
+        "random": lambda pool, cfg, x: random_select(pool, cfg.k, int(x * 1000), cfg.alpha),
+        "brute_force": lambda pool, cfg, x: brute_force_select(pool, cfg),
+    }
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from(sorted(SELECTORS)))
+    @settings(max_examples=120, deadline=None)
+    def test_incremental_state_matches_scratch(self, seed, selector):
+        """Every selector's running G/D/R agree with scratch recomputation,
+        and sim_ops counts the similarities its steps took: the open rows
+        after each step, or K(K-1)/2 for a set built from chosen indices."""
         rng = np.random.default_rng(seed)
         pool = random_pool(rng, int(rng.integers(3, 20)), n_labels=4)
         cfg = SelectionConfig(
@@ -243,16 +263,22 @@ class TestGreedySelect:
             label_cap=int(rng.integers(1, 4)),
             mu=float(rng.uniform(0, 0.2)),
         )
-        result = greedy_select(pool, cfg)
+        result = self.SELECTORS[selector](pool, cfg, float(rng.uniform(0, 1)))
         if result.members:
             g, d, r = result.recompute()
             assert abs(g - result.g) <= 1e-9
             assert abs(d - result.dtext) <= 1e-9
             assert abs(r - result.r) <= 1e-9
-        for c in result.members:
-            assert c.vec_score >= cfg.tau
-        for n in result.label_counts.values():
-            assert n <= cfg.label_cap
+        size = result.size
+        if selector in ("topk", "random", "brute_force"):
+            assert result.sim_ops == size * (size - 1) // 2
+        else:
+            assert result.sim_ops == sum(len(pool) - step for step in range(1, size + 1))
+        if selector in ("greedy", "brute_force"):
+            for c in result.members:
+                assert c.vec_score >= cfg.tau
+            for n in result.label_counts.values():
+                assert n <= cfg.label_cap
 
     def test_per_step_choice_is_optimal(self):
         """Exhaustive per-step audit: the chosen candidate's prior-adjusted
@@ -429,6 +455,24 @@ class TestNonFinitePool:
         for select in self.SELECTORS + (lambda p: brute_force_select(p, SelectionConfig(k=2)),):
             with pytest.raises(DimensionError, match="non-finite"):
                 select(pool)
+
+    def test_topk_and_random_validate_the_rows_they_choose(self):
+        """A non-finite or zero embedding among the chosen rows raises, as it
+        does for the other selectors; one that is not chosen is never read."""
+        rows = {"a": [1.0, 0.0], "nan": [np.nan, 1.0], "b": [0.0, 1.0], "zero": [0.0, 0.0]}
+
+        def pool(*names):
+            return [Candidate(n, "t", n, np.array(rows[n]), 0.5, 0.5, 0.0, 0.0) for n in names]
+
+        with pytest.raises(DimensionError, match="non-finite"):
+            topk_select(pool("a", "nan", "b", "zero"), 2)
+        with pytest.raises(DimensionError, match="zero"):
+            topk_select(pool("zero", "a"), 1)
+        with pytest.raises(DimensionError, match="non-finite"):
+            random_select(pool("a", "nan", "b"), 3, seed=1)
+        result = topk_select(pool("a", "b", "nan", "zero"), 2)
+        assert result.ids() == ["a", "b"]
+        assert (result.g, result.dtext, result.sim_ops) == (0.5, 1.0, 1)
 
     def test_mixed_dimensions_rejected(self, abc_pool):
         pool = [abc_pool[0], replace(abc_pool[1], embedding=unit(1, 0, 0))]

@@ -3,7 +3,9 @@ references: per-candidate scans over a `remaining` set that break ties with a
 descending-string key, as the selectors did before they scored every
 candidate at once. Results must be identical, not merely close: the
 arithmetic per candidate is unchanged, only its batching and the tie-break
-mechanism differ."""
+mechanism differ. Each reference keeps its own clamped pair sums in the
+selectors' open-row form, `mat[sorted(open)] @ mat[best]`: a full-matrix
+product differs from it in the last bits."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -86,6 +88,7 @@ def mmr_reference(pool, k, lambda_mmr, alpha):
     mat = _unit_rows(pool)
     n = len(pool)
     max_sim = np.zeros(n)
+    pair_sums = np.zeros(n)
     remaining = set(range(n))
     out = SelectedSet(alpha)
     while out.size < min(k, n) and remaining:
@@ -98,11 +101,13 @@ def mmr_reference(pool, k, lambda_mmr, alpha):
             if best_key is None or key > best_key:
                 best_key = key
                 best_idx = i
-        out.add(pool[best_idx])
+        out.add(pool[best_idx], incoming_a=float(pair_sums[best_idx]))
         remaining.discard(best_idx)
         if remaining:
             idx = sorted(remaining)
-            max_sim[idx] = np.maximum(max_sim[idx], mat[idx] @ mat[best_idx])
+            sims = mat[idx] @ mat[best_idx]
+            pair_sums[idx] += np.clip(sims, 0.0, 1.0)
+            max_sim[idx] = np.maximum(max_sim[idx], sims)
             out.sim_ops += len(idx)
     out.stop_reason = "complete"
     return out
@@ -112,11 +117,21 @@ def fps_reference(pool, k, alpha):
     mat = _unit_rows(pool)
     n = len(pool)
     out = SelectedSet(alpha)
-    seed_idx = min(range(n), key=lambda i: (-pool[i].relevance, pool[i].exemplar_id))
-    out.add(pool[seed_idx])
-    min_dist = 1.0 - mat @ mat[seed_idx]
-    out.sim_ops += n - 1 if n > 1 else 0
-    chosen = {seed_idx}
+    pair_sums = np.zeros(n)
+    min_dist = np.full(n, np.inf)
+    chosen = set()
+
+    def take(best_idx):
+        out.add(pool[best_idx], incoming_a=float(pair_sums[best_idx]))
+        chosen.add(best_idx)
+        if len(chosen) < n:
+            idx = sorted(set(range(n)) - chosen)
+            sims = mat[idx] @ mat[best_idx]
+            pair_sums[idx] += np.clip(sims, 0.0, 1.0)
+            min_dist[idx] = np.minimum(min_dist[idx], 1.0 - sims)
+            out.sim_ops += len(idx)
+
+    take(min(range(n), key=lambda i: (-pool[i].relevance, pool[i].exemplar_id)))
     while out.size < min(k, n):
         best_key = None
         best_idx = -1
@@ -127,11 +142,7 @@ def fps_reference(pool, k, alpha):
             if best_key is None or key > best_key:
                 best_key = key
                 best_idx = i
-        out.add(pool[best_idx])
-        chosen.add(best_idx)
-        if len(chosen) < n:
-            min_dist = np.minimum(min_dist, 1.0 - mat @ mat[best_idx])
-            out.sim_ops += n - len(chosen)
+        take(best_idx)
     out.stop_reason = "complete"
     return out
 
