@@ -79,7 +79,7 @@ class CostConstants:
 
 @dataclass(frozen=True)
 class WorkloadShape:
-    """Per-query sizes the latency model depends on."""
+    """Per-query sizes the latency model depends on, each an int (not a bool)."""
 
     memory_size: int
     query_terms: int
@@ -91,8 +91,11 @@ class WorkloadShape:
 
     def __post_init__(self):
         for f in fields(self):
+            size = getattr(self, f.name)
+            if isinstance(size, bool) or not isinstance(size, int):
+                raise ConfigError(f"{f.name} must be an int, got {size!r}")
             floor = 1 if f.name == "memory_size" else 0
-            if getattr(self, f.name) < floor:
+            if size < floor:
                 raise ConfigError(f"{f.name} must be >= {floor}")
 
     @property
@@ -107,7 +110,7 @@ class WorkloadShape:
 @dataclass(frozen=True)
 class LatencyReport:
     """Four-stage latency decomposition; kind is 'modeled' or 'measured', and
-    every time is finite and >= 0."""
+    every time is a number (not a bool), finite and >= 0."""
 
     kind: str
     t_ann: float
@@ -121,6 +124,8 @@ class LatencyReport:
             raise ConfigError(f"report kind must be 'modeled' or 'measured', got {self.kind!r}")
         for stage in (*STAGES, "total"):
             t = getattr(self, f"t_{stage}")
+            if isinstance(t, bool):
+                raise ConfigError(f"t_{stage} must be a number, got {t!r}")
             if not (math.isfinite(t) and t >= 0.0):
                 raise ConfigError(f"t_{stage} must be finite and >= 0, got {t}")
 

@@ -3,10 +3,10 @@
 The pipeline is four stage functions: retrieve (`retrieve_stage`: encode the
 dialogue, rank the memory into a pool), select (`select_for_method`, the one
 selector dispatch), prompt (`prompt_stage`: budgeted compose plus the optional
-random-add fill) and decode (`decode_stage`: candidate labels scored through
-the verifier). Every driver composes these stages: `run_pipeline` (and through
-it `evaluate`, `sweep` and `grid_search`), every `fairness_suite` arm and the
-CLI's retrieve and select commands.
+random-add fill, `rand_add_fill`) and decode (`decode_stage`: candidate labels
+scored through the verifier). Every driver composes these stages:
+`run_pipeline` (and through it `evaluate`, `sweep` and `grid_search`), every
+`fairness_suite` arm and the CLI's retrieve and select commands.
 
 Every run is deterministic given its seeds: per-instance randomness is derived
 from (run seed, instance id) with a stable hash, and emitted report rows carry
@@ -38,6 +38,7 @@ from .prompt import (
     DEFAULT_ANSWER_FORMAT,
     DEFAULT_INSTRUCTION,
     Prompt,
+    append_exemplars,
     compose,
     count_tokens,
     render_exemplar_line,
@@ -249,8 +250,9 @@ def _rand_add_pairs(
     base_tokens: int,
     target: int,
     seed: int,
-) -> list[tuple[str, str]]:
-    """Random exemplars whose rendered lines still fit under the target.
+) -> tuple[list[tuple[str, str]], int]:
+    """Random exemplars whose rendered lines still fit under the target, and
+    the token count the walk reached (base_tokens plus their line costs).
 
     Walks the memory in the order of `random.Random(seed).sample(range(N), N)`
     and keeps every exemplar outside exclude_ids whose line still fits. The
@@ -287,7 +289,7 @@ def _rand_add_pairs(
         used += cost
         exclude_ids.add(ex.id)
         out.append((ex.text, ex.label))
-    return out
+    return out, used
 
 
 def instance_verifier(inst: EvalInstance, config: ExperimentConfig, seed: int):
@@ -360,8 +362,7 @@ def prompt_stage(
     rand_add_seed: int | None = None,
 ) -> Prompt:
     """Compose the prompt under the budget. With a rand-add seed, fill what the
-    budget leaves with random memory exemplars outside exclude_ids and compose
-    again; the added pairs are then the tail of the prompt's exemplars."""
+    budget leaves through `rand_add_fill`."""
     prompt = compose(
         config.instruction,
         dialogue,
@@ -372,18 +373,36 @@ def prompt_stage(
     )
     if rand_add_seed is None:
         return prompt
-    added = _rand_add_pairs(
-        memory, set(exclude_ids), prompt.token_count, budget.max_prompt_tokens, rand_add_seed
+    return rand_add_fill(prompt, dialogue, config, budget, memory, exclude_ids, rand_add_seed)
+
+
+def rand_add_fill(
+    base: Prompt,
+    dialogue: DialogueContext,
+    config: ExperimentConfig,
+    budget: BudgetConfig,
+    memory: Memory,
+    exclude_ids: Sequence[str],
+    seed: int,
+) -> Prompt:
+    """`base`, a prompt_stage composition of `dialogue` under the budget, filled
+    with random memory exemplars outside exclude_ids; the added pairs are the
+    tail of the prompt's exemplars.
+
+    A base that dropped nothing gets the added lines appended and the count
+    the walk reached (base plus their line costs): the walk adds only lines
+    that fit, so composing again would drop nothing and return the same bytes.
+    A base that compression cut is composed again with the added pairs, so
+    its drop record comes out as compose writes it."""
+    added, reached = _rand_add_pairs(
+        memory, set(exclude_ids), base.token_count, budget.max_prompt_tokens, seed
     )
-    if added:
-        prompt = compose(
-            config.instruction,
-            dialogue,
-            list(prompt.exemplars) + added,
-            budget,
-            answer_format=config.answer_format,
-        )
-    return prompt
+    if not added:
+        return base
+    if base.dropped_summary_turns or base.dropped_exemplars:
+        return compose(config.instruction, dialogue, base.exemplars + tuple(added), budget,
+                       answer_format=config.answer_format)
+    return append_exemplars(base, added, reached)
 
 
 def decode_stage(
@@ -628,7 +647,9 @@ def fairness_suite(
 
     # A plain arm's prompt that dropped nothing is what compose returns at
     # every larger target under the same summary cap; keyed by (instance, arm,
-    # summary cap), it is composed once and only padded further.
+    # summary cap), it is composed once and only padded further. The rand-add
+    # arm fills the topk arm's unpadded prompt at the same target, which the
+    # arm order composes first.
     kept_whole: dict[tuple[int, str, int], Prompt] = {}
     rows: list[dict] = []
     for target in config.fairness.token_targets:
@@ -642,23 +663,22 @@ def fairness_suite(
             arm_correct: dict[str, int] = {a: 0 for a in arms}
             arm_covered: dict[str, int] = {a: 0 for a in arms}
             for i, (inst, pool, arm_inputs, verifier) in enumerate(per_instance):
+                unpadded: dict[str, Prompt] = {}
                 for arm in arms:
                     pairs, permutation, exclude_ids = arm_inputs[arm]
-                    key = (i, arm, budget.summary_token_cap)
-                    prompt = kept_whole.get(key)
-                    if prompt is None:
-                        rand_add_seed = (
-                            derive_seed(seed, inst.id, "randadd", target)
-                            if arm == "topk_rand_add"
-                            else None
+                    if arm == "topk_rand_add":
+                        prompt = rand_add_fill(
+                            unpadded["topk"], inst.dialogue, config, budget, memory, exclude_ids,
+                            derive_seed(seed, inst.id, "randadd", target),
                         )
-                        prompt = prompt_stage(
-                            inst.dialogue, pairs, config, budget, permutation,
-                            memory=memory, exclude_ids=exclude_ids, rand_add_seed=rand_add_seed,
-                        )
-                        if (rand_add_seed is None and not prompt.dropped_summary_turns
-                                and not prompt.dropped_exemplars):
-                            kept_whole[key] = prompt
+                    else:
+                        key = (i, arm, budget.summary_token_cap)
+                        prompt = kept_whole.get(key)
+                        if prompt is None:
+                            prompt = prompt_stage(inst.dialogue, pairs, config, budget, permutation)
+                            if not prompt.dropped_summary_turns and not prompt.dropped_exemplars:
+                                kept_whole[key] = prompt
+                        unpadded[arm] = prompt
                     prompt = _pad_to_target(prompt, target)
                     output = decode_stage(prompt, pool, verifier, config)
                     covered, correct = mock_coverage(f"{inst.id}/{arm}", inst.gold, output)

@@ -10,7 +10,7 @@ trailing exemplars, and records everything it removed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -136,6 +136,19 @@ def _render(
         "{ANSWER_FORMAT}": answer_format,
     }
     return _PLACEHOLDER_RE.sub(lambda m: values[m.group()], template)
+
+
+def append_exemplars(prompt: Prompt, pairs: Sequence[tuple[str, str]], token_count: int) -> Prompt:
+    """`prompt`, composed under DEFAULT_TEMPLATE, with `pairs` appended to its
+    exemplar block, counted as `token_count` without retokenizing. The caller
+    adds each added line's count to the prompt's: in DEFAULT_TEMPLATE the block
+    sits between newlines and its lines are joined by newlines, so no token
+    spans a junction."""
+    exemplars = prompt.exemplars + tuple(pairs)
+    lines = [render_exemplar_line(t, l) for t, l in exemplars]
+    text = _render(DEFAULT_TEMPLATE, prompt.instruction, prompt.summary, prompt.current, lines,
+                   prompt.answer_format)
+    return replace(prompt, exemplars=exemplars, text=text, token_count=token_count)
 
 
 def compose(

@@ -355,6 +355,12 @@ class TestExitCodes:
         nan_runs.write_text(json.dumps(run_row) + "\n" + json.dumps({**run_row, "t_ann": float("nan")}) + "\n")
         negative_runs = tmp_path / "negative_runs.jsonl"
         negative_runs.write_text(json.dumps({**run_row, "t_llm": -0.1}) + "\n")
+        bool_time_runs = tmp_path / "bool_time_runs.jsonl"
+        bool_time_runs.write_text(json.dumps({**run_row, "t_ann": True}) + "\n")
+        bool_size_runs = tmp_path / "bool_size_runs.jsonl"
+        bool_size_runs.write_text(json.dumps(run_row) + "\n" + json.dumps({**run_row, "N": True}) + "\n")
+        float_size_runs = tmp_path / "float_size_runs.jsonl"
+        float_size_runs.write_text(json.dumps({**run_row, "terms": 2.5}) + "\n")
         records = workspace / "records.jsonl"
         no_dir = tmp_path / "missing_dir"
         a_file = tmp_path / "a_file"
@@ -392,6 +398,12 @@ class TestExitCodes:
              f"{nan_runs}:2: malformed row (ConfigError: t_ann must be finite and >= 0"),
             (["budget", "calibrate", "--runs", str(negative_runs)],
              f"{negative_runs}:1: malformed row (ConfigError: t_llm must be finite and >= 0"),
+            (["budget", "calibrate", "--runs", str(bool_time_runs)],
+             f"{bool_time_runs}:1: malformed row (ConfigError: t_ann must be a number, got True"),
+            (["budget", "calibrate", "--runs", str(bool_size_runs)],
+             f"{bool_size_runs}:2: malformed row (ConfigError: memory_size must be an int, got True"),
+            (["budget", "calibrate", "--runs", str(float_size_runs)],
+             f"{float_size_runs}:1: malformed row (ConfigError: query_terms must be an int, got 2.5"),
             (["budget", "model", "--constants", missing], f"cannot open {missing}"),
             (build + [missing], f"cannot open {missing}"),
             (build + [str(not_object)], f"{not_object}:1: malformed row"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsel import harness
@@ -28,7 +28,7 @@ from divsel.harness import (
     verify_run_invariants,
     write_corpus,
 )
-from divsel.prompt import BudgetConfig, Prompt, count_tokens
+from divsel.prompt import BudgetConfig, Prompt, compose, count_tokens
 from divsel.synth import synth_corpus
 from divsel.verifier import mock_verifier
 
@@ -241,10 +241,29 @@ class TestFairnessSuite:
         assert a == b
 
 
+def two_compose_prompt(dialogue, pairs, config, budget, permutation=None, memory=None,
+                       exclude_ids=(), rand_add_seed=None):
+    """An arm's prompt as it was built before the rand-add fill: compose the
+    pairs, and with a rand-add seed compose again with the composed exemplars
+    plus the pairs the walk adds."""
+    prompt = compose(config.instruction, dialogue, pairs, budget, permutation=permutation,
+                     answer_format=config.answer_format)
+    if rand_add_seed is None:
+        return prompt
+    added, _ = harness._rand_add_pairs(
+        memory, set(exclude_ids), prompt.token_count, budget.max_prompt_tokens, rand_add_seed
+    )
+    if added:
+        prompt = compose(config.instruction, dialogue, list(prompt.exemplars) + added, budget,
+                         answer_format=config.answer_format)
+    return prompt
+
+
 def fairness_reference(memory, corpus, config, dropped):
-    """The suite as it ran before its shortcuts: every arm composed afresh
-    through prompt_stage at every target, padded with a retaken count. Appends
-    to `dropped` the (target, arm) of every prompt that compression cut."""
+    """The suite as it ran before its shortcuts: every arm composed afresh at
+    every target (rand-add composing twice), padded with a retaken count.
+    Appends to `dropped` the (target, arm) of every prompt that compression
+    cut."""
     seed = config.base_seed
     arms = [a for a in harness.FAIRNESS_ARMS
             if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
@@ -280,7 +299,7 @@ def fairness_reference(memory, corpus, config, dropped):
                     rand_add_seed = (
                         derive_seed(seed, inst.id, "randadd", target) if arm == "topk_rand_add" else None
                     )
-                    prompt = harness.prompt_stage(
+                    prompt = two_compose_prompt(
                         inst.dialogue, pairs, config, budget, permutation,
                         memory=memory, exclude_ids=base.ids(), rand_add_seed=rand_add_seed,
                     )
@@ -371,6 +390,91 @@ class TestFairnessShortcuts:
         target = prompt.token_count + pad
         padded = harness._pad_to_target(prompt, target)
         assert padded.token_count == target == count_tokens(padded.text)
+
+
+def rand_add_case(small_world, idx, words, extra):
+    """Instance idx (with the long history when words > 0), its topk pairs
+    plus, when extra > 0, one exemplar of `extra` words that is not in the
+    memory, and the topk ids the walk must skip. The long exemplar is the one
+    compression drops, and dropping it leaves room for memory lines."""
+    mem, corpus = small_world
+    inst = with_long_history(corpus[idx], words) if words else corpus[idx]
+    cfg = base_config()
+    pool = harness.retrieve_stage(inst.dialogue, mem, cfg.retrieval)
+    sel = harness.select_for_method("topk", pool, cfg.selection, cfg.lambda_mmr, 0)
+    pairs = [(c.text, c.label) for c in sel.members]
+    if extra:
+        pairs.append((" ".join(f"x{i}" for i in range(extra)), "long"))
+    return inst.dialogue, pairs, sel.ids(), cfg
+
+
+# Bases that drop the long exemplar, summary turns and the long exemplar, or
+# summary turns alone, each with room left for a memory line: the fill
+# composes again.
+FALLBACK_EXAMPLES = (
+    dict(idx=0, words=0, extra=40, target=130, cap=0, policy="summary-first", seed=0),
+    dict(idx=0, words=0, extra=40, target=130, cap=128, policy="summary-first", seed=0),
+    dict(idx=0, words=90, extra=0, target=140, cap=128, policy="summary-first", seed=0),
+)
+
+
+class TestRandAddFill:
+    """prompt_stage fills a base that dropped nothing without composing again;
+    every field must equal the two-compose build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(idx=st.integers(0, 23), words=st.sampled_from([0, 90]), extra=st.sampled_from([0, 20, 40]),
+           target=st.integers(20, 400), cap=st.integers(0, 400),
+           policy=st.sampled_from(["summary-first", "strict"]), seed=st.integers(0, 2**64 - 1))
+    @example(**FALLBACK_EXAMPLES[0])
+    @example(**FALLBACK_EXAMPLES[1])
+    @example(**FALLBACK_EXAMPLES[2])
+    def test_fill_equals_two_composes(self, small_world, idx, words, extra, target, cap, policy,
+                                      seed):
+        mem, _ = small_world
+        dialogue, pairs, ids, cfg = rand_add_case(small_world, idx, words, extra)
+        budget = BudgetConfig(target, min(cap, target), policy)
+        args = (dialogue, pairs, cfg, budget)
+        kwargs = dict(memory=mem, exclude_ids=ids, rand_add_seed=seed)
+        try:
+            expected = two_compose_prompt(*args, **kwargs)
+        except CompositionError as exc:
+            with pytest.raises(CompositionError, match=re.escape(str(exc))):
+                harness.prompt_stage(*args, **kwargs)
+            return
+        got = harness.prompt_stage(*args, **kwargs)
+        assert got == expected
+        assert count_tokens(got.text) == got.token_count
+
+    def test_fallback_examples_drop_and_still_add_lines(self, small_world):
+        drops = []
+        for ex in FALLBACK_EXAMPLES:
+            dialogue, pairs, ids, cfg = rand_add_case(small_world, ex["idx"], ex["words"],
+                                                      ex["extra"])
+            budget = BudgetConfig(ex["target"], min(ex["cap"], ex["target"]), ex["policy"])
+            base = compose(cfg.instruction, dialogue, pairs, budget,
+                           answer_format=cfg.answer_format)
+            added, _ = harness._rand_add_pairs(small_world[0], set(ids), base.token_count,
+                                               ex["target"], ex["seed"])
+            assert added
+            drops.append((bool(base.dropped_summary_turns), bool(base.dropped_exemplars)))
+        assert drops == [(False, True), (True, True), (True, False)]
+
+    def test_fairness_composes_each_plain_arm_once(self, small_world, monkeypatch):
+        """With the default targets and nothing dropped, one instance costs one
+        compose per plain arm: the rand-add arm fills the topk prompt."""
+        mem, corpus = small_world
+        prompts = []
+        compose_ = harness.compose
+        monkeypatch.setattr(harness, "compose",
+                            lambda *a, **kw: prompts.append(compose_(*a, **kw)) or prompts[-1])
+        cfg = base_config()
+        rows = fairness_suite(mem, corpus[:1], cfg)
+        assert [r["target"] for r in rows if r["type"] == "fairness"][::5] == list(
+            cfg.fairness.token_targets
+        )
+        assert not any(p.dropped_summary_turns or p.dropped_exemplars for p in prompts)
+        assert len(prompts) == 4
 
 
 class TestSweep:

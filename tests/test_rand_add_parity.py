@@ -4,9 +4,10 @@
 by draw through the private `Random._randbelow` and stops once no line can
 fit. The reference below is the loop as it stood before: draw the whole
 permutation with `rng.sample`, then walk all N items. Results must be
-identical, pairs and the grown exclude set alike; a Python release that
-changes `sample` or `_randbelow` fails here instead of silently moving the
-fairness emissions.
+identical, pairs and the grown exclude set alike, and the token count the
+walk reports must be the base plus the added lines' costs; a Python release
+that changes `sample` or `_randbelow` fails here instead of silently moving
+the fairness emissions.
 """
 
 import random
@@ -75,9 +76,14 @@ def test_replay_matches_full_permutation(call):
     n, excluded, base, target, seed = call
     memory = memory_of(n)
     lazy_excluded, full_excluded = set(excluded), set(excluded)
-    got = harness._rand_add_pairs(memory, lazy_excluded, base, target, seed)
+    got, reached = harness._rand_add_pairs(memory, lazy_excluded, base, target, seed)
     assert got == rand_add_reference(memory, full_excluded, base, target, seed)
     assert lazy_excluded == full_excluded
+    assert reached == base + line_costs(got)
+
+
+def line_costs(pairs):
+    return sum(count_tokens(render_exemplar_line(t, l)) for t, l in pairs)
 
 
 def test_replay_matches_on_fixed_seeds_at_every_small_size():
@@ -85,7 +91,7 @@ def test_replay_matches_on_fixed_seeds_at_every_small_size():
         for seed in range(200):
             for base, target in ((0, 10**6), (0, 20), (30, 45), (5, 5)):
                 a, b = set(), set()
-                assert harness._rand_add_pairs(memory_of(n), a, base, target, seed) == (
-                    rand_add_reference(memory_of(n), b, base, target, seed)
-                )
+                got, reached = harness._rand_add_pairs(memory_of(n), a, base, target, seed)
+                assert got == rand_add_reference(memory_of(n), b, base, target, seed)
                 assert a == b
+                assert reached == base + line_costs(got)
