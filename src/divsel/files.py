@@ -1,10 +1,10 @@
 """File boundary shared by the loaders and writers: opening a path for reading
-or writing, reading a text file, parsing line-delimited JSON rows or a
-whole-file JSON object, decoding a JSON object onto typed defaults, and reading
-a counted run of bytes from a binary file. A missing file, an output path that
-cannot be written, text that is not UTF-8, or a malformed row or object raises
-ConfigError; a binary file shorter than its counts say raises
-MemoryFormatError."""
+or writing, reading a text file, parsing line-delimited JSON rows (optionally
+with unique keys) or a whole-file JSON object, decoding a JSON object onto
+typed defaults, and reading a counted run of bytes from a binary file. A
+missing file, an output path that cannot be written, text that is not UTF-8,
+or a malformed row or object raises ConfigError; a binary file shorter than
+its counts say raises MemoryFormatError."""
 
 from __future__ import annotations
 
@@ -73,6 +73,22 @@ def read_rows(path: str | Path, parse: Callable[[Mapping], T]) -> Iterator[T]:
                 yield item
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_unique_rows(path: str | Path, parse: Callable[[Mapping], T], key: Callable[[T], str],
+                     what: str) -> Iterator[T]:
+    """:func:`read_rows`, where a row whose key repeats an earlier row's raises
+    ConfigError ("duplicate <what> 'key'") naming path:line."""
+    seen: set[str] = set()
+
+    def parse_new(row: Mapping) -> T:
+        item = parse(row)
+        if key(item) in seen:
+            raise ConfigError(f"duplicate {what} {key(item)!r}")
+        seen.add(key(item))
+        return item
+
+    return read_rows(path, parse_new)
 
 
 def read_object(path: str | Path, parse: Callable[[Mapping], T]) -> T:

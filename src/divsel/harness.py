@@ -31,7 +31,7 @@ import numpy as np
 from .budget import CostConstants, LatencyReport, StageClock, WorkloadShape, model_latency, scalarized_objective
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
-from .files import open_output, overlay, read_object, read_rows
+from .files import open_output, overlay, read_object, read_rows, read_unique_rows
 from .memory import Memory, tokenize
 from .prompt import (
     BudgetConfig,
@@ -136,7 +136,9 @@ def _parse_instance(row: Mapping) -> EvalInstance:
 
 
 def read_corpus(path: str | Path) -> list[EvalInstance]:
-    out = list(read_rows(path, _parse_instance))
+    """The instances of a corpus file; a malformed row or a repeated instance
+    id raises ConfigError naming path:line."""
+    out = list(read_unique_rows(path, _parse_instance, lambda inst: inst.id, "instance id"))
     if not out:
         raise ConfigError(f"corpus file {path} holds no instances")
     return out
@@ -265,30 +267,29 @@ def _rand_add_pairs(
     `tests/test_rand_add_parity.py` pins this to the full permutation.
     """
     entry = _LINE_COSTS.get(memory)
+    ids, texts, labels = memory.ids, memory.texts, memory.labels
     if entry is None:
-        costs = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in memory.exemplars]
+        costs = [count_tokens(render_exemplar_line(t, lab)) for t, lab in zip(texts, labels)]
         entry = _LINE_COSTS[memory] = (costs, min(costs))
     costs, cheapest = entry
     randbelow = random.Random(seed)._randbelow
-    exemplars = memory.exemplars
     moved: dict[int, int] = {}
     used = base_tokens
     out: list[tuple[str, str]] = []
-    for last in range(len(exemplars) - 1, -1, -1):
+    for last in range(len(ids) - 1, -1, -1):
         if target - used < cheapest:
             break
         j = randbelow(last + 1)
         i = moved.get(j, j)
         moved[j] = moved.get(last, last)
-        ex = exemplars[i]
-        if ex.id in exclude_ids:
+        if ids[i] in exclude_ids:
             continue
         cost = costs[i]
         if used + cost > target:
             continue
         used += cost
-        exclude_ids.add(ex.id)
-        out.append((ex.text, ex.label))
+        exclude_ids.add(ids[i])
+        out.append((texts[i], labels[i]))
     return out, used
 
 

@@ -20,7 +20,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +57,10 @@ class Exemplar:
 class Memory:
     """Built exemplar memory. Construct via :func:`ingest` or :func:`load`.
 
+    Row i is ``ids[i]``, ``texts[i]``, ``labels[i]`` and the unit embedding
+    ``embedding_matrix[i]``: three tuples and one read-only float64 matrix,
+    each held once. :meth:`get` builds an :class:`Exemplar` on read.
+
     Lexical statistics are CSR postings built once: ``vocab`` maps a term to
     its id, and the postings of term t are ``post_docs[offsets[t]:offsets[t+1]]``
     (ascending memory row) with term frequencies ``post_tfs`` at the same
@@ -65,25 +69,31 @@ class Memory:
     row's label code; retrieval builds its pools from them.
     """
 
-    def __init__(self, exemplars: tuple[Exemplar, ...], k1: float, b: float):
-        if not exemplars:
+    def __init__(self, ids: Sequence[str], texts: Sequence[str], labels: Sequence[str],
+                 embeddings: np.ndarray, k1: float, b: float):
+        ids, texts, labels = tuple(ids), tuple(texts), tuple(labels)
+        n = len(ids)
+        if not n:
             raise IngestError("cannot build a memory from zero exemplars")
+        if not (len(texts) == len(labels) == n and embeddings.ndim == 2
+                and embeddings.shape[0] == n):
+            raise IngestError(f"columns disagree: {n} ids, {len(texts)} texts, {len(labels)} "
+                              f"labels, embedding matrix of shape {embeddings.shape}")
         if not (math.isfinite(k1) and k1 >= 0.0):
             raise IngestError(f"k1 must be finite and >= 0, got {k1}")
         if not 0.0 <= b <= 1.0:
             raise IngestError(f"b must be in [0, 1], got {b}")
-        self.exemplars = exemplars
-        self.k1 = float(k1)
-        self.b = float(b)
-        self.dim = int(exemplars[0].embedding.shape[0])
+        self.ids, self.texts, self.labels = ids, texts, labels
+        self.k1, self.b = float(k1), float(b)
+        self.dim = int(embeddings.shape[1])
         self._index: dict[str, int] = {}
-        for i, ex in enumerate(exemplars):
-            if self._index.setdefault(ex.id, i) != i:
-                raise IngestError(f"duplicate exemplar id {ex.id!r}")
+        for i, eid in enumerate(ids):
+            if self._index.setdefault(eid, i) != i:
+                raise IngestError(f"duplicate exemplar id {eid!r}")
 
         label_index: dict[str, list[str]] = {}
-        for ex in exemplars:
-            label_index.setdefault(ex.label, []).append(ex.id)
+        for eid, label in zip(ids, labels):
+            label_index.setdefault(label, []).append(eid)
         if "" in label_index:
             raise IngestError(f"exemplar {label_index[''][0]!r} has an empty label")
         self.label_index = {k: tuple(v) for k, v in label_index.items()}
@@ -92,11 +102,10 @@ class Memory:
         # in id order (ids are unique, so ranks are too; a Python sort keeps
         # ids that differ only in trailing NULs apart, which numpy strings do
         # not), and each row's label code, numbered in first-seen order.
-        n = len(exemplars)
         self.id_rank = np.empty(n, dtype=np.int64)
-        self.id_rank[sorted(range(n), key=lambda i: exemplars[i].id)] = np.arange(n)
+        self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
         code = {label: c for c, label in enumerate(label_index)}
-        self.label_codes = np.fromiter((code[ex.label] for ex in exemplars), np.int64, n)
+        self.label_codes = np.fromiter(map(code.__getitem__, labels), np.int64, n)
 
         # Term ids are assigned document by document, so no list of every
         # token string is ever held; one sort of term*n + row then groups the
@@ -104,8 +113,8 @@ class Memory:
         vocab: dict[str, int] = {}
         term_id = vocab.setdefault
         term_ids, doc_lens = array("q"), array("q")
-        for ex in exemplars:
-            terms = tokenize(ex.text)
+        for text in texts:
+            terms = tokenize(text)
             doc_lens.append(len(terms))
             term_ids.extend([term_id(t, len(vocab)) for t in terms])
         lengths = np.frombuffer(doc_lens, dtype=np.int64)
@@ -122,29 +131,29 @@ class Memory:
         # one token only keeps the normalization finite.
         self.avg_doc_len = max(int(lengths.sum()), 1) / n
         self.norm = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_doc_len)
+        # The matrix is kept as given (load's file view, ingest's one stack).
+        self.embedding_matrix = embeddings
         for arr in (self.post_docs, self.post_tfs, self.offsets, self.norm, self.id_rank,
-                    self.label_codes):
+                    self.label_codes, embeddings):
             arr.setflags(write=False)
 
-        matrix = np.stack([ex.embedding for ex in exemplars], dtype=np.float64)
-        matrix.setflags(write=False)
-        self.embedding_matrix = matrix
-
     def __len__(self) -> int:
-        return len(self.exemplars)
+        return len(self.ids)
 
-    def get(self, exemplar_id: str) -> Exemplar:
+    def _row(self, exemplar_id: str) -> int:
         try:
-            return self.exemplars[self._index[exemplar_id]]
+            return self._index[exemplar_id]
         except KeyError:
             raise UnknownIdError(f"no exemplar with id {exemplar_id!r}") from None
 
-    def __contains__(self, exemplar_id: str) -> bool:
-        return exemplar_id in self._index
+    def get(self, exemplar_id: str) -> Exemplar:
+        """The exemplar of an id, its embedding a read-only row of the matrix."""
+        i = self._row(exemplar_id)
+        return Exemplar(self.ids[i], self.texts[i], self.labels[i], self.embedding_matrix[i])
 
     def _idf(self, term_id: int) -> float:
         df = int(self.offsets[term_id + 1] - self.offsets[term_id])
-        n = len(self.exemplars)
+        n = len(self.ids)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
     def bm25_score(self, query_text: str, exemplar_id: str) -> float:
@@ -154,11 +163,7 @@ class Memory:
         exemplar's text instead of reading the postings. Zero when no query
         term occurs in the exemplar text.
         """
-        try:
-            text = self.exemplars[self._index[exemplar_id]].text
-        except KeyError:
-            raise UnknownIdError(f"no exemplar with id {exemplar_id!r}") from None
-        counts = Counter(tokenize(text))
+        counts = Counter(tokenize(self.texts[self._row(exemplar_id)]))
         dl = sum(counts.values())
         norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_doc_len)
         score = 0.0
@@ -176,7 +181,7 @@ class Memory:
         occurrence and in query order, so every score is bit-identical to
         :meth:`bm25_score`.
         """
-        out = np.zeros(len(self.exemplars), dtype=np.float64)
+        out = np.zeros(len(self.ids), dtype=np.float64)
         for term in tokenize(query_text):
             t = self.vocab.get(term)
             if t is None:
@@ -207,9 +212,7 @@ def _parse_record(rec: Mapping) -> Exemplar:
     norm = float(np.linalg.norm(raw))
     if norm <= 0.0:
         raise IngestError(f"exemplar {rid!r} embedding has zero norm")
-    emb = raw / norm
-    emb.setflags(write=False)
-    return Exemplar(rid, text, label, emb)
+    return Exemplar(rid, text, label, raw / norm)
 
 
 def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:
@@ -224,7 +227,8 @@ def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:
         out.append(ex)
     if not out:
         raise IngestError("empty record stream")
-    return Memory(tuple(out), k1=k1, b=b)
+    return Memory([ex.id for ex in out], [ex.text for ex in out], [ex.label for ex in out],
+                  np.stack([ex.embedding for ex in out]), k1=k1, b=b)
 
 
 def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
@@ -249,9 +253,9 @@ def persist(memory: Memory, path: str | Path) -> None:
         "count": len(memory),
         "k1": memory.k1,
         "b": memory.b,
-        "ids": [ex.id for ex in memory.exemplars],
-        "labels": [ex.label for ex in memory.exemplars],
-        "texts": [ex.text for ex in memory.exemplars],
+        "ids": memory.ids,
+        "labels": memory.labels,
+        "texts": memory.texts,
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open_output(path, binary=True) as fh:
@@ -286,20 +290,16 @@ def load(path: str | Path) -> Memory:
                     raise TypeError(f"{name} must be a list of strings")
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MemoryFormatError(f"corrupt memory header: {exc}") from exc
-        if not (len(ids) == len(labels) == len(texts) == count):
-            raise MemoryFormatError("corrupt memory header: record counts disagree")
         raw = read_exact(fh, count * dim * 8, "embedding matrix")
         if fh.read(1):
             raise MemoryFormatError("trailing data after embedding matrix")
-    # One native float64 matrix (a no-copy view on little-endian hosts); each
-    # exemplar holds a read-only row view of it.
+    # One native float64 matrix (a no-copy view on little-endian hosts), which
+    # the memory keeps as its only copy of the embeddings.
     matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim).astype(np.float64, copy=False)
-    matrix.setflags(write=False)
     norms = np.linalg.norm(matrix, axis=1)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise MemoryFormatError("corrupt memory: stored embeddings are not unit vectors")
-    exemplars = [Exemplar(ids[i], texts[i], labels[i], matrix[i]) for i in range(count)]
     try:
-        return Memory(tuple(exemplars), k1=k1, b=b)
+        return Memory(ids, texts, labels, matrix, k1=k1, b=b)
     except IngestError as exc:
         raise MemoryFormatError(f"corrupt memory: {exc}") from exc

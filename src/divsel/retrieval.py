@@ -4,8 +4,9 @@ Scores are normalized onto [0, 1] before mixing because the two components
 live on incommensurate scales; see RetrievalConfig.normalization.
 
 A retrieved pool is a :class:`Pool`: the pool's scores, label codes, id order
-and embedding rows held as arrays, which the selectors read directly. It is
-also a read-only sequence of :class:`Candidate`, each built when it is read.
+and embedding rows held as arrays, which the selectors read directly, over the
+memory's id, text and label columns. It is also a read-only sequence of
+:class:`Candidate`, each built when it is read.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -20,8 +22,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .files import open_output, read_rows
-from .memory import Exemplar, Memory
+from .files import open_output, read_unique_rows
+from .memory import Memory
 
 NORMALIZATION_MODES = ("minmax", "none")
 
@@ -76,36 +78,37 @@ class Candidate:
     bm25_raw: float
 
 
+# The id, text and label columns of a Pool built from candidates; a Memory has
+# the same three.
+Columns = namedtuple("Columns", "ids texts labels")
+
+
 class Pool(Sequence[Candidate]):
     """A candidate pool held as arrays, in pool order.
 
-    ``exemplars[rows[i]]`` gives item i's id, text, label and embedding;
-    ``embeddings[i]`` is that embedding as a float64 row. ``relevance``,
-    ``vec_score``, ``lex_score`` and ``bm25_raw`` are the Candidate scores,
-    ``label_codes`` are equal exactly where labels are, and ``rank`` orders
-    the items by (id, pool index). Every array is read-only.
+    ``source.ids[rows[i]]``, ``source.texts[rows[i]]`` and
+    ``source.labels[rows[i]]`` give item i's id, text and label, where the
+    source is the Memory it was retrieved from or the :class:`Columns` of the
+    candidates it was built from; ``embeddings[i]`` is its float64 embedding
+    row. ``relevance``, ``vec_score``, ``lex_score`` and ``bm25_raw`` are the
+    Candidate scores, ``label_codes`` are equal exactly where labels are, and
+    ``rank`` orders the items by (id, pool index). Every array is read-only.
 
-    Indexing and iteration build each Candidate when it is read; a slice is
-    a Pool over the same exemplars. ``labels`` reads labels alone.
+    Indexing and iteration build each Candidate when it is read, its
+    embedding a row of ``embeddings``; a slice is a Pool over the same
+    source. ``labels`` reads labels alone.
     """
 
-    __slots__ = ("exemplars", "rows", "embeddings", "relevance", "vec_score", "lex_score",
+    __slots__ = ("source", "rows", "embeddings", "relevance", "vec_score", "lex_score",
                  "bm25_raw", "label_codes", "rank")
 
-    def __init__(self, exemplars: Sequence[Exemplar], rows, embeddings, relevance, vec_score,
-                 lex_score, bm25_raw, label_codes, rank):
-        self.exemplars = exemplars
-        self.rows = rows
-        self.embeddings = embeddings
-        self.relevance = relevance
-        self.vec_score = vec_score
-        self.lex_score = lex_score
-        self.bm25_raw = bm25_raw
-        self.label_codes = label_codes
-        self.rank = rank
-        for arr in (rows, embeddings, relevance, vec_score, lex_score, bm25_raw, label_codes,
-                    rank):
+    def __init__(self, source: Memory | Columns, *arrays: np.ndarray):
+        """Pool(source, rows, embeddings, relevance, vec_score, lex_score,
+        bm25_raw, label_codes, rank), each array made read-only."""
+        self.source = source
+        for name, arr in zip(Pool.__slots__[1:], arrays, strict=True):
             arr.setflags(write=False)
+            setattr(self, name, arr)
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[Candidate]) -> "Pool":
@@ -118,27 +121,26 @@ class Pool(Sequence[Candidate]):
         n = len(cands)
         if n:
             try:
-                embeddings = np.stack([c.embedding for c in cands]).astype(np.float64)
+                embeddings = np.stack([c.embedding for c in cands], dtype=np.float64)
             except ValueError as exc:
                 raise DimensionError(f"pool embeddings do not share one shape: {exc}") from exc
         else:
             embeddings = np.zeros((0, 0))
+
+        def column(name: str) -> tuple:
+            return tuple(getattr(c, name) for c in cands)
+
+        ids, labels = column("exemplar_id"), column("label")
         codes: dict[str, int] = {}
         rank = np.empty(n, dtype=np.int64)
-        rank[sorted(range(n), key=lambda i: cands[i].exemplar_id)] = np.arange(n)
-
-        def scores(name: str) -> np.ndarray:
-            return np.array([getattr(c, name) for c in cands], dtype=np.float64)
-
+        rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
         return cls(
-            tuple(Exemplar(c.exemplar_id, c.text, c.label, c.embedding) for c in cands),
+            Columns(ids, column("text"), labels),
             np.arange(n),
             embeddings,
-            scores("relevance"),
-            scores("vec_score"),
-            scores("lex_score"),
-            scores("bm25_raw"),
-            np.array([codes.setdefault(c.label, len(codes)) for c in cands], dtype=np.int64),
+            *(np.array(column(name), dtype=np.float64)
+              for name in ("relevance", "vec_score", "lex_score", "bm25_raw")),
+            np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64),
             rank,
         )
 
@@ -147,14 +149,14 @@ class Pool(Sequence[Candidate]):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Pool(self.exemplars, *(getattr(self, name)[index] for name in Pool.__slots__[1:]))
+            return Pool(self.source, *(getattr(self, name)[index] for name in Pool.__slots__[1:]))
         i = operator.index(index)
-        ex = self.exemplars[self.rows[i]]
+        row, source = self.rows[i], self.source
         return Candidate(
-            exemplar_id=ex.id,
-            text=ex.text,
-            label=ex.label,
-            embedding=ex.embedding,
+            exemplar_id=source.ids[row],
+            text=source.texts[row],
+            label=source.labels[row],
+            embedding=self.embeddings[i],
             relevance=float(self.relevance[i]),
             vec_score=float(self.vec_score[i]),
             lex_score=float(self.lex_score[i]),
@@ -167,7 +169,7 @@ class Pool(Sequence[Candidate]):
     def labels(self, stop: int | None = None) -> list[str]:
         """The labels of the first `stop` items (all by default), in pool
         order, read without building candidates."""
-        return [self.exemplars[row].label for row in self.rows[:stop].tolist()]
+        return [self.source.labels[row] for row in self.rows[:stop].tolist()]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -183,10 +185,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     # Python min/max clamp like np.clip (NaN and -0.0 pass through) at a
     # fraction of its per-call cost on a scalar.
     return min(max(float(np.dot(u, v) / (nu * nv)), -1.0), 1.0)
-
-
-def _normalize_cosines(raw: np.ndarray) -> np.ndarray:
-    return (raw + 1.0) / 2.0
 
 
 def _minmax(raw: np.ndarray) -> np.ndarray:
@@ -216,12 +214,9 @@ def retrieve_pool(
         raise DimensionError("query vector has non-finite entries")
     vec_raw = ExactScanIndex(memory).query(z)
     lex_raw = memory.bm25_scores(query_text)
+    vec_n, lex_n = vec_raw, lex_raw
     if cfg.normalization == "minmax":
-        vec_n = _normalize_cosines(vec_raw)
-        lex_n = _minmax(lex_raw)
-    else:
-        vec_n = vec_raw
-        lex_n = lex_raw
+        vec_n, lex_n = (vec_raw + 1.0) / 2.0, _minmax(lex_raw)
     rel = cfg.lambda_vec * vec_n + (1.0 - cfg.lambda_vec) * lex_n
 
     # Only items at or above the L-th largest relevance can make the pool;
@@ -234,7 +229,7 @@ def retrieve_pool(
         above = np.arange(n)
     top = above[np.lexsort((memory.id_rank[above], -rel[above]))[:size]]
     return Pool(
-        memory.exemplars,
+        memory,
         top,
         memory.embedding_matrix[top],
         rel[top],
@@ -269,7 +264,6 @@ def write_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
 
 def _parse_candidate(row: Mapping) -> Candidate:
     emb = np.asarray(row["embedding"], dtype=np.float64)
-    emb.setflags(write=False)
     c = Candidate(
         exemplar_id=str(row["id"]),
         text=str(row["text"]),
@@ -290,16 +284,8 @@ def _parse_candidate(row: Mapping) -> Candidate:
 def read_pool(path: str | Path) -> Pool:
     """Read a pool written by :func:`write_pool`; a malformed row or a repeated
     id raises ConfigError naming path:line."""
-    seen: set[str] = set()
-
-    def parse(row: Mapping) -> Candidate:
-        c = _parse_candidate(row)
-        if c.exemplar_id in seen:
-            raise ConfigError(f"duplicate id {c.exemplar_id!r}")
-        seen.add(c.exemplar_id)
-        return c
-
-    out = Pool.from_candidates(read_rows(path, parse))
+    rows = read_unique_rows(path, _parse_candidate, lambda c: c.exemplar_id, "id")
+    out = Pool.from_candidates(rows)
     if not out:
         raise SelectionError(f"pool file {path} holds no candidates")
     return out

@@ -254,12 +254,11 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
         open_tau = tau_pass & ~chosen
         cand = np.flatnonzero(open_tau & (counts[codes] < cfg.label_cap))
         if cand.size == 0:
-            saw_tau_pass = bool(open_tau.any())
             if out.size == 0:
-                out.stop_reason = "infeasible"
-                out.binding_constraint = "cap" if saw_tau_pass else "tau"
+                # Counts start at 0 and label_cap >= 1, so only tau can bind.
+                out.stop_reason, out.binding_constraint = "infeasible", "tau"
             else:
-                out.stop_reason = "cap-limited" if saw_tau_pass else "threshold-limited"
+                out.stop_reason = "cap-limited" if open_tau.any() else "threshold-limited"
             return out
 
         _, _, g, dtext = out.after_add(counts[codes], pair_sums)
@@ -281,7 +280,7 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
             )
         )
 
-    out.stop_reason = "complete" if out.size == cfg.k else "exhausted"
+    out.stop_reason = "complete"
     return out
 
 
@@ -321,10 +320,9 @@ def brute_force_select(
     for i in feasible:
         per_label[labels[i]] = per_label.get(labels[i], 0) + 1
     max_size = min(cfg.k, sum(min(cfg.label_cap, n) for n in per_label.values()))
-    if max_size == 0:
+    if max_size == 0:  # nothing passed tau: any passing item fits under a cap >= 1
         out = SelectedSet(cfg.alpha)
-        out.stop_reason = "infeasible"
-        out.binding_constraint = "tau" if not feasible else "cap"
+        out.stop_reason, out.binding_constraint = "infeasible", "tau"
         return out
     if math.comb(len(feasible), max_size) > BRUTE_FORCE_GUARD:
         raise SelectionError(
@@ -334,10 +332,11 @@ def brute_force_select(
 
     pool, mat = _pool_arrays(pool)
     sims = np.clip(mat @ mat.T, 0.0, 1.0)
-    ids = [pool.exemplars[row].id for row in pool.rows]
+    ids = [pool.source.ids[row] for row in pool.rows.tolist()]
 
+    # A cap-respecting subset of max_size items always exists, so one is found.
     best_key: tuple[float, tuple[str, ...]] | None = None
-    best_combo: tuple[int, ...] | None = None
+    best_combo: tuple[int, ...] = ()
     for combo in itertools.combinations(feasible, max_size):
         counts: dict[int, int] = {}
         ok = True
@@ -362,11 +361,6 @@ def brute_force_select(
         if best_key is None or r > best_key[0] or (r == best_key[0] and combo_ids < best_key[1]):
             best_key = (r, combo_ids)
             best_combo = combo
-    if best_combo is None:
-        out = SelectedSet(cfg.alpha)
-        out.stop_reason = "infeasible"
-        out.binding_constraint = "cap"
-        return out
     return _set_from_indices(pool, sorted(best_combo), cfg.alpha)
 
 

@@ -340,8 +340,8 @@ def test_criterion_9_determinism_and_round_trip(fixed_corpus, tmp_path):
     assert np.array_equal(loaded.embedding_matrix, memory.embedding_matrix)
     queries = [inst.dialogue.current for inst in corpus[:5]]
     for q in queries:
-        for ex in memory.exemplars[::97]:
-            assert loaded.bm25_score(q, ex.id) == memory.bm25_score(q, ex.id)
+        for eid in memory.ids[::97]:
+            assert loaded.bm25_score(q, eid) == memory.bm25_score(q, eid)
     _report(9, "byte-identical reruns and bit-exact memory round-trip")
 
 

@@ -341,6 +341,9 @@ class TestExitCodes:
         nan_emb.write_text(json.dumps({**row, "embedding": [float("nan"), 1.0]}) + "\n")
         dup_pool = tmp_path / "dup_pool.jsonl"
         dup_pool.write_text(json.dumps(row) + "\n" + json.dumps({**row, "text": "u"}) + "\n")
+        first, second = map(json.loads, (workspace / "synth" / "corpus.jsonl").read_text().splitlines()[:2])
+        dup_corpus = tmp_path / "dup_corpus.jsonl"
+        dup_corpus.write_text(json.dumps(first) + "\n" + json.dumps({**second, "id": first["id"]}) + "\n")
         huge_int = tmp_path / "huge_int.jsonl"
         huge_int.write_text(json.dumps(row).replace("0.5", "9" * 400, 1) + "\n")
         deep = tmp_path / "deep.jsonl"
@@ -425,6 +428,8 @@ class TestExitCodes:
             (["select", "--pool", str(nan_emb)], f"{nan_emb}:1: malformed row"),
             (["select", "--pool", str(dup_pool), "--K", "2", "--tau", "0"],
              f"{dup_pool}:2: malformed row (ConfigError: duplicate id 'a')"),
+            (["eval", "run", "--memory", mem, "--corpus", str(dup_corpus)],
+             f"{dup_corpus}:2: malformed row (ConfigError: duplicate instance id {first['id']!r})"),
             (["select", "--pool", str(huge_int)], f"{huge_int}:1: malformed row (OverflowError"),
             (["select", "--pool", str(deep)], f"{deep}:1: malformed row (RecursionError"),
         ]

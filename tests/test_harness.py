@@ -122,7 +122,7 @@ class TestRunPipeline:
         assert len(calls) == len(mem)
         assert harness._rand_add_pairs(mem, set(), 0, 60, seed=1) == first
         assert len(calls) == len(mem)
-        expected = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in mem.exemplars]
+        expected = [count_tokens(render_exemplar_line(t, lab)) for t, lab in zip(mem.texts, mem.labels)]
         assert harness._LINE_COSTS[mem] == (expected, min(expected))
         freed = weakref.ref(mem)
         del mem

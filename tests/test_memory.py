@@ -13,7 +13,7 @@ from divsel.errors import (
     UnknownIdError,
     VersionMismatchError,
 )
-from divsel.memory import Exemplar, Memory, ingest, load, persist, tokenize
+from divsel.memory import Memory, ingest, load, persist, tokenize
 
 
 def rec(rid, text, label, emb):
@@ -78,10 +78,25 @@ class TestIngest:
             ingest([rec("e1", "a", "x", [float("nan"), 0.0])])
 
     def test_constructor_rejects_duplicate_ids(self):
-        emb = np.array([1.0, 0.0])
-        exemplars = (Exemplar("e1", "a", "x", emb), Exemplar("e1", "b", "y", emb))
         with pytest.raises(IngestError, match="duplicate exemplar id 'e1'"):
-            Memory(exemplars, k1=1.2, b=0.75)
+            Memory(("e1", "e1"), ("a", "b"), ("x", "y"), np.eye(2), k1=1.2, b=0.75)
+
+    @pytest.mark.parametrize(
+        "ids, texts, labels, rows, message",
+        [
+            (("e1", "e2"), ("a",), ("x", "y"), 2, "columns disagree"),
+            (("e1", "e2"), ("a", "b"), ("x", "y", "z"), 2, "columns disagree"),
+            (("e1", "e2"), ("a", "b"), ("x", "y"), 3, "shape \\(3, 2\\)"),
+            (("e1", "e2"), ("a", "b"), ("x", "y"), 1, "shape \\(1, 2\\)"),
+            (("e1",), ("a",), ("x",), None, "shape \\(2,\\)"),
+        ],
+    )
+    def test_constructor_rejects_columns_of_unequal_length(self, ids, texts, labels, rows, message):
+        """Every column and the matrix's row count must agree; a flat vector
+        is not a matrix."""
+        matrix = np.array([1.0, 0.0]) if rows is None else np.eye(rows, 2)
+        with pytest.raises(IngestError, match=message):
+            Memory(ids, texts, labels, matrix, k1=1.2, b=0.75)
 
     @pytest.mark.parametrize(
         "label, k1, b, message",
@@ -96,9 +111,8 @@ class TestIngest:
         ],
     )
     def test_constructor_rejects_bad_bm25_knobs_and_empty_labels(self, label, k1, b, message):
-        exemplars = (Exemplar("e1", "a", label, np.array([1.0, 0.0])),)
         with pytest.raises(IngestError, match=message):
-            Memory(exemplars, k1=k1, b=b)
+            Memory(("e1",), ("a",), (label,), np.array([[1.0, 0.0]]), k1=k1, b=b)
 
 
 class TestBm25:
@@ -166,7 +180,7 @@ class TestBm25Parity:
         """The scatter-add scores are bit-identical to the per-exemplar
         oracle, which re-tokenizes each exemplar's text."""
         mem, query = case
-        oracle = np.array([mem.bm25_score(query, ex.id) for ex in mem.exemplars])
+        oracle = np.array([mem.bm25_score(query, eid) for eid in mem.ids])
         assert np.array_equal(mem.bm25_scores(query), oracle)
 
     def test_every_document_frequency_matches_the_oracle(self):
@@ -178,7 +192,7 @@ class TestBm25Parity:
                 for i in range(n)]
         mem = ingest(rows)
         query = " ".join(f"w{j}" for j in range(n)) + " w7 w7 w300"
-        oracle = np.array([mem.bm25_score(query, ex.id) for ex in mem.exemplars])
+        oracle = np.array([mem.bm25_score(query, eid) for eid in mem.ids])
         assert np.array_equal(mem.bm25_scores(query), oracle)
 
     def test_repeated_query_term_counts_each_occurrence(self):
@@ -210,19 +224,24 @@ class TestPersistence:
             assert np.array_equal(getattr(loaded, attr), getattr(mem, attr)), attr
         assert loaded.avg_doc_len == mem.avg_doc_len
 
-    def test_loaded_embeddings_are_read_only_rows_of_one_matrix(self, tmp_path):
+    def test_loaded_memory_holds_one_embedding_buffer(self, tmp_path):
+        """Every exemplar read from a loaded memory views the one matrix the
+        file was read into; nothing is re-stacked."""
         mem = ingest(small_records())
         path = tmp_path / "mem.divmem"
         persist(mem, path)
         loaded = load(path)
-        matrix = loaded.exemplars[0].embedding.base
-        assert matrix is not None and matrix.nbytes == len(mem) * mem.dim * 8
-        for ex, orig in zip(loaded.exemplars, mem.exemplars):
-            assert ex.embedding.dtype == np.float64 and ex.embedding.dtype.isnative
+        matrix = loaded.embedding_matrix
+        assert matrix.dtype == np.float64 and matrix.dtype.isnative
+        assert not matrix.flags.writeable
+        assert matrix.base is not None and matrix.base.nbytes == len(mem) * mem.dim * 8
+        for eid in mem.ids:
+            ex, orig = loaded.get(eid), mem.get(eid)
+            assert np.shares_memory(matrix, ex.embedding)
             assert not ex.embedding.flags.writeable
-            assert ex.embedding.base is matrix
+            assert (ex.id, ex.text, ex.label) == (orig.id, orig.text, orig.label)
             assert np.array_equal(ex.embedding, orig.embedding)
-        assert np.array_equal(loaded.embedding_matrix, mem.embedding_matrix)
+        assert np.array_equal(matrix, mem.embedding_matrix)
 
     def test_load_rejects_duplicate_ids(self, tmp_path):
         mem = ingest(small_records())
@@ -284,8 +303,8 @@ class TestPersistence:
         assert loaded.dim == mem.dim
         assert np.array_equal(loaded.embedding_matrix, mem.embedding_matrix)
         for query in ("utterance topic", "number 3", "zzz"):
-            for ex in mem.exemplars[:10]:
-                assert loaded.bm25_score(query, ex.id) == mem.bm25_score(query, ex.id)
+            for eid in mem.ids[:10]:
+                assert loaded.bm25_score(query, eid) == mem.bm25_score(query, eid)
 
     def test_truncated_file_fails_loudly(self, tmp_path):
         mem = ingest(small_records())

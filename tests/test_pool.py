@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_candidate
 from divsel.errors import DimensionError, SelectionError
-from divsel.memory import ingest
+from divsel.memory import ingest, load, persist
 from divsel.retrieval import Pool, RetrievalConfig, read_pool, retrieve_pool, write_pool
 from divsel.selection import (
     SelectionConfig,
@@ -94,11 +94,25 @@ class TestPool:
         for i, c in enumerate(pool):
             ex = mem.get(c.exemplar_id)
             assert (c.text, c.label) == (ex.text, ex.label)
-            assert c.embedding is ex.embedding
+            assert np.array_equal(c.embedding, ex.embedding)
             assert np.array_equal(pool.embeddings[i], mem.embedding_matrix[pool.rows[i]])
             assert type(c.relevance) is float
         ids = [c.exemplar_id for c in pool]
         assert sorted(range(7), key=lambda i: ids[i]) == list(np.argsort(pool.rank))
+
+    def test_candidate_embeddings_are_read_only_memory_rows(self, tmp_path):
+        """A candidate's embedding is its pool's own read-only row and equals
+        the memory row, for an ingested and a loaded memory, and in a pool
+        built from those candidates."""
+        mem, z = small_memory(np.random.default_rng(4), 9)
+        persist(mem, tmp_path / "mem.divmem")
+        for source in (mem, load(tmp_path / "mem.divmem")):
+            pool = retrieve_pool(source, z, "word1", RetrievalConfig(pool_size=7))
+            for built in (pool, Pool.from_candidates(list(pool))):
+                for i, c in enumerate(built):
+                    assert np.array_equal(c.embedding, source.get(c.exemplar_id).embedding)
+                    assert not c.embedding.flags.writeable
+                    assert np.shares_memory(c.embedding, built.embeddings[i])
 
     def test_slices_are_pools_that_read_like_list_slices(self):
         _, pool = self.pool()

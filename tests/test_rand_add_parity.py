@@ -18,26 +18,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsel import harness
-from divsel.memory import Exemplar, Memory
+from divsel.memory import Memory
 from divsel.prompt import count_tokens, render_exemplar_line
 
 
 def rand_add_reference(memory, exclude_ids, base_tokens, target, seed):
-    costs = [count_tokens(render_exemplar_line(ex.text, ex.label)) for ex in memory.exemplars]
+    costs = [count_tokens(render_exemplar_line(t, lab)) for t, lab in zip(memory.texts, memory.labels)]
     rng = random.Random(seed)
-    order = rng.sample(range(len(memory.exemplars)), len(memory.exemplars))
+    order = rng.sample(range(len(memory)), len(memory))
     used = base_tokens
     out = []
     for i in order:
-        ex = memory.exemplars[i]
-        if ex.id in exclude_ids:
+        if memory.ids[i] in exclude_ids:
             continue
         cost = costs[i]
         if used + cost > target:
             continue
         used += cost
-        exclude_ids.add(ex.id)
-        out.append((ex.text, ex.label))
+        exclude_ids.add(memory.ids[i])
+        out.append((memory.texts[i], memory.labels[i]))
     return out
 
 
@@ -51,14 +50,13 @@ def memory_of(n: int) -> Memory:
     """n exemplars whose lines cost between 7 and 20 tokens, so targets near
     the base leave room for a few lines and the cheapest line stops the walk."""
     rng = np.random.default_rng(n)
-    exemplars = []
-    for i in range(n):
-        words = " ".join(f"w{int(w)}" for w in rng.integers(0, 50, size=int(rng.integers(1, 12))))
+    texts, labels, rows = [], [], []
+    for _ in range(n):
+        texts.append(" ".join(f"w{int(w)}" for w in rng.integers(0, 50, size=int(rng.integers(1, 12)))))
         emb = rng.normal(size=2)
-        exemplars.append(
-            Exemplar(f"e{i:05d}", words, f"l{int(rng.integers(0, 9))}", emb / np.linalg.norm(emb))
-        )
-    return Memory(tuple(exemplars), k1=1.2, b=0.75)
+        labels.append(f"l{int(rng.integers(0, 9))}")
+        rows.append(emb / np.linalg.norm(emb))
+    return Memory([f"e{i:05d}" for i in range(n)], texts, labels, np.stack(rows), k1=1.2, b=0.75)
 
 
 @st.composite

@@ -117,7 +117,7 @@ class TestRetrievePool:
         rng = np.random.default_rng(7)
         mem = make_memory(rng, n=20)
         cfg = RetrievalConfig(lambda_vec=0.6, pool_size=20)
-        target = mem.exemplars[4]
+        target = mem.get(mem.ids[4])
         base_pool = retrieve_pool(mem, rng.normal(size=6), "word1", cfg)
         base_rank = [c.exemplar_id for c in base_pool].index(target.id)
         boosted = retrieve_pool(mem, np.array(target.embedding), "word1", cfg)
@@ -186,7 +186,7 @@ class TestRankingParity:
             span = lex.max() - lex.min()
             lex = np.full_like(lex, 0.5) if span <= 1e-12 else (lex - lex.min()) / span
         rel = cfg.lambda_vec * vec + (1.0 - cfg.lambda_vec) * lex
-        ids = [ex.id for ex in mem.exemplars]
+        ids = mem.ids
         reference = sorted(range(len(mem)), key=lambda i: (-rel[i], ids[i]))[: cfg.pool_size]
         pool = retrieve_pool(mem, z, query, cfg)
         assert [c.exemplar_id for c in pool] == [ids[i] for i in reference]

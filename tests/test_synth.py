@@ -33,7 +33,7 @@ class TestSynthCorpus:
         mem_b, corpus_b = synth_corpus(labels=6, per_label=4, ambiguity=0.5, seed=3, instances=10)
         assert len(mem_a) == 24
         assert len(corpus_a) == 10
-        assert [e.id for e in mem_a.exemplars] == [e.id for e in mem_b.exemplars]
+        assert mem_a.ids == mem_b.ids
         assert np.array_equal(mem_a.embedding_matrix, mem_b.embedding_matrix)
         for a, b in zip(corpus_a, corpus_b):
             assert a.id == b.id and a.gold == b.gold
