@@ -196,8 +196,10 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.shortlist_size < 0:
             raise ConfigError("shortlist_size must be >= 0")
-        if self.tau_c <= 0:
-            raise ConfigError("tau_c must be positive")
+        if not (math.isfinite(self.tau_c) and self.tau_c > 0):
+            raise ConfigError(f"tau_c must be finite and positive, got {self.tau_c}")
+        if not (math.isfinite(self.mock_margin) and self.mock_margin > 0):
+            raise ConfigError(f"mock_margin must be finite and positive, got {self.mock_margin}")
 
     def to_dict(self) -> dict:
         return asdict(self)

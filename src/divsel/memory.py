@@ -2,10 +2,11 @@
 
 BM25 statistics are built once per memory as CSR postings: a term -> id
 vocabulary, the (row, term frequency) pairs of every term grouped by term id,
-the offsets of each term's group, and each row's length normalization.
-``Memory.bm25_scores`` scores a query by scatter-adding the postings of its
-terms; ``Memory.bm25_score`` is the scalar oracle it must match bit for bit,
-re-tokenizing one exemplar's text from scratch.
+the offsets of each term's group, each row's length normalization, and each
+posting's BM25 weight. ``Memory.bm25_scores`` scores a query by scatter-adding
+the weights of its terms' postings; ``Memory.bm25_score`` is the scalar oracle
+it must match bit for bit, re-tokenizing one exemplar's text and computing its
+idf and weights from scratch.
 
 The memory is immutable after build; any number of readers may share it.
 """
@@ -20,12 +21,12 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from .files import open_input, open_output, read_exact, read_rows
+from .files import open_input, open_output, read_exact, read_unique_rows
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 1
@@ -63,8 +64,9 @@ class Memory:
 
     Lexical statistics are CSR postings built once: ``vocab`` maps a term to
     its id, and the postings of term t are ``post_docs[offsets[t]:offsets[t+1]]``
-    (ascending memory row) with term frequencies ``post_tfs`` at the same
-    positions. ``norm`` holds each row's BM25 length normalization.
+    (ascending memory row) with term frequencies ``post_tfs`` and BM25
+    weights ``post_weights`` at the same positions. ``norm`` holds each row's
+    BM25 length normalization.
     ``id_rank`` holds each row's rank in id order and ``label_codes`` each
     row's label code; retrieval builds its pools from them.
     """
@@ -131,10 +133,17 @@ class Memory:
         # one token only keeps the normalization finite.
         self.avg_doc_len = max(int(lengths.sum()), 1) / n
         self.norm = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_doc_len)
+        # Each posting's weight idf * tf * (k1 + 1) / (tf + norm[row]), in the
+        # order of operations of `bm25_score`. The idf is taken per term with
+        # math.log: numpy's vectorized log differs from it in the last bit.
+        df = np.diff(self.offsets)
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
+        self.post_weights = (np.repeat(idf, df) * self.post_tfs * (self.k1 + 1.0)
+                             / (self.post_tfs + self.norm[self.post_docs]))
         # The matrix is kept as given (load's file view, ingest's one stack).
         self.embedding_matrix = embeddings
-        for arr in (self.post_docs, self.post_tfs, self.offsets, self.norm, self.id_rank,
-                    self.label_codes, embeddings):
+        for arr in (self.post_docs, self.post_tfs, self.post_weights, self.offsets, self.norm,
+                    self.id_rank, self.label_codes, embeddings):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -177,9 +186,9 @@ class Memory:
     def bm25_scores(self, query_text: str) -> np.ndarray:
         """BM25 scores of every exemplar against the query, in memory order.
 
-        Scatter-adds each query term's postings, repeated terms once per
-        occurrence and in query order, so every score is bit-identical to
-        :meth:`bm25_score`.
+        Scatter-adds the weights of each query term's postings, repeated terms
+        once per occurrence and in query order, so every score is
+        bit-identical to :meth:`bm25_score`.
         """
         out = np.zeros(len(self.ids), dtype=np.float64)
         for term in tokenize(query_text):
@@ -187,9 +196,7 @@ class Memory:
             if t is None:
                 continue
             lo, hi = self.offsets[t], self.offsets[t + 1]
-            docs = self.post_docs[lo:hi]
-            tf = self.post_tfs[lo:hi]
-            out[docs] += self._idf(t) * tf * (self.k1 + 1.0) / (tf + self.norm[docs])
+            out[self.post_docs[lo:hi]] += self.post_weights[lo:hi]
         return out
 
 
@@ -215,16 +222,29 @@ def _parse_record(rec: Mapping) -> Exemplar:
     return Exemplar(rid, text, label, raw / norm)
 
 
-def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:
-    """A Memory over parsed exemplars; mixed dimensions or none at all raise."""
-    out: list[Exemplar] = []
-    for ex in exemplars:
-        if out and ex.embedding.shape[0] != out[0].embedding.shape[0]:
+def _record_parser() -> Callable[[Mapping], Exemplar]:
+    """A parser of one stream's records (`_parse_record`) that also rejects an
+    embedding whose dimension differs from the stream's first."""
+    first_dim = None
+
+    def parse(rec: Mapping) -> Exemplar:
+        nonlocal first_dim
+        ex = _parse_record(rec)
+        dim = ex.embedding.shape[0]
+        if first_dim is None:
+            first_dim = dim
+        elif dim != first_dim:
             raise IngestError(
-                f"exemplar {ex.id!r} has embedding dimension {ex.embedding.shape[0]}, "
-                f"expected {out[0].embedding.shape[0]}"
+                f"exemplar {ex.id!r} has embedding dimension {dim}, expected {first_dim}"
             )
-        out.append(ex)
+        return ex
+
+    return parse
+
+
+def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:
+    """A Memory over parsed exemplars of one dimension; none at all raises."""
+    out = list(exemplars)
     if not out:
         raise IngestError("empty record stream")
     return Memory([ex.id for ex in out], [ex.text for ex in out], [ex.label for ex in out],
@@ -237,13 +257,15 @@ def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAUL
     Embeddings are re-normalized to unit L2 norm. Duplicate ids, dimension
     mismatches, and empty streams are rejected.
     """
-    return _build(map(_parse_record, records), k1, b)
+    return _build(map(_record_parser(), records), k1, b)
 
 
 def ingest_jsonl(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
     """Build a Memory from a line-delimited JSON file of exemplar records; a
-    malformed record raises ConfigError naming path:line."""
-    return _build(read_rows(path, _parse_record), k1, b)
+    malformed record, a repeated id or a dimension unlike the first record's
+    raises ConfigError naming path:line."""
+    rows = read_unique_rows(path, _record_parser(), key=lambda ex: ex.id, what="exemplar id")
+    return _build(rows, k1, b)
 
 
 def persist(memory: Memory, path: str | Path) -> None:

@@ -10,10 +10,12 @@ and an exhaustive oracle selector share the same result shape.
 Every selector reads the pool as a `retrieval.Pool` (`Pool.from_candidates`
 turns a list of candidates into one) and builds a `Candidate` only for the
 items it chooses. Greedy, MMR and farthest-point share one selection step:
-score every open candidate at once and take the lexicographic maximum of the
+score every candidate at once and take the lexicographic maximum of the
 selector's keys (`_argmax`). The last key is always the negated id rank, so
 every tie breaks to the smallest exemplar id and, among duplicate ids, to the
-lowest pool index.
+lowest pool index. MMR and farthest-point score every open row; greedy keeps
+its candidates, the open rows that pass tau under a label cap not yet
+reached, as it goes, and scores only those.
 
 Every selector adds members through one similarity step (`_take`): one matvec
 of the open rows of unit embeddings against the new member's row. Its clamped
@@ -63,8 +65,10 @@ class SelectionConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.label_cap < 1:
             raise ConfigError(f"label_cap must be >= 1, got {self.label_cap}")
-        if self.mu < 0.0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
+        if not math.isfinite(self.tau):
+            raise ConfigError(f"tau must be finite, got {self.tau}")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ConfigError(f"mu must be finite and >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -218,24 +222,29 @@ def _take(out: SelectedSet, member: Candidate, mat: np.ndarray, best: int,
     return open_rows, sims
 
 
-def _argmax(cand: np.ndarray, *keys: np.ndarray) -> int:
-    """The pool index in `cand` whose (keys[0][i], keys[1][i], ...) is the
-    lexicographic maximum; the last key must be unique per candidate. Only the
-    candidates tied on the first key are sorted by the rest."""
-    first = keys[0][cand]
-    tied = cand[first == first.max()]
-    if tied.size == 1:
-        return int(tied[0])
-    return int(tied[np.lexsort([key[tied] for key in reversed(keys[1:])])[-1]])
+def _argmax(cand: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> int:
+    """The position j in `cand` whose (first[j], rest[0][cand[j]], ...) is the
+    lexicographic maximum: `first` is scored over the candidates, the other
+    keys over the pool, and the last key must be unique per candidate. One
+    `argmax` finds the maximum; only a tie on it sorts the tied candidates
+    by the rest."""
+    j = int(first.argmax())
+    tied = np.flatnonzero(first == first[j])
+    if tied.size > 1:
+        rows = cand[tied]
+        j = int(tied[np.lexsort([key[rows] for key in reversed(rest)])[-1]])
+    return j
 
 
 def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSet:
     """Greedy arg-max of the marginal diversity gain plus a relevance prior.
 
     Feasibility demands vec_score >= tau and per-label count < label_cap.
-    Ties on the prior-adjusted gain break by candidate relevance, then id,
-    then pool index. When no candidate is feasible at the first step, the result is empty and
-    carries the binding constraint.
+    The feasible open rows are kept as the loop goes: a step drops the row it
+    takes, and every row of a label that reaches the cap. Ties on the
+    prior-adjusted gain break by candidate relevance, then id, then pool
+    index. When no candidate is feasible at the first step, the result is
+    empty and carries the binding constraint.
     """
     if not pool:
         raise SelectionError("cannot select from an empty pool")
@@ -244,36 +253,43 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
     pool, mat = _pool_arrays(pool)
     vec, codes, neg_rank = pool.vec_score, pool.label_codes, -pool.rank
     counts = np.zeros(int(codes.max()) + 1, dtype=np.int64)
-    tau_pass = vec >= cfg.tau
     prior = cfg.mu * vec
     pair_sums = np.zeros(len(pool))
     chosen = np.zeros(len(pool), dtype=bool)
+    # The open rows that pass tau and whose label is under the cap, ascending.
+    cand = np.flatnonzero(vec >= cfg.tau)
+    n_tau = cand.size
     out = SelectedSet(cfg.alpha)
 
     while out.size < cfg.k:
-        open_tau = tau_pass & ~chosen
-        cand = np.flatnonzero(open_tau & (counts[codes] < cfg.label_cap))
         if cand.size == 0:
             if out.size == 0:
                 # Counts start at 0 and label_cap >= 1, so only tau can bind.
                 out.stop_reason, out.binding_constraint = "infeasible", "tau"
             else:
-                out.stop_reason = "cap-limited" if open_tau.any() else "threshold-limited"
+                # Every member passed tau; any other open row that did is capped.
+                out.stop_reason = "cap-limited" if n_tau > out.size else "threshold-limited"
             return out
 
-        _, _, g, dtext = out.after_add(counts[codes], pair_sums)
-        gain = np.broadcast_to(r_score(g - out.g, dtext - out.dtext, cfg.alpha), vec.shape)
-        tilde = gain + prior
-        best = _argmax(cand, tilde, pool.relevance, neg_rank)
-        counts[codes[best]] += 1
+        # Under a cap of 1 every candidate's label is still uncounted.
+        count = 0 if cfg.label_cap == 1 else counts[codes[cand]]
+        _, _, g, dtext = out.after_add(count, pair_sums[cand])
+        gain = r_score(g - out.g, dtext - out.dtext, cfg.alpha)  # a scalar at the first step
+        tilde = gain + prior[cand]
+        j = _argmax(cand, tilde, pool.relevance, neg_rank)
+        best = int(cand[j])
+        label = codes[best]
+        counts[label] += 1
+        cand = cand[cand != best] if counts[label] < cfg.label_cap else cand[codes[cand] != label]
         member = pool[best]
+        step_gain = float(gain[j]) if out.size else float(gain)
         _take(out, member, mat, best, chosen, pair_sums)
         out.steps.append(
             StepRecord(
                 index=out.size - 1,
                 exemplar_id=member.exemplar_id,
-                gain=float(gain[best]),
-                tilde_gain=float(tilde[best]),
+                gain=step_gain,
+                tilde_gain=float(tilde[j]),
                 g=out.g,
                 dtext=out.dtext,
                 r=out.r,
@@ -400,7 +416,8 @@ def mmr_select(
     out = SelectedSet(alpha)
     while out.size < min(k, n):
         score = lambda_mmr * vec - (1.0 - lambda_mmr) * max_sim
-        best = _argmax(np.flatnonzero(~chosen), score, neg_rank)
+        open_rows = np.flatnonzero(~chosen)
+        best = int(open_rows[_argmax(open_rows, score[open_rows], neg_rank)])
         open_rows, sims = _take(out, pool[best], mat, best, chosen, pair_sums)
         max_sim[open_rows] = np.maximum(max_sim[open_rows], sims)
     out.stop_reason = "complete"
@@ -421,8 +438,9 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
     pair_sums = np.zeros(n)
     min_dist = np.full(n, np.inf)
     while out.size < min(k, n):
-        keys = (min_dist, neg_rank) if out.size else (pool.relevance, neg_rank)
-        best = _argmax(np.flatnonzero(~chosen), *keys)
+        first = min_dist if out.size else pool.relevance
+        open_rows = np.flatnonzero(~chosen)
+        best = int(open_rows[_argmax(open_rows, first[open_rows], neg_rank)])
         open_rows, sims = _take(out, pool[best], mat, best, chosen, pair_sums)
         min_dist[open_rows] = np.minimum(min_dist[open_rows], 1.0 - sims)
     out.stop_reason = "complete"

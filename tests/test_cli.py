@@ -365,6 +365,13 @@ class TestExitCodes:
         float_size_runs = tmp_path / "float_size_runs.jsonl"
         float_size_runs.write_text(json.dumps({**run_row, "terms": 2.5}) + "\n")
         records = workspace / "records.jsonl"
+        record = {"id": "a", "text": "t", "label": "l", "embedding": [1.0, 0.0]}
+        dup_records = tmp_path / "dup_records.jsonl"
+        dup_records.write_text(json.dumps(record) + "\n" + json.dumps({**record, "text": "u"}) + "\n")
+        mixed_dims = tmp_path / "mixed_dims.jsonl"
+        mixed_dims.write_text(
+            json.dumps(record) + "\n\n" + json.dumps({**record, "id": "b", "embedding": [1, 0, 0]}) + "\n"
+        )
         no_dir = tmp_path / "missing_dir"
         a_file = tmp_path / "a_file"
         a_file.write_text("")
@@ -380,6 +387,12 @@ class TestExitCodes:
             "wrong_type": '{"selection": {"k": "3"}}',
             "float_for_int": '{"retrieval": {"pool_size": 2.5}}',
             "null_seed": '{"fairness": {"shuffle_seed": null}}',
+            "nan_mu": '{"selection": {"mu": NaN}}',
+            "inf_mu": '{"selection": {"mu": Infinity}}',
+            "nan_tau": '{"selection": {"tau": NaN}}',
+            "inf_tau_c": '{"tau_c": Infinity}',
+            "nan_margin": '{"mock_margin": NaN}',
+            "zero_margin": '{"mock_margin": 0}',
             "not_an_object": "[1, 2]",
             "section_not_object": '{"budget": 3}',
             "grid_value": '{"alpha": 3}',
@@ -431,6 +444,11 @@ class TestExitCodes:
             (["eval", "run", "--memory", mem, "--corpus", str(dup_corpus)],
              f"{dup_corpus}:2: malformed row (ConfigError: duplicate instance id {first['id']!r})"),
             (["select", "--pool", str(huge_int)], f"{huge_int}:1: malformed row (OverflowError"),
+            (build + [str(dup_records)],
+             f"{dup_records}:2: malformed row (ConfigError: duplicate exemplar id 'a')"),
+            (build + [str(mixed_dims)],
+             f"{mixed_dims}:3: malformed row (IngestError: exemplar 'b' has embedding dimension 3, "
+             "expected 2)"),
             (["select", "--pool", str(deep)], f"{deep}:1: malformed row (RecursionError"),
         ]
         # Every output path: a missing directory, or a file where a directory
@@ -459,6 +477,18 @@ class TestExitCodes:
         for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
                      "null_seed", "not_an_object", "section_not_object", "bad_json"):
             cases.append((eval_run + ["--config", str(files[name])], f"{files[name]}: malformed file"))
+        # A non-finite or non-positive knob is a config error, not a crash or
+        # a silently empty selection.
+        for name, message in (
+            ("nan_mu", "mu must be finite and >= 0, got nan"),
+            ("inf_mu", "mu must be finite and >= 0, got inf"),
+            ("nan_tau", "tau must be finite, got nan"),
+            ("inf_tau_c", "tau_c must be finite and positive, got inf"),
+            ("nan_margin", "mock_margin must be finite and positive, got nan"),
+            ("zero_margin", "mock_margin must be finite and positive, got 0.0"),
+        ):
+            cases.append((eval_run + ["--config", str(files[name])],
+                          f"{files[name]}: malformed file (ConfigError: {message})"))
         for name in ("not_an_object", "grid_value", "grid_key"):
             cases.append((grid + [str(files[name])], f"{files[name]}: malformed file"))
         for argv, message in cases:

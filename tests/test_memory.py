@@ -220,9 +220,12 @@ class TestPersistence:
         persist(mem, path)
         loaded = load(path)
         assert loaded.vocab == mem.vocab
-        for attr in ("post_docs", "post_tfs", "offsets", "norm"):
+        for attr in ("post_docs", "post_tfs", "post_weights", "offsets", "norm"):
             assert np.array_equal(getattr(loaded, attr), getattr(mem, attr)), attr
         assert loaded.avg_doc_len == mem.avg_doc_len
+        # The loaded memory scores every query bit for bit as the ingested one.
+        for query in (" ".join(rng.choice(WORDS, size=6)) for _ in range(20)):
+            assert loaded.bm25_scores(query).tobytes() == mem.bm25_scores(query).tobytes()
 
     def test_loaded_memory_holds_one_embedding_buffer(self, tmp_path):
         """Every exemplar read from a loaded memory views the one matrix the

@@ -186,14 +186,19 @@ class TestPool:
 
 
 class TestArgmax:
+    @staticmethod
+    def pick(cand, first, *rest):
+        """The pool index `_argmax` picks, `first` given over the pool."""
+        return int(cand[_argmax(cand, first[cand], *rest)])
+
     def test_ties_break_on_later_keys_within_the_candidates(self):
         first = np.array([3.0, 5.0, 5.0, 5.0, 1.0])
         second = np.array([9.0, 2.0, 4.0, 4.0, 9.0])
         last = np.array([0, -1, -2, -3, -4])
-        assert _argmax(np.arange(5), first, second, last) == 2
-        assert _argmax(np.array([0, 3, 4]), first, second, last) == 3
-        assert _argmax(np.array([0, 4]), first, second, last) == 0
-        assert _argmax(np.array([4]), first, second, last) == 4
+        assert self.pick(np.arange(5), first, second, last) == 2
+        assert self.pick(np.array([0, 3, 4]), first, second, last) == 3
+        assert self.pick(np.array([0, 4]), first, second, last) == 0
+        assert self.pick(np.array([4]), first, second, last) == 4
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), n_keys=st.integers(1, 3))
@@ -204,4 +209,4 @@ class TestArgmax:
         keys.append(-np.array(data.draw(st.permutations(range(n)))))
         cand = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
         expected = max(cand.tolist(), key=lambda i: tuple(key[i] for key in keys))
-        assert _argmax(cand, *keys) == expected
+        assert self.pick(cand, *keys) == expected

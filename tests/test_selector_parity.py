@@ -8,10 +8,11 @@ selectors' open-row form, `mat[sorted(open)] @ mat[best]`: a full-matrix
 product differs from it in the last bits."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsel.retrieval import Candidate
+from divsel.retrieval import Candidate, RetrievalConfig, retrieve_pool
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
@@ -20,6 +21,7 @@ from divsel.selection import (
     greedy_select,
     mmr_select,
 )
+from divsel.synth import synth_corpus
 
 
 class _ReverseStr(str):
@@ -234,3 +236,35 @@ def test_full_ties_pick_smallest_id_then_lowest_index():
     cfg = SelectionConfig(alpha=0.0, k=4, tau=0.0, label_cap=1, mu=0.0)
     for result in (greedy_select(pool, cfg), mmr_select(pool, 4, 1.0), fps_select(pool, 4)):
         assert [m.label for m in result.members] == ["y", "w", "x", "z"]
+
+
+@pytest.fixture(scope="module")
+def synth_pools():
+    """Retrieved pools of a synthetic memory (24 labels x 10 exemplars) at
+    the benchmark's pool size L=128 and at L=16, queried by each instance's
+    current utterance and embedding."""
+    mem, corpus = synth_corpus(labels=24, per_label=10, ambiguity=0.5, seed=17, dim=32,
+                               instances=4)
+    return [
+        retrieve_pool(mem, inst.dialogue.current_embedding, inst.dialogue.current,
+                      RetrievalConfig(pool_size=size))
+        for inst in corpus
+        for size in (16, 128)
+    ]
+
+
+@pytest.mark.parametrize("tau", [-1.0, 0.4, 0.8])
+@pytest.mark.parametrize("label_cap", [1, 2, 3])
+def test_greedy_matches_scalar_reference_on_retrieved_pools(synth_pools, tau, label_cap):
+    """Realistic pools: many labels, K up to 32, tau passing all, some or
+    few candidates, and caps that bind."""
+    rng = np.random.default_rng(int(tau * 10) + 100 * label_cap)
+    for pool in synth_pools:
+        cfg = SelectionConfig(
+            alpha=float(rng.choice([0.0, 0.3, 0.5, 1.0])),
+            k=int(rng.integers(1, min(32, len(pool)) + 1)),
+            tau=tau,
+            label_cap=label_cap,
+            mu=float(rng.choice([0.0, 0.05, 0.5])),
+        )
+        assert outcome(greedy_select(pool, cfg)) == outcome(greedy_reference(pool, cfg)), cfg
