@@ -165,10 +165,12 @@ class FairnessConfig:
     token_targets: tuple[int, ...] = (260, 285, 310, 330, 360)
 
     def __post_init__(self):
+        if not self.token_targets:
+            raise ConfigError("token_targets must not be empty")
         if any(t <= 0 for t in self.token_targets):
             raise ConfigError("token_targets must be positive")
-        if list(self.token_targets) != sorted(self.token_targets):
-            raise ConfigError("token_targets must be sorted ascending")
+        if any(a >= b for a, b in zip(self.token_targets, self.token_targets[1:])):
+            raise ConfigError(f"token_targets must be strictly ascending, got {self.token_targets}")
 
 
 @dataclass(frozen=True)
@@ -200,6 +202,8 @@ class ExperimentConfig:
             raise ConfigError(f"tau_c must be finite and positive, got {self.tau_c}")
         if not (math.isfinite(self.mock_margin) and self.mock_margin > 0):
             raise ConfigError(f"mock_margin must be finite and positive, got {self.mock_margin}")
+        if not 0.0 <= self.lambda_mmr <= 1.0:
+            raise ConfigError(f"lambda_mmr must be finite and in [0, 1], got {self.lambda_mmr}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,12 +1,14 @@
 """Labeled exemplar memory: ingestion, Okapi BM25 lexical scoring, persistence.
 
-BM25 statistics are built once per memory as CSR postings: a term -> id
-vocabulary, the (row, term frequency) pairs of every term grouped by term id,
-the offsets of each term's group, each row's length normalization, and each
-posting's BM25 weight. ``Memory.bm25_scores`` scores a query by scatter-adding
-the weights of its terms' postings; ``Memory.bm25_score`` is the scalar oracle
-it must match bit for bit, re-tokenizing one exemplar's text and computing its
-idf and weights from scratch.
+BM25 statistics rest on CSR postings: a term -> id vocabulary, the (row, term
+frequency) pairs of every term grouped by term id, and the offsets of each
+term's group. Ingest builds them by tokenizing the texts once; the memory file
+stores them, so a load never tokenizes. From the postings every memory derives
+each row's length normalization and each posting's BM25 weight.
+``Memory.bm25_scores`` scores a query by scatter-adding the weights of its
+terms' postings; ``Memory.bm25_score`` is the scalar oracle it must match bit
+for bit, re-tokenizing one exemplar's text and computing its idf and weights
+from scratch.
 
 The memory is immutable after build; any number of readers may share it.
 """
@@ -21,7 +23,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMisma
 from .files import open_input, open_output, read_exact, read_unique_rows
 
 MAGIC = b"DIVSEL-MEM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -43,6 +45,68 @@ _TERM_RE = re.compile(r"[^\W_]+", re.UNICODE)
 def tokenize(text: str) -> list[str]:
     """Deterministic lexical tokenization used for all BM25 statistics."""
     return _TERM_RE.findall(text.lower())
+
+
+class Postings(NamedTuple):
+    """CSR postings of a memory's texts. ``terms`` is the vocabulary in term-id
+    order; the postings of term t are the rows ``docs[offsets[t]:offsets[t+1]]``,
+    strictly ascending, with their term frequencies ``tfs`` at the same
+    positions."""
+
+    terms: Sequence[str]
+    offsets: np.ndarray  # int64, len(terms) + 1
+    docs: np.ndarray  # int32
+    tfs: np.ndarray  # int32
+
+
+def _build_postings(texts: Sequence[str]) -> Postings:
+    """Tokenize every text once into its CSR postings.
+
+    Term ids are assigned document by document, so no list of every token
+    string is ever held; one sort of term*n + row then groups the postings by
+    term with rows ascending and counts each (term, row).
+    """
+    vocab: dict[str, int] = {}
+    term_id = vocab.setdefault
+    term_ids, doc_lens = array("q"), array("q")
+    for text in texts:
+        terms = tokenize(text)
+        doc_lens.append(len(terms))
+        term_ids.extend([term_id(t, len(vocab)) for t in terms])
+    n = len(texts)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.frombuffer(doc_lens, dtype=np.int64))
+    keys, tfs = np.unique(np.frombuffer(term_ids, dtype=np.int64) * n + rows, return_counts=True)
+    offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=offsets[1:])
+    return Postings(tuple(vocab), offsets, (keys % n).astype(np.int32), tfs.astype(np.int32))
+
+
+def _check_postings(postings: Postings, n: int) -> None:
+    """Raise IngestError unless given postings are well formed for n rows; the
+    one check not made here, that no term repeats, falls out of building the
+    vocabulary."""
+    offsets, docs, tfs = postings.offsets, postings.docs, postings.tfs
+    count = len(docs)
+    if offsets.shape != (len(postings.terms) + 1,) or docs.ndim != 1 or tfs.shape != docs.shape:
+        raise IngestError(f"postings shapes disagree: {len(postings.terms)} terms, offsets "
+                          f"{offsets.shape}, rows {docs.shape}, term frequencies {tfs.shape}")
+    if offsets[0] != 0:
+        raise IngestError(f"postings offsets start at {offsets[0]}, not at 0")
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise IngestError("postings offsets decrease")
+    if offsets[-1] != count:
+        raise IngestError(f"postings offsets end at {offsets[-1]}, not at the postings count {count}")
+    if count and not (docs.min() >= 0 and docs.max() < n):
+        raise IngestError(f"a posting row is outside [0, {n})")
+    # A repeated (term, row) pair would be scored once by the scatter-add, so
+    # rows must rise strictly within a term; only a term's first row may not.
+    rising = docs[1:] > docs[:-1]
+    starts = offsets[1:-1]
+    rising[starts[(starts > 0) & (starts < count)] - 1] = True
+    if not rising.all():
+        raise IngestError("posting rows are not strictly ascending within a term")
+    if count and tfs.min() < 1:
+        raise IngestError("a posting term frequency is below 1")
 
 
 @dataclass(frozen=True)
@@ -62,17 +126,19 @@ class Memory:
     ``embedding_matrix[i]``: three tuples and one read-only float64 matrix,
     each held once. :meth:`get` builds an :class:`Exemplar` on read.
 
-    Lexical statistics are CSR postings built once: ``vocab`` maps a term to
+    Lexical statistics are CSR postings (:class:`Postings`), built from the
+    texts unless given, as :func:`load` gives them: ``vocab`` maps a term to
     its id, and the postings of term t are ``post_docs[offsets[t]:offsets[t+1]]``
     (ascending memory row) with term frequencies ``post_tfs`` and BM25
     weights ``post_weights`` at the same positions. ``norm`` holds each row's
-    BM25 length normalization.
+    BM25 length normalization. Given postings are checked for structure, not
+    against the texts.
     ``id_rank`` holds each row's rank in id order and ``label_codes`` each
     row's label code; retrieval builds its pools from them.
     """
 
     def __init__(self, ids: Sequence[str], texts: Sequence[str], labels: Sequence[str],
-                 embeddings: np.ndarray, k1: float, b: float):
+                 embeddings: np.ndarray, k1: float, b: float, postings: Postings | None = None):
         ids, texts, labels = tuple(ids), tuple(texts), tuple(labels)
         n = len(ids)
         if not n:
@@ -109,36 +175,28 @@ class Memory:
         code = {label: c for c, label in enumerate(label_index)}
         self.label_codes = np.fromiter(map(code.__getitem__, labels), np.int64, n)
 
-        # Term ids are assigned document by document, so no list of every
-        # token string is ever held; one sort of term*n + row then groups the
-        # postings by term with rows ascending and counts each (term, row).
-        vocab: dict[str, int] = {}
-        term_id = vocab.setdefault
-        term_ids, doc_lens = array("q"), array("q")
-        for text in texts:
-            terms = tokenize(text)
-            doc_lens.append(len(terms))
-            term_ids.extend([term_id(t, len(vocab)) for t in terms])
-        lengths = np.frombuffer(doc_lens, dtype=np.int64)
-        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        keys, tfs = np.unique(
-            np.frombuffer(term_ids, dtype=np.int64) * n + rows, return_counts=True
-        )
-        self.vocab = vocab
-        self.post_docs = (keys % n).astype(np.int32)
-        self.post_tfs = tfs.astype(np.int32)
-        self.offsets = np.zeros(len(vocab) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=self.offsets[1:])
+        if postings is None:
+            postings = _build_postings(texts)
+        else:
+            _check_postings(postings, n)
+        terms, self.offsets, self.post_docs, self.post_tfs = postings
+        self.vocab = dict(zip(terms, range(len(terms))))
+        if len(self.vocab) != len(terms):
+            raise IngestError("postings vocabulary repeats a term")
+        # Row lengths are the sums of their term frequencies (exact in float64).
         # A memory without a single token scores every query 0; the floor of
         # one token only keeps the normalization finite.
+        lengths = np.bincount(self.post_docs, weights=self.post_tfs, minlength=n)
         self.avg_doc_len = max(int(lengths.sum()), 1) / n
         self.norm = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_doc_len)
         # Each posting's weight idf * tf * (k1 + 1) / (tf + norm[row]), in the
         # order of operations of `bm25_score`. The idf is taken per term with
-        # math.log: numpy's vectorized log differs from it in the last bit.
+        # math.log, once per distinct document frequency: numpy's vectorized
+        # log differs from it in the last bit.
         df = np.diff(self.offsets)
-        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df.tolist()])
-        self.post_weights = (np.repeat(idf, df) * self.post_tfs * (self.k1 + 1.0)
+        dfs, term_df = np.unique(df, return_inverse=True)
+        idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in dfs.tolist()])
+        self.post_weights = (np.repeat(idf[term_df], df) * self.post_tfs * (self.k1 + 1.0)
                              / (self.post_tfs + self.norm[self.post_docs]))
         # The matrix is kept as given (load's file view, ingest's one stack).
         self.embedding_matrix = embeddings
@@ -269,7 +327,9 @@ def ingest_jsonl(path: str | Path, k1: float = DEFAULT_K1, b: float = DEFAULT_B)
 
 
 def persist(memory: Memory, path: str | Path) -> None:
-    """Write a memory to a single versioned binary file."""
+    """Write a memory to a single versioned binary file: magic, version, the
+    JSON header, the float64 embedding matrix, then the postings offsets
+    (int64), rows and term frequencies (int32), all little-endian."""
     header = {
         "dim": memory.dim,
         "count": len(memory),
@@ -278,6 +338,9 @@ def persist(memory: Memory, path: str | Path) -> None:
         "ids": memory.ids,
         "labels": memory.labels,
         "texts": memory.texts,
+        # Terms in id order; a token never holds whitespace.
+        "vocab": " ".join(memory.vocab),
+        "postings": len(memory.post_docs),
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with open_output(path, binary=True) as fh:
@@ -285,11 +348,22 @@ def persist(memory: Memory, path: str | Path) -> None:
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(memory.embedding_matrix, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(memory.embedding_matrix, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(memory.offsets, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(memory.post_docs, dtype="<i4").tobytes())
+        fh.write(np.ascontiguousarray(memory.post_tfs, dtype="<i4").tobytes())
+
+
+def _native(raw: bytes, dtype: str) -> np.ndarray:
+    """A read-only native array over little-endian file bytes (a no-copy view
+    on little-endian hosts)."""
+    arr = np.frombuffer(raw, dtype=dtype)
+    return arr.astype(arr.dtype.newbyteorder("="), copy=False)
 
 
 def load(path: str | Path) -> Memory:
-    """Load a memory persisted by :func:`persist`; never returns a partial memory."""
+    """Load a memory persisted by :func:`persist`; never returns a partial
+    memory and never tokenizes: the postings come from the file."""
     with open_input(path, binary=True) as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -297,31 +371,42 @@ def load(path: str | Path) -> Memory:
         (version,) = struct.unpack("<I", read_exact(fh, 4, "version"))
         if version != FORMAT_VERSION:
             raise VersionMismatchError(
-                f"memory format version {version} unsupported (reader expects {FORMAT_VERSION})"
+                f"memory format version {version} unsupported (reader expects {FORMAT_VERSION}; "
+                "rebuild the file with `memory build` or `eval synth`)"
             )
         (blob_len,) = struct.unpack("<Q", read_exact(fh, 8, "header length"))
         try:
             header = json.loads(read_exact(fh, blob_len, "header").decode("utf-8"))
-            dim, count = header["dim"], header["count"]
+            dim, count, n_post = header["dim"], header["count"], header["postings"]
             k1, b = float(header["k1"]), float(header["b"])
             ids, labels, texts = header["ids"], header["labels"], header["texts"]
+            vocab = header["vocab"]
             if type(dim) is not int or type(count) is not int or dim < 1 or count < 0:
                 raise ValueError(f"dim {dim!r} and count {count!r} must be integers >= 1 and >= 0")
+            if type(n_post) is not int or n_post < 0:
+                raise ValueError(f"postings count {n_post!r} must be an integer >= 0")
             for name, values in (("ids", ids), ("labels", labels), ("texts", texts)):
                 if type(values) is not list or not all(type(v) is str for v in values):
                     raise TypeError(f"{name} must be a list of strings")
+            if type(vocab) is not str:
+                raise TypeError("vocab must be a string")
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise MemoryFormatError(f"corrupt memory header: {exc}") from exc
+        terms = vocab.split()
         raw = read_exact(fh, count * dim * 8, "embedding matrix")
+        offsets = read_exact(fh, (len(terms) + 1) * 8, "postings offsets")
+        docs = read_exact(fh, n_post * 4, "posting rows")
+        tfs = read_exact(fh, n_post * 4, "posting term frequencies")
         if fh.read(1):
-            raise MemoryFormatError("trailing data after embedding matrix")
-    # One native float64 matrix (a no-copy view on little-endian hosts), which
-    # the memory keeps as its only copy of the embeddings.
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(count, dim).astype(np.float64, copy=False)
+            raise MemoryFormatError("trailing data after postings")
+    # One native float64 matrix, which the memory keeps as its only copy of
+    # the embeddings.
+    matrix = _native(raw, "<f8").reshape(count, dim)
     norms = np.linalg.norm(matrix, axis=1)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise MemoryFormatError("corrupt memory: stored embeddings are not unit vectors")
+    postings = Postings(terms, _native(offsets, "<i8"), _native(docs, "<i4"), _native(tfs, "<i4"))
     try:
-        return Memory(ids, texts, labels, matrix, k1=k1, b=b)
+        return Memory(ids, texts, labels, matrix, k1=k1, b=b, postings=postings)
     except IngestError as exc:
         raise MemoryFormatError(f"corrupt memory: {exc}") from exc

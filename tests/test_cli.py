@@ -393,6 +393,10 @@ class TestExitCodes:
             "inf_tau_c": '{"tau_c": Infinity}',
             "nan_margin": '{"mock_margin": NaN}',
             "zero_margin": '{"mock_margin": 0}',
+            "nan_lambda": '{"lambda_mmr": NaN}',
+            "big_lambda": '{"method": "mmr", "lambda_mmr": 5.0}',
+            "no_targets": '{"fairness": {"token_targets": []}}',
+            "repeated_target": '{"fairness": {"token_targets": [300, 300]}}',
             "not_an_object": "[1, 2]",
             "section_not_object": '{"budget": 3}',
             "grid_value": '{"alpha": 3}',
@@ -477,8 +481,9 @@ class TestExitCodes:
         for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
                      "null_seed", "not_an_object", "section_not_object", "bad_json"):
             cases.append((eval_run + ["--config", str(files[name])], f"{files[name]}: malformed file"))
-        # A non-finite or non-positive knob is a config error, not a crash or
-        # a silently empty selection.
+        # A non-finite or out-of-range knob, or a fairness target list that is
+        # empty or repeats a target, is a config error, not a crash, a silently
+        # empty selection or a duplicated row.
         for name, message in (
             ("nan_mu", "mu must be finite and >= 0, got nan"),
             ("inf_mu", "mu must be finite and >= 0, got inf"),
@@ -486,6 +491,10 @@ class TestExitCodes:
             ("inf_tau_c", "tau_c must be finite and positive, got inf"),
             ("nan_margin", "mock_margin must be finite and positive, got nan"),
             ("zero_margin", "mock_margin must be finite and positive, got 0.0"),
+            ("nan_lambda", "lambda_mmr must be finite and in [0, 1], got nan"),
+            ("big_lambda", "lambda_mmr must be finite and in [0, 1], got 5.0"),
+            ("no_targets", "token_targets must not be empty"),
+            ("repeated_target", "token_targets must be strictly ascending, got (300, 300)"),
         ):
             cases.append((eval_run + ["--config", str(files[name])],
                           f"{files[name]}: malformed file (ConfigError: {message})"))

@@ -158,7 +158,7 @@ def test_emission_is_byte_identical(emissions, name):
 SYNTH_GOLDEN = {
     "stdout": "13e51297ff0eb3352f4f4d056cb5e24f76f4024bd0b823815f1baf11f4482f37",
     "corpus.jsonl": "9e99f1799187262334f3f00b872ad586c8e144d5524c8ca0d765c289caba84ee",
-    "memory.divmem": "d9dc0a430939894b66b328eacdfced83d5b4723358ede177befb25214c77cf3a",
+    "memory.divmem": "9301917be075024557e50c5b0a5aa0eec481e5d5702a00b9797398a66b63f53e",
 }
 
 

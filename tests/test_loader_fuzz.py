@@ -1,8 +1,9 @@
 """Loader fuzz: every file loader fails only with a DivselError.
 
 Binary files (memory, encoder weights) are valid files with bytes flipped,
-deleted, inserted or cut off; a corrupt length or dimension must be rejected
-before it becomes an allocation. Text files (pool, corpus, template) are
+deleted, inserted or cut off, anywhere in the file or, for the memory, in its
+postings sections alone; a corrupt length or dimension must be rejected before
+it becomes an allocation. Text files (pool, corpus, template) are
 arbitrary bytes and mutations of a valid file.
 """
 
@@ -27,11 +28,12 @@ FUZZ = settings(
 
 
 @st.composite
-def mutations(draw, valid: bytes) -> bytes:
-    """`valid` after one to four byte flips, deletions, insertions or a cut."""
+def mutations(draw, valid: bytes, ops=("flip", "set", "delete", "insert", "cut")) -> bytes:
+    """`valid` after one to four byte flips, deletions, insertions or a cut
+    (those of `ops`)."""
     data = bytearray(valid)
     for _ in range(draw(st.integers(1, 4))):
-        op = draw(st.sampled_from(("flip", "set", "delete", "insert", "cut")))
+        op = draw(st.sampled_from(ops))
         pos = draw(st.integers(0, max(len(data) - 1, 0)))
         if op == "flip" and data:
             data[pos] ^= 1 << draw(st.integers(0, 7))
@@ -111,6 +113,26 @@ def _only_divsel_errors(tmp_path, kind: str, blob: bytes) -> None:
 @given(data=st.data())
 def test_mutated_file_raises_only_divsel_errors(valid, tmp_path, kind, data):
     _only_divsel_errors(tmp_path, kind, data.draw(mutations(valid[kind])))
+
+
+def _postings_start(blob: bytes) -> int:
+    """The offset of a memory file's first postings byte: after the magic,
+    version, header length, header and embedding matrix."""
+    header_len = int.from_bytes(blob[14:22], "little")
+    header = json.loads(blob[22 : 22 + header_len])
+    return 22 + header_len + header["count"] * header["dim"] * 8
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_postings_raise_only_divsel_errors(valid, tmp_path, data):
+    """Byte flips and sets in the postings sections alone (offsets, rows and
+    term frequencies after the embedding matrix). They keep every length, so
+    each example reaches the postings checks; the whole-file fuzz above cuts
+    and resizes."""
+    start = _postings_start(valid["memory"])
+    tail = data.draw(mutations(valid["memory"][start:], ops=("flip", "set")))
+    _only_divsel_errors(tmp_path, "memory", valid["memory"][:start] + tail)
 
 
 @pytest.mark.parametrize("kind", ["pool", "corpus", "template"])

@@ -13,7 +13,8 @@ from divsel.errors import (
     UnknownIdError,
     VersionMismatchError,
 )
-from divsel.memory import Memory, ingest, load, persist, tokenize
+from divsel import memory as memory_module
+from divsel.memory import Memory, Postings, ingest, load, persist, tokenize
 
 
 def rec(rid, text, label, emb):
@@ -260,7 +261,7 @@ class TestPersistence:
         [("dim", -1), ("dim", 0), ("dim", "4"), ("count", -1), ("count", 2.0),
          ("ids", 5), ("labels", [1, 2, 3]), ("texts", None), ("k1", [1]),
          ("k1", 10**400), ("b", "x"), ("k1", float("nan")), ("b", 7.0),
-         ("labels", ["", "flight", "hotel"])],
+         ("labels", ["", "flight", "hotel"]), ("vocab", ["need", "a"]), ("vocab", None)],
     )
     def test_load_rejects_bad_header_fields(self, tmp_path, field, value):
         """Mistyped fields fail inside the header parse, out-of-range ones in
@@ -332,4 +333,166 @@ class TestPersistence:
         path = tmp_path / "mem.divmem"
         path.write_bytes(b"NOT-A-MEMORY-FILE")
         with pytest.raises(MemoryFormatError, match="magic"):
+            load(path)
+
+    def test_v1_file_must_be_rebuilt(self, tmp_path):
+        """Format 1 stored no postings; no reader for it is kept."""
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        data = bytearray(path.read_bytes())
+        data[10:14] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(VersionMismatchError, match="version 1 unsupported.*rebuild"):
+            load(path)
+
+
+def _split(data: bytes) -> tuple[dict, int]:
+    """A memory file's header and the offset of its first postings byte."""
+    header_len = int.from_bytes(data[14:22], "little")
+    header = json.loads(data[22 : 22 + header_len])
+    return header, 22 + header_len + header["count"] * header["dim"] * 8
+
+
+def _rewrite(path, terms, offsets, docs, tfs, postings=None) -> None:
+    """Replace a persisted memory's postings sections (and the header fields
+    naming them) with the given ones, the rest of the file kept."""
+    data = path.read_bytes()
+    header, start = _split(data)
+    blob = json.dumps({**header, "vocab": " ".join(terms),
+                       "postings": len(docs) if postings is None else postings}).encode("utf-8")
+    matrix = data[start - header["count"] * header["dim"] * 8 : start]
+    path.write_bytes(
+        data[:14] + len(blob).to_bytes(8, "little") + blob + matrix
+        + np.asarray(offsets, "<i8").tobytes() + np.asarray(docs, "<i4").tobytes()
+        + np.asarray(tfs, "<i4").tobytes()
+    )
+
+
+def _postings(mem: Memory) -> tuple[list, list, list, list]:
+    return list(mem.vocab), mem.offsets.tolist(), mem.post_docs.tolist(), mem.post_tfs.tolist()
+
+
+def _set(values: list, index: int, value) -> list:
+    out = list(values)
+    out[index] = value
+    return out
+
+
+class TestStoredPostings:
+    """Format 2 stores the postings; a load reads them and never tokenizes."""
+
+    def test_load_never_tokenizes(self, tmp_path, monkeypatch):
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+
+        def refuse(text):
+            raise AssertionError("load tokenized a text")
+
+        monkeypatch.setattr(memory_module, "tokenize", refuse)
+        loaded = load(path)
+        monkeypatch.undo()
+        assert loaded.vocab == mem.vocab
+        assert loaded.bm25_scores("need a taxi").tobytes() == mem.bm25_scores("need a taxi").tobytes()
+
+    def test_stored_postings_score_as_the_texts_do(self, tmp_path):
+        """The scalar oracle tokenizes the loaded texts itself, so this ties
+        the postings read from the file to the texts stored beside them."""
+        rng = np.random.default_rng(11)
+        rows = [
+            rec(f"e{i}", " ".join(rng.choice(WORDS + ("Taxi!", "a_room"), size=rng.integers(0, 9))),
+                f"lab{i % 3}", list(rng.normal(size=3)))
+            for i in range(40)
+        ]
+        path = tmp_path / "mem.divmem"
+        persist(ingest(rows), path)
+        loaded = load(path)
+        queries = ["", "zebra", "taxi taxi room", "A room, now!"]
+        queries += [" ".join(rng.choice(WORDS, size=5)) for _ in range(15)]
+        for query in queries:
+            scores = loaded.bm25_scores(query)
+            for i, eid in enumerate(loaded.ids):
+                assert scores[i] == loaded.bm25_score(query, eid), (query, eid)
+
+    def test_memory_without_tokens_round_trips(self, tmp_path):
+        mem = ingest([rec("e1", "", "x", [1.0, 0.0]), rec("e2", "!?", "y", [0.0, 1.0])])
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        loaded = load(path)
+        assert loaded.vocab == {} and len(loaded.post_docs) == 0
+        assert np.array_equal(loaded.bm25_scores("anything"), np.zeros(2))
+
+    def test_constructor_takes_given_postings_and_checks_their_shapes(self):
+        mem = ingest(small_records())
+        terms, offsets, docs, tfs = _postings(mem)
+        columns = (mem.ids, mem.texts, mem.labels, mem.embedding_matrix)
+        given = Memory(*columns, k1=1.2, b=0.75, postings=Postings(
+            terms, np.array(offsets), np.array(docs, np.int32), np.array(tfs, np.int32)))
+        assert given.vocab == mem.vocab
+        assert given.post_weights.tobytes() == mem.post_weights.tobytes()
+        short = Postings(terms, np.array(offsets[:-1]), np.array(docs, np.int32),
+                         np.array(tfs, np.int32))
+        with pytest.raises(IngestError, match="postings shapes disagree"):
+            Memory(*columns, k1=1.2, b=0.75, postings=short)
+
+    # small_records' postings: terms need a taxi now cancel flight book hotel
+    # room; offsets [0 1 3 4 5 6 7 8 9 10]; rows [0 0 2 0 0 1 1 2 2 2]
+    # ("a" holds rows 0 and 2); every term frequency 1.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda t, o, d, f: (t, _set(o, 0, 1), d, f), "offsets start at 1, not at 0"),
+            (lambda t, o, d, f: (t, _set(o, 2, 0), d, f), "offsets decrease"),
+            (lambda t, o, d, f: (t, _set(o, -1, 9), d, f),
+             "offsets end at 9, not at the postings count 10"),
+            (lambda t, o, d, f: (t, o, _set(d, 0, 3), f), "row is outside \\[0, 3\\)"),
+            (lambda t, o, d, f: (t, o, _set(d, 0, -1), f), "row is outside \\[0, 3\\)"),
+            (lambda t, o, d, f: (t, o, d[:1] + [2, 0] + d[3:], f),
+             "not strictly ascending within a term"),
+            (lambda t, o, d, f: (t, o, _set(d, 2, 0), f), "not strictly ascending within a term"),
+            (lambda t, o, d, f: (t, o, d, _set(f, 4, 0)), "term frequency is below 1"),
+            (lambda t, o, d, f: (t, o, d, _set(f, 4, -3)), "term frequency is below 1"),
+            (lambda t, o, d, f: (_set(t, 3, "need"), o, d, f), "vocabulary repeats a term"),
+        ],
+        ids=["offsets-start", "offsets-decrease", "offsets-end", "row-too-large", "row-negative",
+             "rows-descend", "row-repeated", "tf-zero", "tf-negative", "term-repeated"],
+    )
+    def test_load_rejects_malformed_postings(self, tmp_path, mutate, message):
+        mem = ingest(small_records())
+        assert _postings(mem)[1:] == ([0, 1, 3, 4, 5, 6, 7, 8, 9, 10],
+                                      [0, 0, 2, 0, 0, 1, 1, 2, 2, 2], [1] * 10)
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        _rewrite(path, *mutate(*_postings(mem)))
+        with pytest.raises(MemoryFormatError, match=f"corrupt memory: .*{message}"):
+            load(path)
+
+    def test_rows_may_fall_between_terms(self, tmp_path):
+        """Only rows within one term must rise; the unmutated postings above
+        fall from "a"'s row 2 to "taxi"'s row 0, and from a term to an empty
+        one and on."""
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        terms, offsets, docs, tfs = _postings(mem)
+        _rewrite(path, terms + ["zebra"], offsets + [offsets[-1]], docs, tfs)
+        loaded = load(path)
+        assert loaded.vocab["zebra"] == len(terms)
+        assert np.array_equal(loaded.bm25_scores("zebra taxi"), mem.bm25_scores("taxi"))
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [(-1, "postings count -1 must be an integer"),
+         (True, "postings count True must be an integer"),
+         (2**62, "truncated file while reading posting rows")],
+    )
+    def test_bad_postings_count_is_rejected_before_reading(self, tmp_path, count, message):
+        """A negative or bool count fails in the header parse; one larger than
+        the bytes left fails its read's bound check, before any allocation."""
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        _rewrite(path, *_postings(mem), postings=count)
+        with pytest.raises(MemoryFormatError, match=message):
             load(path)
