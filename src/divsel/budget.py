@@ -185,8 +185,8 @@ def budget_control(constants: CostConstants, shape: WorkloadShape, budget: float
     pool_size following it down). Returns the first feasible pair, or the
     floor pair flagged over budget.
     """
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
+    if not budget > 0:  # NaN too; +inf means no budget
+        raise ConfigError(f"budget must be positive, got {budget}")
     pool_size, k = shape.pool_size, shape.k
     if k < 1 or pool_size < k:
         raise ConfigError("need pool_size >= k >= 1")
@@ -207,11 +207,12 @@ def scalarized_objective(
     accuracy: float, t_total: float, budget: float, lambda_penalty: float
 ) -> float:
     """Accuracy minus a hinge penalty on relative budget overrun; no reward
-    for slack."""
-    if budget <= 0:
-        raise ConfigError("budget must be positive")
-    if lambda_penalty <= 0:
-        raise ConfigError("lambda_penalty must be positive")
+    for slack. A NaN budget or a lambda_penalty that is not finite and
+    positive raises ConfigError (inf times a zero overrun is NaN)."""
+    if not budget > 0:
+        raise ConfigError(f"budget must be positive, got {budget}")
+    if not (math.isfinite(lambda_penalty) and lambda_penalty > 0):
+        raise ConfigError(f"lambda_penalty must be finite and positive, got {lambda_penalty}")
     return accuracy - lambda_penalty * max(0.0, t_total / budget - 1.0)
 
 

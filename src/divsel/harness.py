@@ -2,11 +2,12 @@
 
 The pipeline is four stage functions: retrieve (`retrieve_stage`: encode the
 dialogue, rank the memory into a pool), select (`select_for_method`, the one
-selector dispatch), prompt (`prompt_stage`: budgeted compose plus the optional
-random-add fill, `rand_add_fill`) and decode (`decode_stage`: candidate labels
-scored through the verifier). Every driver composes these stages:
-`run_pipeline` (and through it `evaluate`, `sweep` and `grid_search`), every
-`fairness_suite` arm and the CLI's retrieve and select commands.
+selector dispatch), prompt (`prompt_stage`: budgeted compose, whose result the
+random-add method fills through `rand_add_fill`) and decode (`decode_stage`:
+candidate labels scored through the verifier). The stages are composed by
+`run_pipeline` (and through it `evaluate`, and through that the one grid loop
+of `sweep` and `grid_search`), every `fairness_suite` arm and the CLI's
+retrieve and select commands.
 
 Every run is deterministic given its seeds: per-instance randomness is derived
 from (run seed, instance id) with a stable hash, and emitted report rows carry
@@ -364,23 +365,10 @@ def prompt_stage(
     config: ExperimentConfig,
     budget: BudgetConfig,
     permutation: Sequence[int] | None = None,
-    memory: Memory | None = None,
-    exclude_ids: Sequence[str] = (),
-    rand_add_seed: int | None = None,
 ) -> Prompt:
-    """Compose the prompt under the budget. With a rand-add seed, fill what the
-    budget leaves through `rand_add_fill`."""
-    prompt = compose(
-        config.instruction,
-        dialogue,
-        pairs,
-        budget,
-        permutation=permutation,
-        answer_format=config.answer_format,
-    )
-    if rand_add_seed is None:
-        return prompt
-    return rand_add_fill(prompt, dialogue, config, budget, memory, exclude_ids, rand_add_seed)
+    """Compose the prompt under the budget."""
+    return compose(config.instruction, dialogue, pairs, budget, permutation=permutation,
+                   answer_format=config.answer_format)
 
 
 def rand_add_fill(
@@ -453,18 +441,13 @@ def run_pipeline(
         )
     with clock.stage("prompt"):
         prompt = prompt_stage(
-            instance.dialogue,
-            [(c.text, c.label) for c in selection.members],
-            config,
-            config.budget,
-            memory=memory,
-            exclude_ids=selection.ids(),
-            rand_add_seed=(
-                derive_seed(seed, instance.id, "randadd")
-                if config.method == "topk_rand_add"
-                else None
-            ),
+            instance.dialogue, [(c.text, c.label) for c in selection.members], config, config.budget
         )
+        if config.method == "topk_rand_add":
+            prompt = rand_add_fill(
+                prompt, instance.dialogue, config, config.budget, memory, selection.ids(),
+                derive_seed(seed, instance.id, "randadd"),
+            )
     with clock.stage("llm"):
         output = decode_stage(prompt, pool, verifier, config)
     return PipelineResult(
@@ -526,7 +509,9 @@ def evaluate(
     and the measured latency reports (kept out of the deterministic rows).
     Given pools (one per instance, in corpus order) skip the retrieve stage.
     The summary's accuracy is the share of rows whose prediction matches the
-    gold label exactly."""
+    gold label exactly. An empty corpus raises ConfigError."""
+    if not corpus:
+        raise ConfigError("evaluation needs a non-empty corpus")
     rows: list[dict] = []
     reports: list[LatencyReport] = []
     for i, inst in enumerate(corpus):
@@ -725,6 +710,89 @@ def fairness_suite(
 # ---------------------------------------------------------------------------
 
 
+# Each grid parameter: the config section it sets, its type and its default
+# grid. `sweep`'s method axis is no grid parameter.
+GRID_PARAMS: dict[str, tuple[str, type, tuple]] = {
+    "alpha": ("selection", float, (0.2, 0.5, 0.8)),
+    "tau": ("selection", float, (0.2, 0.4, 0.6)),
+    "label_cap": ("selection", int, (1, 2)),
+    "pool_size": ("retrieval", int, (64, 128, 256)),
+    "k": ("selection", int, (4, 6, 8)),
+    "lambda_vec": ("retrieval", float, (0.4, 0.6, 0.8)),
+    "mu": ("selection", float, (0.0, 0.1, 0.2)),
+}
+
+DEFAULT_GRIDS: dict[str, tuple] = {key: grid for key, (_, _, grid) in GRID_PARAMS.items()}
+
+_KIND_NAMES = {int: "integers", float: "finite numbers", str: "strings"}
+
+
+def _check_axis(name: str, values, kind: type) -> list:
+    """The values of one axis; anything but a non-empty list of distinct
+    values of the kind (an int, not a bool, for int; a finite int or float for
+    float) raises ConfigError."""
+    if not (
+        isinstance(values, (list, tuple))
+        and values
+        and all(type(v) is kind or (kind is float and type(v) is int) for v in values)
+        and (kind is not float or all(math.isfinite(v) for v in values))
+        and len(set(values)) == len(values)
+    ):
+        raise ConfigError(
+            f"{name} must be a non-empty list of distinct {_KIND_NAMES[kind]}, got {values!r}"
+        )
+    return list(values)
+
+
+def check_grids(grids: Mapping) -> dict[str, list]:
+    """Grid lists keyed by parameter name; no grid, an unknown key, or an axis
+    that is not a non-empty list of distinct values of its parameter's type
+    raises ConfigError."""
+    if not grids:
+        raise ConfigError("grid search needs non-empty grids")
+    unknown = set(grids) - set(GRID_PARAMS)
+    if unknown:
+        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    return {key: _check_axis(f"grid {key}", v, GRID_PARAMS[key][1]) for key, v in grids.items()}
+
+
+def _apply_theta(config: ExperimentConfig, theta: Mapping) -> ExperimentConfig:
+    """`config` with θ's method and each grid parameter, cast to its type, set
+    in its section."""
+    changes = {"method": theta["method"]} if "method" in theta else {}
+    for key, value in theta.items():
+        if key in GRID_PARAMS:
+            section, kind, _ = GRID_PARAMS[key]
+            changes[section] = replace(changes.get(section, getattr(config, section)),
+                                       **{key: kind(value)})
+    return replace(config, **changes)
+
+
+def _grid_runs(memory: Memory, corpus: Sequence[EvalInstance], axes: Mapping[str, Sequence],
+               seeds: Sequence[int], config: ExperimentConfig, weights: EncoderWeights | None):
+    """The one grid loop: for each θ of the axes' product (keys in axis order,
+    values as given), yields θ, its config and one (rows, summary) of
+    `evaluate` per seed.
+
+    Each instance is retrieved once per lambda_vec, at the deepest pool_size
+    any θ asks for, and each θ scores the prefix its own pool_size keeps: a
+    pool is ranked by (-relevance, id), so that prefix is what retrieving at
+    the smaller size returns."""
+    thetas = [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+    configs = [_apply_theta(config, theta) for theta in thetas]
+    deepest = max(cfg.retrieval.pool_size for cfg in configs)
+    deep_pools: dict[float, list[Pool]] = {}
+    for theta, cfg in zip(thetas, configs):
+        ret = cfg.retrieval
+        if ret.lambda_vec not in deep_pools:
+            deep = replace(ret, pool_size=deepest)
+            deep_pools[ret.lambda_vec] = [
+                retrieve_stage(inst.dialogue, memory, deep, weights) for inst in corpus
+            ]
+        pools = [pool[: ret.pool_size] for pool in deep_pools[ret.lambda_vec]]
+        yield theta, cfg, [evaluate(memory, corpus, cfg, s, pools=pools)[:2] for s in seeds]
+
+
 def sweep(
     memory: Memory,
     corpus: Sequence[EvalInstance],
@@ -733,89 +801,37 @@ def sweep(
     config: ExperimentConfig,
     weights: EncoderWeights | None = None,
 ) -> list[dict]:
-    """Full factorial over {k, alpha, method} with mean/std aggregation over
-    seeds. Each row also carries the mean diversity score of the selected sets
-    so score-vs-accuracy trends can be read off directly."""
-    ks = list(grid.get("k", [config.selection.k]))
-    alphas = list(grid.get("alpha", [config.selection.alpha]))
-    methods = list(grid.get("method", [config.method]))
-    if not ks or not alphas or not methods or not seeds:
-        raise ConfigError("sweep grid and seeds must be non-empty")
+    """Full factorial over {method, k, alpha} (an absent axis takes the
+    config's value) with mean/std aggregation over seeds. Each row also
+    carries the mean diversity score of the selected sets so score-vs-accuracy
+    trends can be read off directly. Another key, or an axis or seed list that
+    is empty or repeats a value, raises ConfigError."""
+    unknown = set(grid) - {"method", "k", "alpha"}
+    if unknown:
+        raise ConfigError(f"unknown sweep grid keys: {sorted(unknown)}")
+    axes = {
+        "method": _check_axis("grid method", grid.get("method", [config.method]), str),
+        **check_grids({"k": grid.get("k", [config.selection.k]),
+                       "alpha": grid.get("alpha", [config.selection.alpha])}),
+    }
+    seeds = _check_axis("sweep seeds", seeds, int)
     rows: list[dict] = []
-    for method, k, alpha in itertools.product(methods, ks, alphas):
-        cfg = replace(
-            config,
-            method=method,
-            selection=replace(config.selection, k=int(k), alpha=float(alpha)),
-        )
-        accs, covs, rs = [], [], []
-        for s in seeds:
-            _, summary, _ = evaluate(memory, corpus, cfg, int(s), weights=weights)
-            accs.append(summary["accuracy"])
-            covs.append(summary["coverage_rate"])
-            rs.append(summary["mean_r"])
-        acc = np.array(accs)
+    for _, cfg, runs in _grid_runs(memory, corpus, axes, seeds, config, weights):
+        acc = np.array([summary["accuracy"] for _, summary in runs])
         rows.append(
             {
                 "type": "sweep",
-                "method": method,
-                "k": int(k),
-                "alpha": float(alpha),
-                "seeds": [int(s) for s in seeds],
+                "method": cfg.method,
+                "k": cfg.selection.k,
+                "alpha": cfg.selection.alpha,
+                "seeds": list(seeds),
                 "accuracy_mean": float(acc.mean()),
                 "accuracy_std": float(acc.std()),
-                "coverage_mean": float(np.mean(covs)),
-                "r_mean": float(np.mean(rs)),
+                "coverage_mean": float(np.mean([summary["coverage_rate"] for _, summary in runs])),
+                "r_mean": float(np.mean([summary["mean_r"] for _, summary in runs])),
             }
         )
     return rows
-
-
-DEFAULT_GRIDS: dict[str, tuple] = {
-    "alpha": (0.2, 0.5, 0.8),
-    "tau": (0.2, 0.4, 0.6),
-    "label_cap": (1, 2),
-    "pool_size": (64, 128, 256),
-    "k": (4, 6, 8),
-    "lambda_vec": (0.4, 0.6, 0.8),
-    "mu": (0.0, 0.1, 0.2),
-}
-
-_GRID_KEYS = ("alpha", "tau", "label_cap", "pool_size", "k", "lambda_vec", "mu")
-
-
-def check_grids(grids: Mapping) -> dict[str, list]:
-    """Grid lists keyed by parameter name; no grid, an unknown key, or a value
-    that is not a non-empty list of numbers raises ConfigError."""
-    if not grids:
-        raise ConfigError("grid search needs non-empty grids")
-    unknown = set(grids) - set(_GRID_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-    for key, values in grids.items():
-        if not (isinstance(values, (list, tuple)) and values
-                and all(type(v) in (int, float) for v in values)):
-            raise ConfigError(f"grid {key} must be a non-empty list of numbers, got {values!r}")
-    return {key: list(values) for key, values in grids.items()}
-
-
-def _apply_theta(config: ExperimentConfig, theta: Mapping[str, float]) -> ExperimentConfig:
-    sel = config.selection
-    ret = config.retrieval
-    sel = replace(
-        sel,
-        alpha=float(theta.get("alpha", sel.alpha)),
-        tau=float(theta.get("tau", sel.tau)),
-        label_cap=int(theta.get("label_cap", sel.label_cap)),
-        k=int(theta.get("k", sel.k)),
-        mu=float(theta.get("mu", sel.mu)),
-    )
-    ret = replace(
-        ret,
-        pool_size=int(theta.get("pool_size", ret.pool_size)),
-        lambda_vec=float(theta.get("lambda_vec", ret.lambda_vec)),
-    )
-    return replace(config, selection=sel, retrieval=ret)
 
 
 def grid_search(
@@ -838,53 +854,31 @@ def grid_search(
     grids = check_grids(grids)
     if constants is None:
         constants = CostConstants()
-
-    keys = [k for k in _GRID_KEYS if k in grids]
-    values = [list(grids[k]) for k in keys]
-
-    # The relevance scan does not depend on pool_size; cache the deepest pool
-    # per (instance, lambda_vec) and slice it per configuration.
-    max_pool = max(int(v) for v in grids.get("pool_size", [config.retrieval.pool_size]))
-    pool_cache: dict[tuple[str, float], Pool] = {}
-
+    axes = {key: grids[key] for key in GRID_PARAMS if key in grids}
     rows: list[dict] = []
     best: dict | None = None
-    mean_terms = sum(len(tokenize(i.dialogue.current)) for i in corpus) / len(corpus)
-    mean_turns = sum(len(i.dialogue.turns) for i in corpus) / len(corpus)
-    seed = config.base_seed
-    for combo in itertools.product(*values):
-        theta = dict(zip(keys, combo))
-        cfg = _apply_theta(config, theta)
-        pools = []
-        for inst in corpus:
-            key = (inst.id, cfg.retrieval.lambda_vec)
-            if key not in pool_cache:
-                deep = replace(cfg.retrieval, pool_size=max_pool)
-                pool_cache[key] = retrieve_stage(inst.dialogue, memory, deep, weights)
-            pools.append(pool_cache[key][: cfg.retrieval.pool_size])
-        inst_rows, summary, _ = evaluate(memory, corpus, cfg, seed, pools=pools)
-        n = len(corpus)
-        tokens = sum(r["tokens"] for r in inst_rows)
-        calls = sum(r["verifier_calls"] for r in inst_rows)
+    mean_terms = mean_turns = 0.0
+    for theta, cfg, [(inst_rows, summary)] in _grid_runs(
+        memory, corpus, axes, [config.base_seed], config, weights
+    ):
+        n = len(inst_rows)
+        if best is None:  # evaluate has refused an empty corpus by now
+            mean_terms = sum(len(tokenize(i.dialogue.current)) for i in corpus) / n
+            mean_turns = sum(len(i.dialogue.turns) for i in corpus) / n
         shape = WorkloadShape(
             memory_size=len(memory),
             query_terms=round(mean_terms),
             pool_size=cfg.retrieval.pool_size,
             k=cfg.selection.k,
             turns=round(mean_turns),
-            prompt_tokens=round(tokens / n),
-            gen_tokens=round(calls / n),
+            prompt_tokens=round(sum(r["tokens"] for r in inst_rows) / n),
+            gen_tokens=round(sum(r["verifier_calls"] for r in inst_rows) / n),
         )
         t_model = model_latency(constants, shape).t_total
         accuracy = summary["accuracy"]
         objective = scalarized_objective(accuracy, t_model, budget_b, lambda_penalty)
-        row = {
-            "type": "grid",
-            "theta": theta,
-            "accuracy": accuracy,
-            "modeled_latency": t_model,
-            "objective": objective,
-        }
+        row = {"type": "grid", "theta": theta, "accuracy": accuracy, "modeled_latency": t_model,
+               "objective": objective}
         rows.append(row)
         if best is None or objective > best["objective"]:
             best = row

@@ -80,8 +80,8 @@ def decide_from_scores(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C
     Ties break by label lexicographic order; the decision is invariant to the
     temperature because the logistic is monotone.
     """
-    if tau_c <= 0:
-        raise ConfigError(f"tau_c must be positive, got {tau_c}")
+    if not (math.isfinite(tau_c) and tau_c > 0):
+        raise ConfigError(f"tau_c must be finite and positive, got {tau_c}")
     if not scores:
         raise CandidateSetError("cannot decide over an empty score map")
     calibrated = {y: _logistic(s / tau_c) for y, s in scores.items()}
@@ -128,8 +128,8 @@ class MockVerifier:
     A label's score depends on nothing but the label, so each is drawn once."""
 
     def __init__(self, gold_label: str, noise_seed: int, margin: float = 2.0):
-        if margin <= 0:
-            raise ConfigError("margin must be positive")
+        if not (math.isfinite(margin) and margin > 0):
+            raise ConfigError(f"margin must be finite and positive, got {margin}")
         self.gold_label = gold_label
         self.noise_seed = noise_seed
         self.margin = margin

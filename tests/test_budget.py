@@ -110,6 +110,15 @@ class TestBudgetControl:
         assert decision.pool_size <= 256 and decision.k <= 8
         assert decision.pool_size >= decision.k or decision.k == 1
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_budget_validated(self, bad):
+        with pytest.raises(ConfigError, match="budget must be positive"):
+            budget_control(self.constants, shape(), budget=bad)
+
+    def test_infinite_budget_keeps_the_shape(self):
+        decision = budget_control(self.constants, shape(pool_size=128, k=6), budget=math.inf)
+        assert (decision.pool_size, decision.k, decision.over_budget) == (128, 6, False)
+
 
 class TestScalarizedObjective:
     def test_zero_penalty_at_the_boundary(self):
@@ -124,6 +133,20 @@ class TestScalarizedObjective:
     def test_monotonicity(self):
         assert scalarized_objective(0.9, 3.0, 1.0, 0.5) > scalarized_objective(0.8, 3.0, 1.0, 0.5)
         assert scalarized_objective(0.8, 2.0, 1.0, 0.5) > scalarized_objective(0.8, 3.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("budget, lam, message", [
+        (math.nan, 0.5, "budget must be positive, got nan"),
+        (0.0, 0.5, "budget must be positive, got 0.0"),
+        (1.0, math.nan, "lambda_penalty must be finite and positive, got nan"),
+        (1.0, math.inf, "lambda_penalty must be finite and positive, got inf"),
+        (1.0, 0.0, "lambda_penalty must be finite and positive, got 0.0"),
+    ], ids=["nan_budget", "zero_budget", "nan_penalty", "inf_penalty", "zero_penalty"])
+    def test_arguments_validated(self, budget, lam, message):
+        with pytest.raises(ConfigError, match=message):
+            scalarized_objective(0.8, 0.5, budget, lam)
+
+    def test_infinite_budget_means_no_penalty(self):
+        assert scalarized_objective(0.8, 1e9, math.inf, 0.5) == 0.8
 
 
 class TestCalibration:

@@ -401,6 +401,14 @@ class TestExitCodes:
             "section_not_object": '{"budget": 3}',
             "grid_value": '{"alpha": 3}',
             "grid_key": '{"beta": [1]}',
+            "inf_pool_size": '{"pool_size": [Infinity]}',
+            "nan_k": '{"k": [NaN]}',
+            "float_k": '{"k": [2.5]}',
+            "float_label_cap": '{"label_cap": [1.5]}',
+            "bool_k": '{"k": [true]}',
+            "nan_alpha": '{"alpha": [NaN]}',
+            "repeated_alpha": '{"alpha": [0.5, 0.5]}',
+            "method_key": '{"method": ["ldra"]}',
         }.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
@@ -500,10 +508,67 @@ class TestExitCodes:
                           f"{files[name]}: malformed file (ConfigError: {message})"))
         for name in ("not_an_object", "grid_value", "grid_key"):
             cases.append((grid + [str(files[name])], f"{files[name]}: malformed file"))
+        # A grid value of the wrong type for its parameter, a non-finite one
+        # or a repeated one is a config error, not a crash, a truncated K or
+        # a duplicated row.
+        for name, message in (
+            ("inf_pool_size", "grid pool_size must be a non-empty list of distinct integers, got [inf]"),
+            ("nan_k", "grid k must be a non-empty list of distinct integers, got [nan]"),
+            ("float_k", "grid k must be a non-empty list of distinct integers, got [2.5]"),
+            ("float_label_cap",
+             "grid label_cap must be a non-empty list of distinct integers, got [1.5]"),
+            ("bool_k", "grid k must be a non-empty list of distinct integers, got [True]"),
+            ("nan_alpha", "grid alpha must be a non-empty list of distinct finite numbers, got [nan]"),
+            ("repeated_alpha",
+             "grid alpha must be a non-empty list of distinct finite numbers, got [0.5, 0.5]"),
+            ("method_key", "unknown grid keys: ['method']"),
+        ):
+            cases.append((grid + [str(files[name])],
+                          f"{files[name]}: malformed file (ConfigError: {message})"))
         for argv, message in cases:
             code, _, err = run(capsys, *argv)
             assert code == 1, argv
             assert message in err, (argv, err)
+
+    def test_non_finite_and_repeated_flags_exit_one(self, workspace, capsys, tmp_path):
+        """A NaN budget, a non-finite penalty, temperature or margin, and a
+        repeated sweep method, K or seed fail with a ConfigError (exit 1)
+        rather than writing NaN or repeated rows."""
+        data = ["--memory", str(workspace / "synth" / "memory.divmem"),
+                "--corpus", str(workspace / "synth" / "corpus.jsonl")]
+        grids = tmp_path / "grids.json"
+        grids.write_text(json.dumps({"k": [2]}))
+        prompt, labels = tmp_path / "prompt.txt", tmp_path / "labels.txt"
+        prompt.write_text("hello")
+        labels.write_text("a\nb\n")
+        decide = ["decide", "--prompt", str(prompt), "--labels", str(labels), "--gold", "a"]
+
+        def sweep_(methods="ldra", k_grid="2", seeds="0"):
+            return ["eval", "sweep", *data, "--k-grid", k_grid, "--alpha-grid", "0.5",
+                    "--methods", methods, "--seeds", seeds]
+
+        for argv, message in (
+            (["eval", "grid", *data, "--grids", str(grids), "--lambda-penalty", "nan"],
+             "lambda_penalty must be finite and positive, got nan"),
+            (["eval", "grid", *data, "--grids", str(grids), "--lambda-penalty", "inf"],
+             "lambda_penalty must be finite and positive, got inf"),
+            (["eval", "grid", *data, "--grids", str(grids), "--B", "nan"],
+             "budget must be positive, got nan"),
+            (["budget", "control", "--B", "nan"], "budget must be positive, got nan"),
+            (decide + ["--tau-c", "nan"], "tau_c must be finite and positive, got nan"),
+            (decide + ["--margin", "nan"], "margin must be finite and positive, got nan"),
+            (decide + ["--margin", "inf"], "margin must be finite and positive, got inf"),
+            (sweep_(methods="ldra,ldra"),
+             "grid method must be a non-empty list of distinct strings, got ['ldra', 'ldra']"),
+            (sweep_(k_grid="2,2"),
+             "grid k must be a non-empty list of distinct integers, got [2, 2]"),
+            (sweep_(seeds="0,0"),
+             "sweep seeds must be a non-empty list of distinct integers, got [0, 0]"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert f"error: {message}" in err, (argv, err)
+            assert "NaN" not in out, argv
 
     def test_usage_errors_exit_one_and_help_exits_zero(self, workspace, capsys):
         corpus = str(workspace / "synth" / "corpus.jsonl")

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 import re
 from dataclasses import replace
@@ -419,8 +421,8 @@ FALLBACK_EXAMPLES = (
 
 
 class TestRandAddFill:
-    """prompt_stage fills a base that dropped nothing without composing again;
-    every field must equal the two-compose build."""
+    """rand_add_fill fills a base that dropped nothing without composing
+    again; every field must equal the two-compose build."""
 
     @settings(max_examples=150, deadline=None)
     @given(idx=st.integers(0, 23), words=st.sampled_from([0, 90]), extra=st.sampled_from([0, 20, 40]),
@@ -435,14 +437,18 @@ class TestRandAddFill:
         dialogue, pairs, ids, cfg = rand_add_case(small_world, idx, words, extra)
         budget = BudgetConfig(target, min(cap, target), policy)
         args = (dialogue, pairs, cfg, budget)
-        kwargs = dict(memory=mem, exclude_ids=ids, rand_add_seed=seed)
+
+        def fill():
+            return harness.rand_add_fill(harness.prompt_stage(*args), dialogue, cfg, budget, mem,
+                                         ids, seed)
+
         try:
-            expected = two_compose_prompt(*args, **kwargs)
+            expected = two_compose_prompt(*args, memory=mem, exclude_ids=ids, rand_add_seed=seed)
         except CompositionError as exc:
             with pytest.raises(CompositionError, match=re.escape(str(exc))):
-                harness.prompt_stage(*args, **kwargs)
+                fill()
             return
-        got = harness.prompt_stage(*args, **kwargs)
+        got = fill()
         assert got == expected
         assert count_tokens(got.text) == got.token_count
 
@@ -551,6 +557,127 @@ class TestGridSearch:
         assert all(0.4 <= v <= 0.8 for v in DEFAULT_GRIDS["lambda_vec"])
         assert all(0.0 <= m <= 0.2 for m in DEFAULT_GRIDS["mu"])
 
+
+
+def apply_theta_reference(config, theta):
+    """`config` with θ set by hand: method at the top, pool_size and
+    lambda_vec in the retrieval section, every other key in the selection."""
+    ret_keys = ("pool_size", "lambda_vec")
+    return replace(
+        config,
+        method=theta.get("method", config.method),
+        selection=replace(config.selection, **{key: v for key, v in theta.items()
+                                               if key not in (*ret_keys, "method")}),
+        retrieval=replace(config.retrieval, **{key: v for key, v in theta.items()
+                                               if key in ret_keys}),
+    )
+
+
+def grid_runs_reference(memory, corpus, axes, seeds, config, weights):
+    """The grid loop before pool reuse: one `evaluate` per θ and seed with no
+    pools given, so each θ retrieves afresh at its own pool_size and
+    lambda_vec."""
+    for combo in itertools.product(*axes.values()):
+        theta = dict(zip(axes, combo))
+        cfg = apply_theta_reference(config, theta)
+        yield theta, cfg, [evaluate(memory, corpus, cfg, s, weights=weights)[:2] for s in seeds]
+
+
+GRID_AXES = {"pool_size": [8, 32], "k": [2, 4], "lambda_vec": [0.4, 0.8]}
+SWEEP_GRID = {"method": ["ldra", "topk_rand_add"], "k": [2, 4], "alpha": [0.0, 0.5]}
+
+
+class TestGridLoop:
+    """sweep and grid_search share one loop, which retrieves each instance
+    once per lambda_vec at the deepest pool size and slices that pool per θ;
+    every row must equal the reference's, which retrieves afresh per θ."""
+
+    def test_loop_equals_fresh_retrieval(self, small_world):
+        mem, corpus = small_world
+        args = (mem, corpus, GRID_AXES, [0, 3], base_config(), None)
+        got = list(harness._grid_runs(*args))
+        assert len(got) == 8
+        assert got == list(grid_runs_reference(*args))
+
+    def test_sweep_and_grid_search_equal_fresh_retrieval(self, small_world, monkeypatch):
+        mem, corpus = small_world
+        cfg = base_config()
+        configs = [
+            replace(cfg, retrieval=replace(cfg.retrieval, pool_size=size, lambda_vec=lam))
+            for size, lam in itertools.product((8, 32), (0.4, 0.8))
+        ]
+
+        def both():
+            return ([sweep(mem, corpus, SWEEP_GRID, [0, 3], c) for c in configs],
+                    grid_search(mem, corpus, GRID_AXES, 2.0, 1.0, cfg))
+
+        got = both()
+        monkeypatch.setattr(harness, "_grid_runs", grid_runs_reference)
+        assert got == both()
+
+    def test_each_instance_is_retrieved_once_per_lambda_vec(self, small_world, monkeypatch):
+        mem, corpus = small_world
+        calls = []
+        retrieve = harness.retrieve_stage
+
+        def counted(dialogue, memory, retrieval, weights=None):
+            calls.append((dialogue, retrieval.pool_size, retrieval.lambda_vec))
+            return retrieve(dialogue, memory, retrieval, weights)
+
+        monkeypatch.setattr(harness, "retrieve_stage", counted)
+        sweep(mem, corpus, SWEEP_GRID, [0, 1, 2], base_config())
+        assert calls == [(inst.dialogue, 32, 0.6) for inst in corpus]
+        calls.clear()
+        grid_search(mem, corpus, GRID_AXES, 2.0, 1.0, base_config())
+        assert calls == [(inst.dialogue, 32, lam) for lam in (0.4, 0.8) for inst in corpus]
+
+    def test_grid_rows_keep_theta_values_as_given(self, small_world):
+        mem, corpus = small_world
+        _, rows = grid_search(mem, corpus, {"alpha": [1], "k": [3]}, 2.0, 1.0, base_config())
+        assert [(r["theta"], type(r["theta"]["alpha"])) for r in rows] == [
+            ({"alpha": 1, "k": 3}, int)
+        ]
+
+    def test_empty_corpus_rejected_by_evaluate_sweep_and_grid_search(self, small_world):
+        mem, _ = small_world
+        for run in (
+            lambda: evaluate(mem, [], base_config(), 0),
+            lambda: sweep(mem, [], {"k": [2]}, [0], base_config()),
+            lambda: grid_search(mem, [], {"k": [2]}, 2.0, 1.0, base_config()),
+        ):
+            with pytest.raises(ConfigError, match="non-empty corpus"):
+                run()
+
+    @pytest.mark.parametrize("grids, message", [
+        ({"pool_size": [math.inf]}, "grid pool_size must be a non-empty list of distinct integers"),
+        ({"k": [math.nan]}, "grid k must be a non-empty list of distinct integers"),
+        ({"k": [2.5]}, "grid k must be a non-empty list of distinct integers"),
+        ({"k": [True]}, "grid k must be a non-empty list of distinct integers"),
+        ({"label_cap": [1.5]}, "grid label_cap must be a non-empty list of distinct integers"),
+        ({"alpha": [math.nan]}, "grid alpha must be a non-empty list of distinct finite numbers"),
+        ({"tau": [-math.inf]}, "grid tau must be a non-empty list of distinct finite numbers"),
+        ({"alpha": [0.5, 0.5]}, "grid alpha must be a non-empty list of distinct finite numbers"),
+        ({"mu": [0, 0.0]}, "grid mu must be a non-empty list of distinct finite numbers"),
+        ({"pool_size": [16, 16]}, "grid pool_size must be a non-empty list of distinct integers"),
+        ({"method": ["ldra"]}, "unknown grid keys: ['method']"),
+    ], ids=["inf_pool_size", "nan_k", "float_k", "bool_k", "float_label_cap", "nan_alpha",
+            "inf_tau", "repeated_alpha", "repeated_mu", "repeated_pool_size", "method_key"])
+    def test_grid_values_checked_against_their_parameter(self, grids, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            harness.check_grids(grids)
+
+    @pytest.mark.parametrize("grid, seeds, message", [
+        ({"method": ["ldra", "ldra"]}, [0], "grid method must be a non-empty list of distinct strings"),
+        ({"k": [2, 2]}, [0], "grid k must be a non-empty list of distinct integers"),
+        ({"alpha": [math.nan]}, [0], "grid alpha must be a non-empty list of distinct finite numbers"),
+        ({"k": [2]}, [0, 0], "sweep seeds must be a non-empty list of distinct integers"),
+        ({"k": [2]}, [], "sweep seeds must be a non-empty list of distinct integers"),
+        ({"tau": [0.2]}, [0], "unknown sweep grid keys: ['tau']"),
+    ], ids=["repeated_method", "repeated_k", "nan_alpha", "repeated_seed", "no_seeds", "tau_key"])
+    def test_sweep_axes_and_seeds_checked(self, small_world, grid, seeds, message):
+        mem, corpus = small_world
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sweep(mem, corpus, grid, seeds, base_config())
 
 class TestCorpusIO:
     def test_round_trip(self, small_world, tmp_path):

@@ -66,6 +66,11 @@ class TestDecide:
         with pytest.raises(ConfigError):
             decide_from_scores({"a": 1.0}, tau_c=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tau_c_rejected(self, bad):
+        with pytest.raises(ConfigError, match="tau_c must be finite and positive"):
+            decide_from_scores({"a": 1.0}, tau_c=bad)
+
 
 class TestMockVerifier:
     def test_gold_in_candidates_wins(self):
@@ -106,6 +111,11 @@ class TestMockVerifier:
     def test_margin_validated(self):
         with pytest.raises(ConfigError):
             mock_verifier("g", 0, margin=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, bad):
+        with pytest.raises(ConfigError, match="margin must be finite and positive"):
+            mock_verifier("g", 0, margin=bad)
 
     def test_call_count_matches_labels(self):
         calls = []
