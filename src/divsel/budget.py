@@ -203,16 +203,22 @@ def budget_control(constants: CostConstants, shape: WorkloadShape, budget: float
             return ControlDecision(pool_size, k, True, total)
 
 
-def scalarized_objective(
-    accuracy: float, t_total: float, budget: float, lambda_penalty: float
-) -> float:
-    """Accuracy minus a hinge penalty on relative budget overrun; no reward
-    for slack. A NaN budget or a lambda_penalty that is not finite and
-    positive raises ConfigError (inf times a zero overrun is NaN)."""
+def check_objective_terms(budget: float, lambda_penalty: float) -> None:
+    """The rule on the objective's own terms: a budget that is not positive
+    (NaN included) or a lambda_penalty that is not finite and positive raises
+    ConfigError (inf times a zero overrun is NaN)."""
     if not budget > 0:
         raise ConfigError(f"budget must be positive, got {budget}")
     if not (math.isfinite(lambda_penalty) and lambda_penalty > 0):
         raise ConfigError(f"lambda_penalty must be finite and positive, got {lambda_penalty}")
+
+
+def scalarized_objective(
+    accuracy: float, t_total: float, budget: float, lambda_penalty: float
+) -> float:
+    """Accuracy minus a hinge penalty on relative budget overrun; no reward
+    for slack. Terms that `check_objective_terms` refuses raise ConfigError."""
+    check_objective_terms(budget, lambda_penalty)
     return accuracy - lambda_penalty * max(0.0, t_total / budget - 1.0)
 
 

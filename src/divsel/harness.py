@@ -3,8 +3,10 @@
 The pipeline is four stage functions: retrieve (`retrieve_stage`: encode the
 dialogue, rank the memory into a pool), select (`select_for_method`, the one
 selector dispatch), prompt (`prompt_stage`: budgeted compose, whose result the
-random-add method fills through `rand_add_fill`) and decode (`decode_stage`:
-candidate labels scored through the verifier). The stages are composed by
+random-add method fills through `rand_add_fill`) and decode, in two parts: the
+label rule (`prompt_labels`: the labels the prompt exposes, extended by the
+pool's shortlist) and scoring (`decode_stage`: a prompt text and those labels
+scored through the verifier). The stages are composed by
 `run_pipeline` (and through it `evaluate`, and through that the one grid loop
 of `sweep` and `grid_search`), every `fairness_suite` arm and the CLI's
 retrieve and select commands.
@@ -29,7 +31,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .budget import CostConstants, LatencyReport, StageClock, WorkloadShape, model_latency, scalarized_objective
+from .budget import (
+    CostConstants,
+    LatencyReport,
+    StageClock,
+    WorkloadShape,
+    check_objective_terms,
+    model_latency,
+    scalarized_objective,
+)
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
 from .files import open_output, overlay, read_object, read_rows, read_unique_rows
@@ -400,13 +410,20 @@ def rand_add_fill(
     return append_exemplars(base, added, reached)
 
 
-def decode_stage(
-    prompt: Prompt, pool: Sequence[Candidate], verifier, config: ExperimentConfig
-) -> VerifierOutput:
-    """Score the labels the prompt exposes, extended by the pool's shortlist."""
+def prompt_labels(
+    prompt: Prompt, pool: Sequence[Candidate], config: ExperimentConfig
+) -> tuple[str, ...]:
+    """The label rule: the labels the prompt exposes, extended by the pool's
+    shortlist."""
     exposed = [label for _, label in prompt.exemplars]
-    labels = candidate_labels(exposed, pool, config.shortlist_size)
-    return score_labels(prompt.text, labels, verifier, config.tau_c)
+    return candidate_labels(exposed, pool, config.shortlist_size)
+
+
+def decode_stage(
+    text: str, labels: Sequence[str], verifier, config: ExperimentConfig
+) -> VerifierOutput:
+    """Score the labels against the prompt text through the verifier."""
+    return score_labels(text, labels, verifier, config.tau_c)
 
 
 def run_pipeline(
@@ -449,7 +466,7 @@ def run_pipeline(
                 derive_seed(seed, instance.id, "randadd"),
             )
     with clock.stage("llm"):
-        output = decode_stage(prompt, pool, verifier, config)
+        output = decode_stage(prompt.text, prompt_labels(prompt, pool, config), verifier, config)
     return PipelineResult(
         instance_id=instance.id,
         prediction=output.decision,
@@ -558,8 +575,9 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _pad_to_target(prompt: Prompt, target: int) -> Prompt:
-    """Append single-token pad marks until the prompt hits the target exactly.
+def _pad_to_target(prompt: Prompt, target: int) -> str:
+    """The prompt's text with single-token pad marks appended until it holds
+    exactly `target` tokens.
 
     The count is not retaken: each " ." is one token, and its leading space
     keeps it from joining whatever token the text ends with."""
@@ -567,10 +585,7 @@ def _pad_to_target(prompt: Prompt, target: int) -> Prompt:
         raise CompositionError(
             f"prompt holds {prompt.token_count} tokens, above the {target} target"
         )
-    pad = target - prompt.token_count
-    if pad == 0:
-        return prompt
-    return replace(prompt, text=prompt.text + (" ." * pad), token_count=target)
+    return prompt.text + " ." * (target - prompt.token_count)
 
 
 def _prefix_replace_pairs(
@@ -603,10 +618,12 @@ def fairness_suite(
     """Budget- and position-controlled comparison across selection arms.
 
     For every token target, each arm's prompt is composed under that budget and
-    padded to exactly the target, so realized token counts match across arms;
-    the rand-add arm reaches the target with random exemplars first (which do
-    extend its exposed label set) and pad marks after. Emits accuracy and
-    coverage per (target, arm) and asserts the cross-arm token deviation bound.
+    its text padded to exactly the target, so realized token counts match
+    across arms; the rand-add arm reaches the target with random exemplars
+    first (which do extend its exposed label set) and pad marks after. The
+    verifier scores each padded text over the labels of the unpadded prompt
+    (pad marks expose none). Emits accuracy and coverage per (target, arm) and
+    asserts the cross-arm token deviation bound.
     """
     if not corpus:
         raise ConfigError("fairness suite needs a non-empty corpus")
@@ -639,10 +656,11 @@ def fairness_suite(
 
     # A plain arm's prompt that dropped nothing is what compose returns at
     # every larger target under the same summary cap; keyed by (instance, arm,
-    # summary cap), it is composed once and only padded further. The rand-add
-    # arm fills the topk arm's unpadded prompt at the same target, which the
-    # arm order composes first.
-    kept_whole: dict[tuple[int, str, int], Prompt] = {}
+    # summary cap), it is composed and its labels taken once, and it is only
+    # padded further. The rand-add arm fills the topk arm's unpadded prompt at
+    # the same target, which the arm order composes first; its exemplars
+    # change with the target, so its labels are taken at each.
+    kept_whole: dict[tuple[int, str, int], tuple[Prompt, tuple[str, ...]]] = {}
     rows: list[dict] = []
     for target in config.fairness.token_targets:
         budget = BudgetConfig(
@@ -658,23 +676,30 @@ def fairness_suite(
                 unpadded: dict[str, Prompt] = {}
                 for arm in arms:
                     pairs, permutation, exclude_ids = arm_inputs[arm]
-                    if arm == "topk_rand_add":
-                        prompt = rand_add_fill(
-                            unpadded["topk"], inst.dialogue, config, budget, memory, exclude_ids,
-                            derive_seed(seed, inst.id, "randadd", target),
-                        )
+                    key = (i, arm, budget.summary_token_cap)
+                    kept = kept_whole.get(key)
+                    if kept is not None:
+                        prompt, labels = kept
+                        text = _pad_to_target(prompt, target)
                     else:
-                        key = (i, arm, budget.summary_token_cap)
-                        prompt = kept_whole.get(key)
-                        if prompt is None:
+                        if arm == "topk_rand_add":
+                            prompt = rand_add_fill(
+                                unpadded["topk"], inst.dialogue, config, budget, memory,
+                                exclude_ids, derive_seed(seed, inst.id, "randadd", target),
+                            )
+                        else:
                             prompt = prompt_stage(inst.dialogue, pairs, config, budget, permutation)
-                            if not prompt.dropped_summary_turns and not prompt.dropped_exemplars:
-                                kept_whole[key] = prompt
-                        unpadded[arm] = prompt
-                    prompt = _pad_to_target(prompt, target)
-                    output = decode_stage(prompt, pool, verifier, config)
+                        # Padding first: a prompt above its target skips the
+                        # target before its labels are taken.
+                        text = _pad_to_target(prompt, target)
+                        labels = prompt_labels(prompt, pool, config)
+                        if (arm != "topk_rand_add" and not prompt.dropped_summary_turns
+                                and not prompt.dropped_exemplars):
+                            kept_whole[key] = (prompt, labels)
+                    unpadded[arm] = prompt
+                    output = decode_stage(text, labels, verifier, config)
                     covered, correct = mock_coverage(f"{inst.id}/{arm}", inst.gold, output)
-                    arm_tokens[arm].append(prompt.token_count)
+                    arm_tokens[arm].append(target)
                     arm_correct[arm] += correct
                     arm_covered[arm] += covered
             means = {a: sum(v) / len(v) for a, v in arm_tokens.items()}
@@ -849,9 +874,11 @@ def grid_search(
 
     The latency term is the modeled per-query total under the supplied cost
     constants with empirical mean workload sizes, so the search result is
-    deterministic given seeds. Returns (best row, all rows).
+    deterministic given seeds. Returns (best row, all rows). Grids, budget_b
+    and lambda_penalty are checked before the first θ runs.
     """
     grids = check_grids(grids)
+    check_objective_terms(budget_b, lambda_penalty)
     if constants is None:
         constants = CostConstants()
     axes = {key: grids[key] for key in GRID_PARAMS if key in grids}

@@ -133,12 +133,15 @@ class Memory:
     weights ``post_weights`` at the same positions. ``norm`` holds each row's
     BM25 length normalization. Given postings are checked for structure, not
     against the texts.
-    ``id_rank`` holds each row's rank in id order and ``label_codes`` each
-    row's label code; retrieval builds its pools from them.
+    ``id_rank`` holds each row's rank in id order, ``label_codes`` each
+    row's label code and ``row_norms`` each embedding row's L2 norm, taken
+    unless given, as :func:`load` gives them (checked for shape, not against
+    the matrix); retrieval builds its pools from them.
     """
 
     def __init__(self, ids: Sequence[str], texts: Sequence[str], labels: Sequence[str],
-                 embeddings: np.ndarray, k1: float, b: float, postings: Postings | None = None):
+                 embeddings: np.ndarray, k1: float, b: float, postings: Postings | None = None,
+                 row_norms: np.ndarray | None = None):
         ids, texts, labels = tuple(ids), tuple(texts), tuple(labels)
         n = len(ids)
         if not n:
@@ -200,8 +203,13 @@ class Memory:
                              / (self.post_tfs + self.norm[self.post_docs]))
         # The matrix is kept as given (load's file view, ingest's one stack).
         self.embedding_matrix = embeddings
+        if row_norms is None:
+            row_norms = np.linalg.norm(embeddings, axis=1)
+        elif row_norms.shape != (n,):
+            raise IngestError(f"{row_norms.shape} row norms given for {n} rows")
+        self.row_norms = row_norms
         for arr in (self.post_docs, self.post_tfs, self.post_weights, self.offsets, self.norm,
-                    self.id_rank, self.label_codes, embeddings):
+                    self.id_rank, self.label_codes, embeddings, self.row_norms):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -400,13 +408,13 @@ def load(path: str | Path) -> Memory:
         if fh.read(1):
             raise MemoryFormatError("trailing data after postings")
     # One native float64 matrix, which the memory keeps as its only copy of
-    # the embeddings.
+    # the embeddings, and its row norms, which it keeps too.
     matrix = _native(raw, "<f8").reshape(count, dim)
     norms = np.linalg.norm(matrix, axis=1)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise MemoryFormatError("corrupt memory: stored embeddings are not unit vectors")
     postings = Postings(terms, _native(offsets, "<i8"), _native(docs, "<i4"), _native(tfs, "<i4"))
     try:
-        return Memory(ids, texts, labels, matrix, k1=k1, b=b, postings=postings)
+        return Memory(ids, texts, labels, matrix, k1=k1, b=b, postings=postings, row_norms=norms)
     except IngestError as exc:
         raise MemoryFormatError(f"corrupt memory: {exc}") from exc

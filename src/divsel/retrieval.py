@@ -3,10 +3,10 @@
 Scores are normalized onto [0, 1] before mixing because the two components
 live on incommensurate scales; see RetrievalConfig.normalization.
 
-A retrieved pool is a :class:`Pool`: the pool's scores, label codes, id order
-and embedding rows held as arrays, which the selectors read directly, over the
-memory's id, text and label columns. It is also a read-only sequence of
-:class:`Candidate`, each built when it is read.
+A retrieved pool is a :class:`Pool`: the pool's scores, label codes, id order,
+embedding rows and their norms held as arrays, which the selectors read
+directly, over the memory's id, text and label columns. It is also a
+read-only sequence of :class:`Candidate`, each built when it is read.
 """
 
 from __future__ import annotations
@@ -90,21 +90,23 @@ class Pool(Sequence[Candidate]):
     ``source.labels[rows[i]]`` give item i's id, text and label, where the
     source is the Memory it was retrieved from or the :class:`Columns` of the
     candidates it was built from; ``embeddings[i]`` is its float64 embedding
-    row. ``relevance``, ``vec_score``, ``lex_score`` and ``bm25_raw`` are the
-    Candidate scores, ``label_codes`` are equal exactly where labels are, and
-    ``rank`` orders the items by (id, pool index). Every array is read-only.
+    row and ``row_norms[i]`` that row's L2 norm, gathered from the memory's
+    ``row_norms`` or taken by :meth:`from_candidates`. ``relevance``,
+    ``vec_score``, ``lex_score`` and ``bm25_raw`` are the Candidate scores,
+    ``label_codes`` are equal exactly where labels are, and ``rank`` orders
+    the items by (id, pool index). Every array is read-only.
 
     Indexing and iteration build each Candidate when it is read, its
     embedding a row of ``embeddings``; a slice is a Pool over the same
     source. ``labels`` reads labels alone.
     """
 
-    __slots__ = ("source", "rows", "embeddings", "relevance", "vec_score", "lex_score",
-                 "bm25_raw", "label_codes", "rank")
+    __slots__ = ("source", "rows", "embeddings", "row_norms", "relevance", "vec_score",
+                 "lex_score", "bm25_raw", "label_codes", "rank")
 
     def __init__(self, source: Memory | Columns, *arrays: np.ndarray):
-        """Pool(source, rows, embeddings, relevance, vec_score, lex_score,
-        bm25_raw, label_codes, rank), each array made read-only."""
+        """Pool(source, rows, embeddings, row_norms, relevance, vec_score,
+        lex_score, bm25_raw, label_codes, rank), each array made read-only."""
         self.source = source
         for name, arr in zip(Pool.__slots__[1:], arrays, strict=True):
             arr.setflags(write=False)
@@ -138,6 +140,7 @@ class Pool(Sequence[Candidate]):
             Columns(ids, column("text"), labels),
             np.arange(n),
             embeddings,
+            np.linalg.norm(embeddings, axis=1),
             *(np.array(column(name), dtype=np.float64)
               for name in ("relevance", "vec_score", "lex_score", "bm25_raw")),
             np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64),
@@ -232,6 +235,7 @@ def retrieve_pool(
         memory,
         top,
         memory.embedding_matrix[top],
+        memory.row_norms[top],
         rel[top],
         vec_raw[top],
         lex_n[top],

@@ -23,7 +23,9 @@ values accumulate each open row's similarity sum to the members, which `add`
 takes as the closed-form increment, and `sim_ops` counts the similarities it
 computed. Greedy, MMR and farthest-point step over the whole pool; top-K,
 random and the brute-force result over the unit rows of their chosen items
-only. The scalar `text_diversity`, `SelectedSet.recompute` and the
+only. A unit row is a pool embedding divided by the pool's ``row_norms``,
+which a retrieved pool gathers from its memory, so no selector takes a norm.
+The scalar `text_diversity`, `SelectedSet.recompute` and the
 brute-force Gram enumeration stay as independent oracles.
 
 Conventions for tiny sets (the objective is otherwise undefined): the label
@@ -187,22 +189,23 @@ class SelectedSet:
         return g, d, r_score(g, d, self.alpha)
 
 
-def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
-    """The embeddings scaled to unit norm; a non-finite or zero row raises
-    DimensionError."""
-    if not np.all(np.isfinite(embeddings)):
+def _unit_rows(embeddings: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The embeddings divided by their row norms (a Pool's ``row_norms``); a
+    non-finite or zero row raises DimensionError. A non-finite row has a
+    non-finite norm, so the entries are read only when some norm is one (a
+    finite row whose squares overflow has an infinite norm too)."""
+    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(embeddings)):
         raise DimensionError("pool contains a non-finite embedding")
-    norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DimensionError("pool contains a zero embedding")
-    return embeddings / norms
+    return embeddings / norms[:, None]
 
 
 def _pool_arrays(pool: Sequence[Candidate]) -> tuple[Pool, np.ndarray]:
     """The pool as a Pool and its unit embedding rows (`_unit_rows`); a
     non-finite vec_score or relevance raises SelectionError."""
     pool = Pool.from_candidates(pool)
-    mat = _unit_rows(pool.embeddings)
+    mat = _unit_rows(pool.embeddings, pool.row_norms)
     if not (np.all(np.isfinite(pool.vec_score)) and np.all(np.isfinite(pool.relevance))):
         raise SelectionError("pool contains a non-finite vec_score or relevance")
     return pool, mat
@@ -304,7 +307,7 @@ def _set_from_indices(pool: Pool, indices: Sequence[int], alpha: float) -> Selec
     """The pool items at `indices`, added in order through `_take` over their
     unit rows alone: K(K-1)/2 similarities, and only those rows are validated."""
     indices = list(indices)
-    mat = _unit_rows(pool.embeddings[indices])
+    mat = _unit_rows(pool.embeddings[indices], pool.row_norms[indices])
     chosen = np.zeros(len(indices), dtype=bool)
     pair_sums = np.zeros(len(indices))
     out = SelectedSet(alpha)

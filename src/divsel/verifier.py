@@ -78,12 +78,16 @@ def decide_from_scores(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C
     """Temperature-calibrate a score map and decode the arg max.
 
     Ties break by label lexicographic order; the decision is invariant to the
-    temperature because the logistic is monotone.
+    temperature because the logistic is monotone. A NaN score, which would
+    decide by map order, raises VerifierProtocolError naming its label.
     """
     if not (math.isfinite(tau_c) and tau_c > 0):
         raise ConfigError(f"tau_c must be finite and positive, got {tau_c}")
     if not scores:
         raise CandidateSetError("cannot decide over an empty score map")
+    for label, s in scores.items():
+        if math.isnan(s):
+            raise VerifierProtocolError(f"label {label!r} scored NaN (logp_yes - logp_no)")
     calibrated = {y: _logistic(s / tau_c) for y, s in scores.items()}
     decision = min(scores, key=lambda y: (-scores[y], y))
     return VerifierOutput(
@@ -103,7 +107,8 @@ def score_labels(
     """Query the verifier once per label and decode the best-scoring intent.
 
     Assembly keys on label, so per-label calls could run concurrently; a
-    transport failure discards all partial results.
+    transport failure discards all partial results, and a NaN log-odds
+    raises VerifierProtocolError (`decide_from_scores`).
     """
     if not labels:
         raise CandidateSetError("score_labels needs at least one candidate label")
@@ -160,6 +165,8 @@ class EndpointVerifier:
     """
 
     def __init__(self, url: str, timeout: float = 10.0):
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ConfigError(f"timeout must be finite and positive, got {timeout}")
         self.url = url
         self.timeout = timeout
 

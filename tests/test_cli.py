@@ -531,9 +531,10 @@ class TestExitCodes:
             assert message in err, (argv, err)
 
     def test_non_finite_and_repeated_flags_exit_one(self, workspace, capsys, tmp_path):
-        """A NaN budget, a non-finite penalty, temperature or margin, and a
-        repeated sweep method, K or seed fail with a ConfigError (exit 1)
-        rather than writing NaN or repeated rows."""
+        """A NaN budget, a non-finite penalty, temperature or margin, an
+        endpoint timeout that is not finite and positive, and a repeated sweep
+        method, K or seed fail with a ConfigError (exit 1) rather than writing
+        NaN or repeated rows."""
         data = ["--memory", str(workspace / "synth" / "memory.divmem"),
                 "--corpus", str(workspace / "synth" / "corpus.jsonl")]
         grids = tmp_path / "grids.json"
@@ -558,6 +559,9 @@ class TestExitCodes:
             (decide + ["--tau-c", "nan"], "tau_c must be finite and positive, got nan"),
             (decide + ["--margin", "nan"], "margin must be finite and positive, got nan"),
             (decide + ["--margin", "inf"], "margin must be finite and positive, got inf"),
+            *((decide + ["--verifier", "endpoint", "--url", "http://127.0.0.1:1/",
+                         "--timeout", bad], f"timeout must be finite and positive, got {got}")
+              for bad, got in (("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0"))),
             (sweep_(methods="ldra,ldra"),
              "grid method must be a non-empty list of distinct strings, got ['ldra', 'ldra']"),
             (sweep_(k_grid="2,2"),

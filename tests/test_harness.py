@@ -32,7 +32,7 @@ from divsel.harness import (
 )
 from divsel.prompt import BudgetConfig, Prompt, compose, count_tokens
 from divsel.synth import synth_corpus
-from divsel.verifier import mock_verifier
+from divsel.verifier import candidate_labels, mock_verifier
 
 
 @pytest.fixture(scope="module")
@@ -263,9 +263,9 @@ def two_compose_prompt(dialogue, pairs, config, budget, permutation=None, memory
 
 def fairness_reference(memory, corpus, config, dropped):
     """The suite as it ran before its shortcuts: every arm composed afresh at
-    every target (rand-add composing twice), padded with a retaken count.
-    Appends to `dropped` the (target, arm) of every prompt that compression
-    cut."""
+    every target (rand-add composing twice), padded with a retaken count, its
+    labels taken from the padded prompt. Appends to `dropped` the (target,
+    arm) of every prompt that compression cut."""
     seed = config.base_seed
     arms = [a for a in harness.FAIRNESS_ARMS
             if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
@@ -309,7 +309,9 @@ def fairness_reference(memory, corpus, config, dropped):
                         dropped.append((target, arm))
                     text = prompt.text + " ." * (target - prompt.token_count)
                     prompt = replace(prompt, text=text, token_count=count_tokens(text))
-                    output = harness.decode_stage(prompt, pool, verifier, config)
+                    labels = candidate_labels([lab for _, lab in prompt.exemplars], pool,
+                                              config.shortlist_size)
+                    output = harness.score_labels(prompt.text, labels, verifier, config.tau_c)
                     cov, ok = harness.mock_coverage(inst.id, inst.gold, output)
                     tokens[arm].append(prompt.token_count)
                     correct[arm] += ok
@@ -341,18 +343,19 @@ def with_long_history(inst, words):
 
 
 class TestFairnessShortcuts:
-    """The suite composes a plain arm once while nothing is dropped and the
-    summary cap holds, pads without recounting and replays rand-add lazily;
-    its rows must equal the per-target reference loop's."""
+    """The suite composes a plain arm and takes its labels once while nothing
+    is dropped and the summary cap holds, pads its text without recounting
+    and replays rand-add lazily; its rows and verifier calls must equal the
+    per-target reference loop's."""
 
     @pytest.mark.parametrize("policy", ["summary-first", "strict"])
     @pytest.mark.parametrize("words", [0, 90])
     @pytest.mark.parametrize("summary_cap", [90, 250])
     def test_rows_match_per_target_reference(self, small_world, monkeypatch, policy, words,
                                              summary_cap):
-        """Rows and every decoded prompt (text, token count, exemplars) agree.
-        The targets straddle the summary cap: below it the budget's cap is the
-        target itself, so it changes from target to target."""
+        """Rows and every verifier call (padded text, labels) agree, call for
+        call. The targets straddle the summary cap: below it the budget's cap
+        is the target itself, so it changes from target to target."""
         mem, corpus = small_world
         corpus = [with_long_history(inst, words) if words else inst for inst in corpus[:10]]
         cfg = base_config(
@@ -360,17 +363,17 @@ class TestFairnessShortcuts:
             budget=BudgetConfig(max_prompt_tokens=400, summary_token_cap=summary_cap,
                                 compression_policy=policy),
         )
-        decoded = []
-        decode = harness.decode_stage
+        scored = []
+        score = harness.score_labels
         monkeypatch.setattr(
-            harness, "decode_stage",
-            lambda prompt, *a: decoded.append(prompt) or decode(prompt, *a),
+            harness, "score_labels",
+            lambda text, labels, *a: scored.append((text, tuple(labels))) or score(text, labels, *a),
         )
         dropped = []
         expected = fairness_reference(mem, corpus, cfg, dropped)
-        expected_prompts, decoded[:] = decoded[:], []
+        expected_calls, scored[:] = scored[:], []
         assert fairness_suite(mem, corpus, cfg) == expected
-        assert decoded == expected_prompts
+        assert scored == expected_calls
         # The run covers what the shortcuts must respect: an unreachable
         # target, and a reachable smallest target that compression cuts.
         assert expected[0]["type"] == "fairness_skip"
@@ -391,7 +394,23 @@ class TestFairnessShortcuts:
         )
         target = prompt.token_count + pad
         padded = harness._pad_to_target(prompt, target)
-        assert padded.token_count == target == count_tokens(padded.text)
+        assert count_tokens(padded) == target
+
+    def test_labels_are_taken_once_per_kept_prompt(self, small_world, monkeypatch):
+        """Default targets, nothing dropped (each plain arm composed once, the
+        rand-add fill never composing again): one label rule per plain arm
+        and one per rand-add target, 9 and not 25, and one verifier call per
+        (arm, target)."""
+        mem, corpus = small_world
+        calls = dict.fromkeys(("compose", "candidate_labels", "score_labels"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _orig=getattr(harness, name), **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counted)
+        rows = fairness_suite(mem, corpus[:1], base_config())
+        assert [r["type"] for r in rows] == ["fairness"] * 25
+        assert calls == {"compose": 4, "candidate_labels": 4 + 5, "score_labels": 5 * 5}
 
 
 def rand_add_case(small_world, idx, words, extra):
@@ -537,6 +556,24 @@ class TestGridSearch:
         mem, corpus = small_world
         with pytest.raises(ConfigError):
             grid_search(mem, corpus, {"widgets": [1]}, 1.0, 1.0, base_config())
+
+    @pytest.mark.parametrize("budget_b, lambda_penalty, message", [
+        (math.nan, 1.0, "budget must be positive, got nan"),
+        (0.0, 1.0, "budget must be positive, got 0.0"),
+        (1.0, math.nan, "lambda_penalty must be finite and positive, got nan"),
+        (1.0, math.inf, "lambda_penalty must be finite and positive, got inf"),
+    ])
+    def test_objective_terms_are_checked_before_any_retrieval(
+        self, small_world, monkeypatch, budget_b, lambda_penalty, message
+    ):
+        mem, corpus = small_world
+        calls = []
+        retrieve = harness.retrieve_stage
+        monkeypatch.setattr(harness, "retrieve_stage",
+                            lambda *a, **kw: calls.append(a) or retrieve(*a, **kw))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            grid_search(mem, corpus, {"alpha": [0.5]}, budget_b, lambda_penalty, base_config())
+        assert calls == []
 
     def test_every_instance_is_checked_for_invariants(self, small_world, monkeypatch):
         mem, corpus = small_world

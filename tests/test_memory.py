@@ -99,6 +99,16 @@ class TestIngest:
         with pytest.raises(IngestError, match=message):
             Memory(ids, texts, labels, matrix, k1=1.2, b=0.75)
 
+    def test_constructor_takes_row_norms_of_one_per_row(self):
+        """Row norms are taken when not given and checked for shape when
+        given."""
+        matrix = np.array([[3.0, 4.0], [0.0, 2.0]])
+        mem = Memory(("e1", "e2"), ("a", "b"), ("x", "y"), matrix, k1=1.2, b=0.75)
+        assert mem.row_norms.tolist() == [5.0, 2.0] and not mem.row_norms.flags.writeable
+        with pytest.raises(IngestError, match=r"\(3,\) row norms given for 2 rows"):
+            Memory(("e1", "e2"), ("a", "b"), ("x", "y"), matrix, k1=1.2, b=0.75,
+                   row_norms=np.ones(3))
+
     @pytest.mark.parametrize(
         "label, k1, b, message",
         [

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from conftest import make_candidate
 from divsel.errors import DimensionError, SelectionError
 from divsel.memory import ingest, load, persist
-from divsel.retrieval import Pool, RetrievalConfig, read_pool, retrieve_pool, write_pool
+from divsel.retrieval import Candidate, Pool, RetrievalConfig, read_pool, retrieve_pool, write_pool
 from divsel.selection import (
     SelectionConfig,
     _argmax,
+    _unit_rows,
     brute_force_select,
     fps_select,
     greedy_select,
@@ -21,6 +22,7 @@ from divsel.selection import (
     random_select,
     topk_select,
 )
+from divsel.synth import synth_corpus
 from divsel.verifier import candidate_labels
 from test_selector_parity import outcome, pools
 
@@ -183,6 +185,65 @@ class TestPool:
         for name in ("embeddings", "relevance", "vec_score", "lex_score", "bm25_raw"):
             assert np.array_equal(getattr(back, name), getattr(pool, name))
         assert np.array_equal(np.argsort(back.rank), np.argsort(pool.rank))
+
+
+class TestRowNorms:
+    """A pool carries its rows' norms, gathered from the memory's, and the
+    selectors' unit rows divide by them. A row's norm does not depend on the
+    rows it is taken with, so the unit rows equal a fresh normalization of
+    the pool's embeddings bit for bit: a numpy whose row reduction did depend
+    on them fails here rather than as a changed golden digest."""
+
+    @pytest.fixture(scope="class")
+    def memory_1k(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("norms") / "mem.divmem"
+        persist(synth_corpus(50, 20, 0.6, seed=1, instances=1)[0], path)
+        return load(path)
+
+    def test_memory_norms_are_the_unit_check_norms(self, memory_1k):
+        assert np.array_equal(memory_1k.row_norms,
+                              np.linalg.norm(memory_1k.embedding_matrix, axis=1))
+        assert not memory_1k.row_norms.flags.writeable
+
+    def test_gathered_norms_equal_fresh_norms(self, memory_1k):
+        rng = np.random.default_rng(0)
+        for size in (6, 128, 1000):
+            for _ in range(20):
+                rows = rng.choice(len(memory_1k), size, replace=False)
+                assert np.array_equal(memory_1k.row_norms[rows],
+                                      np.linalg.norm(memory_1k.embedding_matrix[rows], axis=1))
+
+    def test_unit_rows_of_every_pool_kind_equal_a_fresh_normalization(self, memory_1k):
+        rng = np.random.default_rng(1)
+        for size in (6, 128, 1000):
+            z = rng.normal(size=memory_1k.dim)
+            pool = retrieve_pool(memory_1k, z, "", RetrievalConfig(pool_size=size))
+            for built in (pool, pool[: size // 2], pool[1::3], Pool.from_candidates(list(pool))):
+                fresh = np.linalg.norm(built.embeddings, axis=1, keepdims=True)
+                assert np.array_equal(built.row_norms, fresh[:, 0])
+                assert np.array_equal(_unit_rows(built.embeddings, built.row_norms),
+                                      built.embeddings / fresh)
+
+    def test_bad_rows_raise_as_without_norms(self):
+        """A non-finite or zero row raises; a finite row whose squares
+        overflow has an infinite norm too, and is accepted as it always was."""
+
+        def pool(*rows):
+            return Pool.from_candidates(
+                Candidate(f"e{i}", "t", f"l{i}", np.array(r), 0.5, 0.5, 0.0, 0.0)
+                for i, r in enumerate(rows)
+            )
+
+        for bad, message in (([np.inf, 0.0], "non-finite"), ([np.nan, 1.0], "non-finite"),
+                             ([0.0, 0.0], "zero")):
+            with pytest.raises(DimensionError, match=message):
+                topk_select(pool([1.0, 0.0], bad), 2)
+        with np.errstate(over="ignore"):
+            overflow = pool([1e200, 1e200], [0.0, 1.0])
+        assert np.isinf(overflow.row_norms[0])
+        assert np.array_equal(_unit_rows(overflow.embeddings, overflow.row_norms),
+                              [[0.0, 0.0], [0.0, 1.0]])
+        assert topk_select(overflow, 2).ids() == ["e0", "e1"]
 
 
 class TestArgmax:

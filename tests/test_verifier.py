@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_candidate
+from divsel.cli import main
 from divsel.errors import CandidateSetError, ConfigError, VerifierProtocolError, VerifierTransportError
 from divsel.verifier import (
     EndpointVerifier,
@@ -70,6 +71,30 @@ class TestDecide:
     def test_non_finite_tau_c_rejected(self, bad):
         with pytest.raises(ConfigError, match="tau_c must be finite and positive"):
             decide_from_scores({"a": 1.0}, tau_c=bad)
+
+    @pytest.mark.parametrize("scores", [{"a": math.nan, "b": 1.9}, {"b": 1.9, "a": math.nan}])
+    def test_nan_score_rejected_in_any_position(self, scores):
+        with pytest.raises(VerifierProtocolError, match="label 'a' scored NaN"):
+            decide_from_scores(scores)
+
+    @pytest.mark.parametrize("labels", [["a", "b"], ["b", "a"]])
+    def test_nan_log_odds_rejected_whatever_the_label_order(self, labels):
+        """A NaN log-odds would otherwise decide by list order: first `a`,
+        then `b`."""
+
+        class NanForA:
+            def score(self, prompt_text, question_text, label):
+                return (math.nan, 0.0) if label == "a" else (-0.1, -2.0)
+
+        with pytest.raises(VerifierProtocolError, match="label 'a' scored NaN"):
+            score_labels("x", labels, NanForA())
+
+    def test_infinite_log_odds_still_decide(self):
+        class Certain:
+            def score(self, prompt_text, question_text, label):
+                return (0.0, -math.inf) if label == "b" else (-0.1, -2.0)
+
+        assert score_labels("x", ["a", "b"], Certain()).decision == "b"
 
 
 class TestMockVerifier:
@@ -139,6 +164,8 @@ class _Handler(BaseHTTPRequestHandler):
         assert set(body) == {"v", "prompt_text", "question_text", "label"}
         if self.behavior == "malformed":
             payload = b'{"oops": true}'
+        elif self.behavior == "nan":
+            payload = b'{"logp_yes": NaN, "logp_no": 0.0}'
         else:
             gold = body["label"] == "gold"
             payload = json.dumps(
@@ -179,6 +206,31 @@ class TestEndpointVerifier:
         with pytest.raises(VerifierProtocolError):
             score_labels("Some prompt.", ["a"], v)
         _Handler.behavior = "ok"
+
+    def test_nan_reply_is_a_protocol_error_and_decide_exits_one(
+        self, http_verifier_server, tmp_path, capsys
+    ):
+        _Handler.behavior = "nan"
+        try:
+            url = f"http://127.0.0.1:{http_verifier_server.server_address[1]}/score"
+            with pytest.raises(VerifierProtocolError, match="label 'a' scored NaN"):
+                score_labels("Some prompt.", ["a"], EndpointVerifier(url, timeout=5.0))
+            prompt, labels = tmp_path / "prompt.txt", tmp_path / "labels.txt"
+            prompt.write_text("hello")
+            labels.write_text("a\nb\n")
+            code = main(["decide", "--prompt", str(prompt), "--labels", str(labels),
+                         "--verifier", "endpoint", "--url", url])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "error: label 'a' scored NaN" in captured.err
+            assert "NaN" not in captured.out
+        finally:
+            _Handler.behavior = "ok"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_timeout_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ConfigError, match="timeout must be finite and positive"):
+            EndpointVerifier("http://127.0.0.1:1/score", timeout=bad)
 
     def test_unreachable_endpoint_is_retryable_transport_error(self):
         v = EndpointVerifier("http://127.0.0.1:1/score", timeout=0.3)
