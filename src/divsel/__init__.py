@@ -62,6 +62,7 @@ from .selection import (
     mmr_select,
     r_score,
     random_select,
+    similarities,
     text_diversity,
     topk_select,
 )
@@ -70,6 +71,7 @@ from .verifier import (
     EndpointVerifier,
     MockVerifier,
     VerifierOutput,
+    calibrate,
     candidate_labels,
     decide_from_scores,
     mock_verifier,

@@ -150,8 +150,8 @@ def cmd_select(args) -> int:
     ]
     if args.out:
         with open_output(args.out) as fh:
-            for c in result.members:
-                row = {"id": c.exemplar_id, "text": c.text, "label": c.label}
+            for eid, (text, label) in zip(result.ids(), result.pairs()):
+                row = {"id": eid, "text": text, "label": label}
                 fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     _emit(rows, None)
     return 0
@@ -199,7 +199,7 @@ def cmd_decide(args) -> int:
         boundary = verifier_mod.EndpointVerifier(args.url, timeout=args.timeout)
     output = verifier_mod.score_labels(prompt_text, labels, boundary, args.tau_c)
     _emit([{"type": "decision", "decision": output.decision, "scores": output.scores,
-            "calibrated": output.calibrated}], args.out)
+            "calibrated": verifier_mod.calibrate(output.scores, args.tau_c)}], args.out)
     return 0
 
 

@@ -458,7 +458,7 @@ def run_pipeline(
         )
     with clock.stage("prompt"):
         prompt = prompt_stage(
-            instance.dialogue, [(c.text, c.label) for c in selection.members], config, config.budget
+            instance.dialogue, selection.pairs(), config, config.budget
         )
         if config.method == "topk_rand_add":
             prompt = rand_add_fill(
@@ -495,16 +495,14 @@ def verify_run_invariants(
             f"computations; bound is pool_size*k = {bound}"
         )
     if config.method == "ldra":
-        for c in sel.members:
-            if c.vec_score < config.selection.tau - 1e-12:
-                raise InvariantViolation(
-                    f"{instance.id}: selected {c.exemplar_id} below tau"
-                )
+        for eid, vec_score in zip(sel.ids(), sel.pool.vec_score[sel.rows].tolist()):
+            if vec_score < config.selection.tau - 1e-12:
+                raise InvariantViolation(f"{instance.id}: selected {eid} below tau")
         for label, n in sel.label_counts.items():
             if n > config.selection.label_cap:
                 raise InvariantViolation(f"{instance.id}: label {label} exceeds cap")
     g, d, r = sel.recompute()
-    if sel.members and (
+    if sel.size and (
         abs(g - sel.g) > 1e-9 or abs(d - sel.dtext) > 1e-9 or abs(r - sel.r) > 1e-9
     ):
         raise InvariantViolation(f"{instance.id}: incremental diversity terms drifted")
@@ -642,7 +640,7 @@ def fairness_suite(
         arm_inputs = {}
         for arm in arms:
             base = bases[arm.split("_")[0]]  # each arm is named after its base
-            pairs = [(c.text, c.label) for c in base.members]
+            pairs = base.pairs()
             permutation = None
             if arm == "ldra_shuffle":
                 permutation = list(range(len(pairs)))

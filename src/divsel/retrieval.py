@@ -132,6 +132,10 @@ class Pool(Sequence[Candidate]):
         def column(name: str) -> tuple:
             return tuple(getattr(c, name) for c in cands)
 
+        # A finite row whose squares overflow gets an infinite norm, which
+        # the selectors reject; numpy need not warn about it as well.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(embeddings, axis=1)
         ids, labels = column("exemplar_id"), column("label")
         codes: dict[str, int] = {}
         rank = np.empty(n, dtype=np.int64)
@@ -140,7 +144,7 @@ class Pool(Sequence[Candidate]):
             Columns(ids, column("text"), labels),
             np.arange(n),
             embeddings,
-            np.linalg.norm(embeddings, axis=1),
+            norms,
             *(np.array(column(name), dtype=np.float64)
               for name in ("relevance", "vec_score", "lex_score", "bm25_raw")),
             np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.int64),

@@ -4,29 +4,34 @@ The objective is a convex mixture of label diversity (one minus the sum of
 squared label proportions) and text diversity (one minus the mean pairwise
 embedding similarity). Greedy selection uses closed-form marginal gains that
 need only running label counts and per-candidate similarity sums, so each
-step costs O(pool) similarity updates. Top-K, MMR, farthest-point, random,
+step costs one similarity per candidate that passes tau. Top-K, MMR, farthest-point, random,
 and an exhaustive oracle selector share the same result shape.
 
 Every selector reads the pool as a `retrieval.Pool` (`Pool.from_candidates`
-turns a list of candidates into one) and builds a `Candidate` only for the
-items it chooses. Greedy, MMR and farthest-point share one selection step:
-score every candidate at once and take the lexicographic maximum of the
-selector's keys (`_argmax`). The last key is always the negated id rank, so
-every tie breaks to the smallest exemplar id and, among duplicate ids, to the
-lowest pool index. MMR and farthest-point score every open row; greedy keeps
-its candidates, the open rows that pass tau under a label cap not yet
-reached, as it goes, and scores only those.
+turns a list of candidates into one) and builds no `Candidate`: a
+`SelectedSet` keeps the pool rows it took and builds each member's Candidate
+only when `members` is read. Greedy, MMR and farthest-point share one
+selection step: score every candidate at once and take the lexicographic
+maximum of the selector's keys (`_argmax`). The last key is always the
+negated id rank, so every tie breaks to the smallest exemplar id and, among
+duplicate ids, to the lowest pool index. MMR and farthest-point score every
+open row; greedy keeps its candidates, the rows that pass tau under a label
+cap not yet reached, as it goes, and scores only those.
 
-Every selector adds members through one similarity step (`_take`): one matvec
-of the open rows of unit embeddings against the new member's row. Its clamped
-values accumulate each open row's similarity sum to the members, which `add`
-takes as the closed-form increment, and `sim_ops` counts the similarities it
-computed. Greedy, MMR and farthest-point step over the whole pool; top-K,
-random and the brute-force result over the unit rows of their chosen items
-only. A unit row is a pool embedding divided by the pool's ``row_norms``,
-which a retrieved pool gathers from its memory, so no selector takes a norm.
-The scalar `text_diversity`, `SelectedSet.recompute` and the
-brute-force Gram enumeration stay as independent oracles.
+Every pair similarity is one formula (`similarities`): an einsum over unit
+rows, whose value for a pair does not depend on which other rows share the
+call. So each selector computes only the similarities it can read, and a
+scalar reference that takes one pair at a time gets the same bits. Greedy
+gathers the unit rows of its tau-passing items once and, after each step,
+adds the new member's clamped similarities to those rows alone into their
+pair sums, which `add` takes as the closed-form increment; no other row is
+ever read. MMR and farthest-point step (`_take`) over every open pool row.
+Top-K, random and the brute-force result take one Gram of their chosen rows
+and add each member's incoming sum in member order. `sim_ops` counts the
+similarities computed. A unit row is a pool embedding divided by the pool's
+``row_norms``, which a retrieved pool gathers from its memory, so no
+selector takes a norm. The scalar `text_diversity`, `SelectedSet.recompute`
+and the brute-force Gram enumeration stay as independent oracles.
 
 Conventions for tiny sets (the objective is otherwise undefined): the label
 diversity of a singleton is 0, its text diversity is 1, and the empty set
@@ -122,19 +127,23 @@ def r_score(g: float | np.ndarray, dtext: float | np.ndarray, alpha: float):
 
 
 class SelectedSet:
-    """Incrementally maintained subset with O(1) diversity bookkeeping.
+    """Incrementally maintained subset of a pool with O(1) diversity bookkeeping.
 
-    Tracks running label counts, the sum of squared counts, and the clamped
-    mean pairwise similarity, so adding a member never rescans old pairs.
-    Selector metadata (per-step records, stop reason, similarity-op counter)
-    rides along for audits.
+    Keeps the pool and its members' pool indices in order (`rows`); `ids`,
+    `labels` and `pairs` read the pool's source columns, and `members` builds
+    each member's Candidate on its first read. Tracks running label counts,
+    the sum of squared counts, and the clamped mean pairwise similarity, so
+    adding a member never rescans old pairs. Selector metadata (per-step
+    records, stop reason, similarity-op counter) rides along for audits.
     """
 
-    def __init__(self, alpha: float):
+    def __init__(self, alpha: float, pool: Pool):
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
-        self.members: list[Candidate] = []
+        self.pool = pool
+        self.rows: list[int] = []
+        self._members: list[Candidate] = []
         self.label_counts: dict[str, int] = {}
         self.sum_sq_counts = 0
         self.mean_pairwise_sim = 0.0  # defined 0 for sets of size <= 1
@@ -148,13 +157,30 @@ class SelectedSet:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.rows)
+
+    @property
+    def members(self) -> list[Candidate]:
+        """The members as Candidates, in order, each built on its first read."""
+        built = self._members
+        built.extend(self.pool[i] for i in self.rows[len(built):])
+        return built
+
+    def _source_rows(self) -> list[int]:
+        return self.pool.rows[self.rows].tolist()
 
     def ids(self) -> list[str]:
-        return [c.exemplar_id for c in self.members]
+        ids = self.pool.source.ids
+        return [ids[r] for r in self._source_rows()]
 
     def labels(self) -> list[str]:
-        return [c.label for c in self.members]
+        labels = self.pool.source.labels
+        return [labels[r] for r in self._source_rows()]
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """The members' (text, label) pairs, in order."""
+        source = self.pool.source
+        return [(source.texts[r], source.labels[r]) for r in self._source_rows()]
 
     def after_add(self, count: int | np.ndarray, incoming_a: float | np.ndarray):
         """Closed-form (sum of squared counts, mean pairwise similarity, g,
@@ -162,64 +188,85 @@ class SelectedSet:
         times, whose clamped-similarity sum against the current members is
         incoming_a. Elementwise over arrays of counts and sums."""
         sum_sq = self.sum_sq_counts + 2 * count + 1
-        m = len(self.members)
+        m = len(self.rows)
         if m == 0:
             return sum_sq, 0.0, 0.0, 1.0  # singleton conventions: g = 0, dtext = 1
         sbar = (m * (m - 1) / 2 * self.mean_pairwise_sim + incoming_a) / ((m + 1) * m / 2)
         return sum_sq, sbar, 1.0 - sum_sq / ((m + 1) * (m + 1)), 1.0 - sbar
 
-    def add(self, candidate: Candidate, incoming_a: float) -> None:
-        """Append a candidate whose clamped-similarity sum against the current
-        members is incoming_a, updating diversity terms via closed-form
-        increments."""
-        count = self.label_counts.get(candidate.label, 0)
+    def add(self, index: int, incoming_a: float) -> None:
+        """Append pool item `index`, whose clamped-similarity sum against the
+        current members is incoming_a, updating diversity terms via
+        closed-form increments."""
+        label = self.pool.source.labels[self.pool.rows[index]]
+        count = self.label_counts.get(label, 0)
         self.sum_sq_counts, self.mean_pairwise_sim, self.g, self.dtext = self.after_add(
             count, incoming_a
         )
-        self.label_counts[candidate.label] = count + 1
-        self.members.append(candidate)
+        self.label_counts[label] = count + 1
+        self.rows.append(index)
         self.r = r_score(self.g, self.dtext, self.alpha)
 
     def recompute(self) -> tuple[float, float, float]:
         """Diversity terms recomputed from scratch (audit path, no increments)."""
-        if not self.members:
+        if not self.rows:
             return 0.0, 0.0, 0.0
         g = label_diversity(self.labels())
-        d = text_diversity([c.embedding for c in self.members])
+        d = text_diversity(self.pool.embeddings[self.rows])
         return g, d, r_score(g, d, self.alpha)
 
 
-def _unit_rows(embeddings: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The embeddings divided by their row norms (a Pool's ``row_norms``); a
-    non-finite or zero row raises DimensionError. A non-finite row has a
-    non-finite norm, so the entries are read only when some norm is one (a
-    finite row whose squares overflow has an infinite norm too)."""
-    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(embeddings)):
-        raise DimensionError("pool contains a non-finite embedding")
+_SIM_SPECS = {(2, 1): "ij,j->i", (2, 2): "ij,kj->ik", (1, 1): "j,j->"}
+
+
+def similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of unit rows, the one pair-similarity formula: rows `a`
+    (n x d) against one row `b` give n values, against rows `b` (m x d) an
+    n x m Gram, and one row against one row a scalar.
+
+    An einsum sums each pair over d on its own, so a pair's value does not
+    depend on the other rows of the call, as a BLAS product's can: a subset
+    of rows, a row or block of a Gram and a single pair all equal the same
+    entries of the full product, bit for bit."""
+    return np.einsum(_SIM_SPECS[a.ndim, b.ndim], a, b)
+
+
+def _check_norms(norms: np.ndarray) -> None:
+    """Raise DimensionError unless every row norm is finite and non-zero. A
+    row with a non-finite entry has a non-finite norm, and so has a finite
+    row whose squares overflow; neither has a unit row."""
+    if not np.all(np.isfinite(norms)):
+        raise DimensionError("pool contains an embedding with a non-finite norm")
     if np.any(norms == 0.0):
         raise DimensionError("pool contains a zero embedding")
-    return embeddings / norms[:, None]
 
 
-def _pool_arrays(pool: Sequence[Candidate]) -> tuple[Pool, np.ndarray]:
-    """The pool as a Pool and its unit embedding rows (`_unit_rows`); a
-    non-finite vec_score or relevance raises SelectionError."""
+def _checked_pool(pool: Sequence[Candidate]) -> Pool:
+    """The pool as a Pool, once every row norm passes `_check_norms` and
+    every vec_score and relevance is finite (else SelectionError)."""
     pool = Pool.from_candidates(pool)
-    mat = _unit_rows(pool.embeddings, pool.row_norms)
+    _check_norms(pool.row_norms)
     if not (np.all(np.isfinite(pool.vec_score)) and np.all(np.isfinite(pool.relevance))):
         raise SelectionError("pool contains a non-finite vec_score or relevance")
-    return pool, mat
+    return pool
 
 
-def _take(out: SelectedSet, member: Candidate, mat: np.ndarray, best: int,
+def _unit_rows(pool: Pool, rows=slice(None)) -> np.ndarray:
+    """The pool's embeddings at `rows` (all by default) divided by their row
+    norms, which the caller has checked."""
+    return pool.embeddings[rows] / pool.row_norms[rows, None]
+
+
+def _take(out: SelectedSet, mat: np.ndarray, best: int,
           chosen: np.ndarray, pair_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The similarity step: add `member` (row `best` of `mat`) with incoming_a
-    `pair_sums[best]`, mark it chosen, and return the open rows and their raw
-    similarities to it, whose clamped values go into `pair_sums`."""
-    out.add(member, float(pair_sums[best]))
+    """The MMR and farthest-point step: add pool item `best` (row `best` of
+    the unit rows `mat`) with incoming_a `pair_sums[best]`, mark it chosen,
+    and return the open rows and their raw similarities to it, whose clamped
+    values go into `pair_sums`."""
+    out.add(best, float(pair_sums[best]))
     chosen[best] = True
     open_rows = np.flatnonzero(~chosen)
-    sims = mat[open_rows] @ mat[best]
+    sims = similarities(mat[open_rows], mat[best])
     pair_sums[open_rows] += np.clip(sims, 0.0, 1.0)
     out.sim_ops += open_rows.size
     return open_rows, sims
@@ -228,7 +275,8 @@ def _take(out: SelectedSet, member: Candidate, mat: np.ndarray, best: int,
 def _argmax(cand: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> int:
     """The position j in `cand` whose (first[j], rest[0][cand[j]], ...) is the
     lexicographic maximum: `first` is scored over the candidates, the other
-    keys over the pool, and the last key must be unique per candidate. One
+    keys are indexed by `cand`'s entries, and the last key must be unique per
+    candidate. One
     `argmax` finds the maximum; only a tie on it sorts the tied candidates
     by the rest."""
     j = int(first.argmax())
@@ -243,26 +291,29 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
     """Greedy arg-max of the marginal diversity gain plus a relevance prior.
 
     Feasibility demands vec_score >= tau and per-label count < label_cap.
-    The feasible open rows are kept as the loop goes: a step drops the row it
-    takes, and every row of a label that reaches the cap. Ties on the
-    prior-adjusted gain break by candidate relevance, then id, then pool
-    index. When no candidate is feasible at the first step, the result is
-    empty and carries the binding constraint.
+    Only the rows that pass tau can be taken, so their unit rows, keys and
+    pair sums are gathered once, and each step adds the new member's
+    similarities to those rows alone (n_tau similarities a step). The
+    feasible rows are kept as the loop goes: a step drops the row it takes,
+    and every row of a label that reaches the cap. Ties on the prior-adjusted
+    gain break by candidate relevance, then id, then pool index. When no
+    candidate is feasible at the first step, the result is empty and carries
+    the binding constraint.
     """
     if not pool:
         raise SelectionError("cannot select from an empty pool")
     if cfg.k > len(pool):
         raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    pool, mat = _pool_arrays(pool)
-    vec, codes, neg_rank = pool.vec_score, pool.label_codes, -pool.rank
-    counts = np.zeros(int(codes.max()) + 1, dtype=np.int64)
-    prior = cfg.mu * vec
-    pair_sums = np.zeros(len(pool))
-    chosen = np.zeros(len(pool), dtype=bool)
-    # The open rows that pass tau and whose label is under the cap, ascending.
-    cand = np.flatnonzero(vec >= cfg.tau)
-    n_tau = cand.size
-    out = SelectedSet(cfg.alpha)
+    pool = _checked_pool(pool)
+    rows = np.flatnonzero(pool.vec_score >= cfg.tau)
+    mat = _unit_rows(pool, rows)
+    codes, relevance, neg_rank = pool.label_codes[rows], pool.relevance[rows], -pool.rank[rows]
+    counts = np.zeros(int(pool.label_codes.max()) + 1, dtype=np.int64)
+    prior = cfg.mu * pool.vec_score[rows]
+    pair_sums = np.zeros(rows.size)
+    # Positions in `rows` of the rows not taken whose label is under the cap, ascending.
+    cand = np.arange(rows.size)
+    out = SelectedSet(cfg.alpha, pool)
 
     while out.size < cfg.k:
         if cand.size == 0:
@@ -270,8 +321,8 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
                 # Counts start at 0 and label_cap >= 1, so only tau can bind.
                 out.stop_reason, out.binding_constraint = "infeasible", "tau"
             else:
-                # Every member passed tau; any other open row that did is capped.
-                out.stop_reason = "cap-limited" if n_tau > out.size else "threshold-limited"
+                # Every member passed tau; any other row that did is capped.
+                out.stop_reason = "cap-limited" if rows.size > out.size else "threshold-limited"
             return out
 
         # Under a cap of 1 every candidate's label is still uncounted.
@@ -279,18 +330,20 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
         _, _, g, dtext = out.after_add(count, pair_sums[cand])
         gain = r_score(g - out.g, dtext - out.dtext, cfg.alpha)  # a scalar at the first step
         tilde = gain + prior[cand]
-        j = _argmax(cand, tilde, pool.relevance, neg_rank)
+        j = _argmax(cand, tilde, relevance, neg_rank)
         best = int(cand[j])
         label = codes[best]
         counts[label] += 1
         cand = cand[cand != best] if counts[label] < cfg.label_cap else cand[codes[cand] != label]
-        member = pool[best]
         step_gain = float(gain[j]) if out.size else float(gain)
-        _take(out, member, mat, best, chosen, pair_sums)
+        index = int(rows[best])
+        out.add(index, float(pair_sums[best]))
+        pair_sums += np.clip(similarities(mat, mat[best]), 0.0, 1.0)
+        out.sim_ops += rows.size
         out.steps.append(
             StepRecord(
                 index=out.size - 1,
-                exemplar_id=member.exemplar_id,
+                exemplar_id=pool.source.ids[pool.rows[index]],
                 gain=step_gain,
                 tilde_gain=float(tilde[j]),
                 g=out.g,
@@ -304,15 +357,19 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
 
 
 def _set_from_indices(pool: Pool, indices: Sequence[int], alpha: float) -> SelectedSet:
-    """The pool items at `indices`, added in order through `_take` over their
-    unit rows alone: K(K-1)/2 similarities, and only those rows are validated."""
+    """The pool items at `indices`, added in order; only their norms are
+    checked. One Gram of their unit rows gives the K(K-1)/2 similarities, and
+    each member's incoming sum adds its clamped similarities to the members
+    before it one at a time, in member order (`np.add.accumulate` adds row
+    after row, so ``acc[j - 1, j]`` is member j's sum)."""
     indices = list(indices)
-    mat = _unit_rows(pool.embeddings[indices], pool.row_norms[indices])
-    chosen = np.zeros(len(indices), dtype=bool)
-    pair_sums = np.zeros(len(indices))
-    out = SelectedSet(alpha)
-    for j, i in enumerate(indices):
-        _take(out, pool[i], mat, j, chosen, pair_sums)
+    _check_norms(pool.row_norms[indices])
+    mat = _unit_rows(pool, indices)
+    acc = np.add.accumulate(np.clip(similarities(mat, mat), 0.0, 1.0), axis=0)
+    out = SelectedSet(alpha, pool)
+    for i, incoming_a in zip(indices, [0.0, *np.diagonal(acc, 1).tolist()]):
+        out.add(i, incoming_a)
+    out.sim_ops = len(indices) * (len(indices) - 1) // 2
     out.stop_reason = "complete"
     return out
 
@@ -340,7 +397,7 @@ def brute_force_select(
         per_label[labels[i]] = per_label.get(labels[i], 0) + 1
     max_size = min(cfg.k, sum(min(cfg.label_cap, n) for n in per_label.values()))
     if max_size == 0:  # nothing passed tau: any passing item fits under a cap >= 1
-        out = SelectedSet(cfg.alpha)
+        out = SelectedSet(cfg.alpha, pool)
         out.stop_reason, out.binding_constraint = "infeasible", "tau"
         return out
     if math.comb(len(feasible), max_size) > BRUTE_FORCE_GUARD:
@@ -349,8 +406,9 @@ def brute_force_select(
             f"guard is {BRUTE_FORCE_GUARD}"
         )
 
-    pool, mat = _pool_arrays(pool)
-    sims = np.clip(mat @ mat.T, 0.0, 1.0)
+    pool = _checked_pool(pool)
+    mat = _unit_rows(pool)
+    sims = np.clip(similarities(mat, mat), 0.0, 1.0)
     ids = [pool.source.ids[row] for row in pool.rows.tolist()]
 
     # A cap-respecting subset of max_size items always exists, so one is found.
@@ -410,18 +468,19 @@ def mmr_select(
         raise SelectionError("cannot select from an empty pool")
     if not 0.0 <= lambda_mmr <= 1.0:
         raise ConfigError(f"lambda_mmr must be in [0, 1], got {lambda_mmr}")
-    pool, mat = _pool_arrays(pool)
+    pool = _checked_pool(pool)
+    mat = _unit_rows(pool)
     vec, neg_rank = pool.vec_score, -pool.rank
     n = len(pool)
     max_sim = np.zeros(n)
     pair_sums = np.zeros(n)
     chosen = np.zeros(n, dtype=bool)
-    out = SelectedSet(alpha)
+    out = SelectedSet(alpha, pool)
     while out.size < min(k, n):
         score = lambda_mmr * vec - (1.0 - lambda_mmr) * max_sim
         open_rows = np.flatnonzero(~chosen)
         best = int(open_rows[_argmax(open_rows, score[open_rows], neg_rank)])
-        open_rows, sims = _take(out, pool[best], mat, best, chosen, pair_sums)
+        open_rows, sims = _take(out, mat, best, chosen, pair_sums)
         max_sim[open_rows] = np.maximum(max_sim[open_rows], sims)
     out.stop_reason = "complete"
     return out
@@ -433,10 +492,11 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
     distance to the chosen set."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
-    pool, mat = _pool_arrays(pool)
+    pool = _checked_pool(pool)
+    mat = _unit_rows(pool)
     neg_rank = -pool.rank
     n = len(pool)
-    out = SelectedSet(alpha)
+    out = SelectedSet(alpha, pool)
     chosen = np.zeros(n, dtype=bool)
     pair_sums = np.zeros(n)
     min_dist = np.full(n, np.inf)
@@ -444,7 +504,7 @@ def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> Selecte
         first = min_dist if out.size else pool.relevance
         open_rows = np.flatnonzero(~chosen)
         best = int(open_rows[_argmax(open_rows, first[open_rows], neg_rank)])
-        open_rows, sims = _take(out, pool[best], mat, best, chosen, pair_sums)
+        open_rows, sims = _take(out, mat, best, chosen, pair_sums)
         min_dist[open_rows] = np.minimum(min_dist[open_rows], 1.0 - sims)
     out.stop_reason = "complete"
     return out

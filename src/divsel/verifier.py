@@ -2,7 +2,8 @@
 
 A verifier answers one question per candidate label and returns the two log
 probabilities; the decision is the arg max of the log odds, which temperature
-scaling never changes. A deterministic in-process mock implements the same
+scaling never changes, so a decode takes no calibrated probabilities and
+`calibrate` computes them for whoever reports them. A deterministic in-process mock implements the same
 boundary for closed-loop testing, and an HTTP client speaks it to an external
 endpoint.
 """
@@ -41,10 +42,9 @@ class VerifierBoundary(Protocol):
 
 @dataclass(frozen=True)
 class VerifierOutput:
-    """Scores, calibrated probabilities, and the decoded label."""
+    """Scores and the decoded label."""
 
     scores: dict[str, float]
-    calibrated: dict[str, float]
     decision: str
     candidate_set: tuple[str, ...]
 
@@ -74,26 +74,35 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def decide_from_scores(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C) -> VerifierOutput:
-    """Temperature-calibrate a score map and decode the arg max.
-
-    Ties break by label lexicographic order; the decision is invariant to the
-    temperature because the logistic is monotone. A NaN score, which would
-    decide by map order, raises VerifierProtocolError naming its label.
-    """
+def _check_tau_c(tau_c: float) -> None:
     if not (math.isfinite(tau_c) and tau_c > 0):
         raise ConfigError(f"tau_c must be finite and positive, got {tau_c}")
+
+
+def calibrate(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C) -> dict[str, float]:
+    """The temperature-calibrated probability of each label's log odds."""
+    _check_tau_c(tau_c)
+    return {y: _logistic(s / tau_c) for y, s in scores.items()}
+
+
+def decide_from_scores(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C) -> VerifierOutput:
+    """Decode the arg max of a score map: the smallest label among those with
+    the top score.
+
+    The decision is invariant to the temperature tau_c, because the logistic
+    is monotone; tau_c is only checked. A NaN score, which would decide by
+    map order, raises VerifierProtocolError naming its label.
+    """
+    _check_tau_c(tau_c)
     if not scores:
         raise CandidateSetError("cannot decide over an empty score map")
     for label, s in scores.items():
         if math.isnan(s):
             raise VerifierProtocolError(f"label {label!r} scored NaN (logp_yes - logp_no)")
-    calibrated = {y: _logistic(s / tau_c) for y, s in scores.items()}
-    decision = min(scores, key=lambda y: (-scores[y], y))
+    top = max(scores.values())
     return VerifierOutput(
         scores=dict(scores),
-        calibrated=calibrated,
-        decision=decision,
+        decision=min(y for y, s in scores.items() if s == top),
         candidate_set=tuple(scores),
     )
 
@@ -191,8 +200,11 @@ class EndpointVerifier:
             raise VerifierTransportError(f"verifier endpoint unreachable: {exc}") from exc
         try:
             reply = json.loads(body.decode("utf-8"))
-            logp_yes = float(reply["logp_yes"])
-            logp_no = float(reply["logp_no"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            logps = reply["logp_yes"], reply["logp_no"]
+            # A JSON number only: float() would also take a bool or a numeric string.
+            if any(type(v) not in (int, float) for v in logps):
+                raise TypeError("logp_yes and logp_no must be JSON numbers")
+            logp_yes, logp_no = map(float, logps)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise VerifierProtocolError(f"malformed verifier reply: {body!r}") from exc
         return logp_yes, logp_no

@@ -27,7 +27,7 @@ from divsel.harness import (
     sweep,
 )
 from divsel.memory import load, persist
-from divsel.retrieval import Candidate, retrieve_pool
+from divsel.retrieval import Candidate, Pool, retrieve_pool
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
@@ -107,12 +107,12 @@ def test_criterion_1_closed_form_increment_equivalence():
         embs = rng.normal(size=(size + 1, dim))
         embs /= np.linalg.norm(embs, axis=1, keepdims=True)
         labels = [f"l{int(x)}" for x in rng.integers(0, 3, size=size + 1)]
-        selected = SelectedSet(alpha=float(rng.uniform(0, 1)))
+        pool = Pool.from_candidates(
+            Candidate(f"c{i}", "", labels[i], embs[i], 0.5, 0.5, 0.0, 0.0) for i in range(size)
+        )
+        selected = SelectedSet(float(rng.uniform(0, 1)), pool)
         for i in range(size):
-            selected.add(
-                Candidate(f"c{i}", "", labels[i], embs[i], 0.5, 0.5, 0.0, 0.0),
-                float(np.clip(embs[:i] @ embs[i], 0.0, 1.0).sum()),
-            )
+            selected.add(i, float(np.clip(embs[:i] @ embs[i], 0.0, 1.0).sum()))
         incoming_a = float(np.clip(embs[:size] @ embs[size], 0.0, 1.0).sum())
         g, d = selected.after_add(selected.label_counts.get(labels[size], 0), incoming_a)[2:]
         dg, dd = g - selected.g, d - selected.dtext

@@ -344,6 +344,12 @@ class TestExitCodes:
         first, second = map(json.loads, (workspace / "synth" / "corpus.jsonl").read_text().splitlines()[:2])
         dup_corpus = tmp_path / "dup_corpus.jsonl"
         dup_corpus.write_text(json.dumps(first) + "\n" + json.dumps({**second, "id": first["id"]}) + "\n")
+        # Same direction, but the first row's norm overflows to inf.
+        overflow_pool = tmp_path / "overflow_pool.jsonl"
+        overflow_pool.write_text(
+            json.dumps({**row, "embedding": [1e200, 1e200, 0.0]}) + "\n"
+            + json.dumps({**row, "id": "b", "embedding": [1.0, 1.0, 0.0]}) + "\n"
+        )
         huge_int = tmp_path / "huge_int.jsonl"
         huge_int.write_text(json.dumps(row).replace("0.5", "9" * 400, 1) + "\n")
         deep = tmp_path / "deep.jsonl"
@@ -456,6 +462,8 @@ class TestExitCodes:
             (["eval", "run", "--memory", mem, "--corpus", str(dup_corpus)],
              f"{dup_corpus}:2: malformed row (ConfigError: duplicate instance id {first['id']!r})"),
             (["select", "--pool", str(huge_int)], f"{huge_int}:1: malformed row (OverflowError"),
+            (["select", "--pool", str(overflow_pool), "--method", "ldra", "--K", "2", "--tau", "0"],
+             "pool contains an embedding with a non-finite norm"),
             (build + [str(dup_records)],
              f"{dup_records}:2: malformed row (ConfigError: duplicate exemplar id 'a')"),
             (build + [str(mixed_dims)],

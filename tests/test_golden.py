@@ -26,16 +26,16 @@ GOLDEN = {
     "compose": "c82cf7bfddf1e90828f4000d39cd8074d806e70f0a7a969c324da122aeb7c652",
     "eval fairness": "7e106d6df2b62048fa8fa28e6fbcc5c85638720095c3aaf23e4df2a9457291a0",
     "eval grid": "d2a388a4530f69f27af8e4c5ac2f0af7d239d23b9469f703a9535c3f23edbfb8",
-    "eval run fps": "b5d5aebc47cd4f2d08cec887b99166f10557e0600b0dd02ebf2e66cf82dbf694",
-    "eval run ldra": "d175f689284155285ccbd914d452525861b5776a15e520a9aec2e31a3c22a20f",
-    "eval run mmr": "f68a909772db3cd126e7559bf143cf852943002aed7664f267e59a97394e0747",
-    "eval run random": "d1e70605a1a33a9f8b805702204ca465d5669c02f20011e197ba47149ec2f9ec",
-    "eval run topk": "788f64e674cb97d454116b83cb65bf8b93e86197aa4a3c85463a87f6b7f980df",
-    "eval run topk_rand_add": "f0ed492d8f86f89c0c5f5ccb485fb41f99c6f734057cee6efaf349934a70da3b",
-    "eval sweep": "ae407078afb3d08a0d017d1813a064d52c882c97262be917c1c47db05608a16f",
+    "eval run fps": "bf1b7792080fc374270d5af9daa680283bcecd5e042ad5e4276abc3ce2e77f83",
+    "eval run ldra": "09b5db11779f2b3df57230c9a99fd7f891cc45dbb8050819f3b8e298879cc705",
+    "eval run mmr": "1145c14e97815552441797c194e868eb0b58508c123b11633e16d84cf2a0ba4d",
+    "eval run random": "3e71e615307d5e7a8ab32a17199a71ac8f0e21fd1c4514ac1858ba5ea980fddd",
+    "eval run topk": "ccffcc1d3c803e0e35df9783726144c82933499d63c4ccd3ab67e9ffdcf92bb2",
+    "eval run topk_rand_add": "82743486f4cdb44a079d67493df2bc3c3551c85c2920724b93a1025c1c9d4a30",
+    "eval sweep": "c797169692a5ff499e142dad64f1d84f0e7d8b1ed652bfb20d6257ae345c936e",
     "retrieve": "ccb1a8b2a0ce29dfba50c8b00288c19eaae22ab4e8358dbf95da50491b624f26",
     "select fps": "fd36a5100354e1c764f9a1fe8e6db4556ccde9687869c4a48192aed873a52dd7",
-    "select ldra": "b34f7016327bd0729ae9f1c852d7ad91f6e1ce3e1e0d793918ed448160898154",
+    "select ldra": "4f4b30b320f19fe8d5e974338ef450fd7e6ea7b7039e3e33fa9989d41b2a4548",
     "select mmr": "0a9822a414b2cad3b8b3aae58efbbed8a2b2e8dfdee26af27fb87992f0f39b39",
     "select oracle": "3e4abdfd050e94001b0d830d3df669ce2afc2b0e5bf96d091b8fdee6495850df",
     "select random": "433ce1df3f8187da7c2d2a3254b1c5804278b218d9c84bc34565d624648d2cac",

@@ -2,12 +2,15 @@
 candidates, and every selector returns the same result for a Pool as for that
 list."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_candidate
+from divsel import harness
 from divsel.errors import DimensionError, SelectionError
 from divsel.memory import ingest, load, persist
 from divsel.retrieval import Candidate, Pool, RetrievalConfig, read_pool, retrieve_pool, write_pool
@@ -187,6 +190,45 @@ class TestPool:
         assert np.array_equal(np.argsort(back.rank), np.argsort(pool.rank))
 
 
+class TestSelectedSetKeepsRows:
+    def test_no_candidate_is_built_until_members_is_read(self, monkeypatch):
+        """A selection keeps pool rows. With `Pool.__getitem__` raising, every
+        selector runs and its ids, labels and pairs are read from the pool's
+        columns; a pipeline query of each method, with its invariant checks,
+        and a fairness-suite instance complete too. `members` then builds
+        each Candidate once, on its first read."""
+        mem, corpus = synth_corpus(8, 6, 0.6, seed=5, dim=16, instances=2)
+        inst = corpus[0]
+        pool = retrieve_pool(mem, inst.dialogue.current_embedding, inst.dialogue.current,
+                             RetrievalConfig(pool_size=16))
+
+        def no_candidates(self, index):
+            raise AssertionError("a Candidate was built")
+
+        monkeypatch.setattr(Pool, "__getitem__", no_candidates)
+        cfg = SelectionConfig(k=4, tau=-1.0)
+        results = [
+            greedy_select(pool, cfg), topk_select(pool, 4), mmr_select(pool, 4, 0.5),
+            fps_select(pool, 4), random_select(pool, 4, 3), brute_force_select(pool, cfg),
+        ]
+        for r in results:
+            sources = pool.rows[r.rows].tolist()
+            assert r.ids() == [mem.ids[i] for i in sources]
+            assert r.labels() == [mem.labels[i] for i in sources]
+            assert r.pairs() == [(mem.texts[i], mem.labels[i]) for i in sources]
+        for method in harness.METHODS:
+            config = harness.ExperimentConfig(method=method)
+            result = harness.run_pipeline(inst, config, mem, harness.instance_verifier(inst, config, 0))
+            harness.verify_run_invariants(result, config, inst)
+        harness.fairness_suite(mem, [inst], harness.ExperimentConfig())
+        monkeypatch.undo()
+
+        for r in results:
+            members = r.members
+            assert [fields(c) for c in members] == [fields(pool[i]) for i in r.rows]
+            assert all(a is b for a, b in zip(r.members, members))
+
+
 class TestRowNorms:
     """A pool carries its rows' norms, gathered from the memory's, and the
     selectors' unit rows divide by them. A row's norm does not depend on the
@@ -221,12 +263,11 @@ class TestRowNorms:
             for built in (pool, pool[: size // 2], pool[1::3], Pool.from_candidates(list(pool))):
                 fresh = np.linalg.norm(built.embeddings, axis=1, keepdims=True)
                 assert np.array_equal(built.row_norms, fresh[:, 0])
-                assert np.array_equal(_unit_rows(built.embeddings, built.row_norms),
-                                      built.embeddings / fresh)
+                assert np.array_equal(_unit_rows(built), built.embeddings / fresh)
 
     def test_bad_rows_raise_as_without_norms(self):
-        """A non-finite or zero row raises; a finite row whose squares
-        overflow has an infinite norm too, and is accepted as it always was."""
+        """A non-finite or zero row raises; so does a finite row whose squares
+        overflow, as its norm is infinite too and it has no unit row."""
 
         def pool(*rows):
             return Pool.from_candidates(
@@ -238,12 +279,12 @@ class TestRowNorms:
                              ([0.0, 0.0], "zero")):
             with pytest.raises(DimensionError, match=message):
                 topk_select(pool([1.0, 0.0], bad), 2)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is kept as an inf norm, not warned
             overflow = pool([1e200, 1e200], [0.0, 1.0])
         assert np.isinf(overflow.row_norms[0])
-        assert np.array_equal(_unit_rows(overflow.embeddings, overflow.row_norms),
-                              [[0.0, 0.0], [0.0, 1.0]])
-        assert topk_select(overflow, 2).ids() == ["e0", "e1"]
+        with pytest.raises(DimensionError, match="non-finite norm"):
+            topk_select(overflow, 2)
 
 
 class TestArgmax:

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from conftest import make_candidate, random_pool, unit
 from divsel.errors import ConfigError, DimensionError, SelectionError
-from divsel.retrieval import Candidate
+from divsel.retrieval import Candidate, Pool
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
@@ -127,34 +127,36 @@ class TestClosedFormDeltas:
 
     def test_new_label_on_two_distinct(self):
         """{a, b} gaining c: label diversity moves 1/2 -> 2/3."""
-        s = SelectedSet(alpha=1.0)
-        s.add(make_candidate("1", "a", (1, 0, 0), 0.5), 0.0)
-        s.add(make_candidate("2", "b", (0, 1, 0), 0.5), 0.0)
+        s = SelectedSet(1.0, Pool.from_candidates([make_candidate("1", "a", (1, 0, 0), 0.5),
+                                                   make_candidate("2", "b", (0, 1, 0), 0.5)]))
+        s.add(0, 0.0)
+        s.add(1, 0.0)
         g, _ = s.after_add(0, 0.0)[2:]
         np.testing.assert_allclose(g - s.g, 2 / 3 - 1 / 2, atol=1e-12)
         np.testing.assert_allclose(1 - (2 + 0 + 1) / 9, 2 / 3, atol=1e-12)
 
     def test_repeated_label_keeps_zero(self):
-        s = SelectedSet(alpha=1.0)
+        s = SelectedSet(1.0, Pool.from_candidates(
+            make_candidate(str(i), "a", (1, 0), 0.5) for i in range(3)))
         for i in range(3):
-            s.add(make_candidate(str(i), "a", (1, 0), 0.5), float(i))
+            s.add(i, float(i))
         g, _ = s.after_add(s.label_counts["a"], 3.0)[2:]
         assert g - s.g == 0.0
 
     def test_empty_set_delta_is_zero(self):
-        s = SelectedSet(alpha=0.5)
+        s = SelectedSet(0.5, Pool.from_candidates([]))
         g, _ = s.after_add(0, 0.0)[2:]
         assert g - s.g == 0.0
 
     def test_orthogonal_add_keeps_text_diversity(self):
-        s = SelectedSet(alpha=0.5)
-        s.add(make_candidate("1", "a", (1, 0), 0.5), 0.0)
+        s = SelectedSet(0.5, Pool.from_candidates([make_candidate("1", "a", (1, 0), 0.5)]))
+        s.add(0, 0.0)
         _, d = s.after_add(0, 0.0)[2:]
         assert d - s.dtext == 0.0
 
     def test_duplicate_add_drops_text_diversity_to_zero(self):
-        s = SelectedSet(alpha=0.5)
-        s.add(make_candidate("1", "a", (1, 0), 0.5), 0.0)
+        s = SelectedSet(0.5, Pool.from_candidates([make_candidate("1", "a", (1, 0), 0.5)]))
+        s.add(0, 0.0)
         _, d = s.after_add(0, 1.0)[2:]
         assert d - s.dtext == -1.0
 
@@ -165,9 +167,9 @@ class TestClosedFormDeltas:
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 9))
         pool = random_pool(rng, size + 1, n_labels=3, dim=4)
-        s = SelectedSet(alpha=float(rng.uniform(0, 1)))
-        for c in pool[:size]:
-            s.add(c, clamped_sum(c, s.members))
+        s = SelectedSet(float(rng.uniform(0, 1)), Pool.from_candidates(pool))
+        for i, c in enumerate(pool[:size]):
+            s.add(i, clamped_sum(c, s.members))
         incoming = pool[size]
         g, d = s.after_add(s.label_counts.get(incoming.label, 0), clamped_sum(incoming, s.members))[2:]
         dg, dd = g - s.g, d - s.dtext
@@ -252,8 +254,10 @@ class TestGreedySelect:
     @settings(max_examples=120, deadline=None)
     def test_incremental_state_matches_scratch(self, seed, selector):
         """Every selector's running G/D/R agree with scratch recomputation,
-        and sim_ops counts the similarities its steps took: the open rows
-        after each step, or K(K-1)/2 for a set built from chosen indices."""
+        and sim_ops counts the similarities its steps took: the tau-passing
+        rows at each greedy step, the open rows after each MMR or
+        farthest-point step, or K(K-1)/2 for a set built from chosen
+        indices."""
         rng = np.random.default_rng(seed)
         pool = random_pool(rng, int(rng.integers(3, 20)), n_labels=4)
         cfg = SelectionConfig(
@@ -272,6 +276,8 @@ class TestGreedySelect:
         size = result.size
         if selector in ("topk", "random", "brute_force"):
             assert result.sim_ops == size * (size - 1) // 2
+        elif selector == "greedy":
+            assert result.sim_ops == size * sum(c.vec_score >= cfg.tau for c in pool)
         else:
             assert result.sim_ops == sum(len(pool) - step for step in range(1, size + 1))
         if selector in ("greedy", "brute_force"):

@@ -3,16 +3,18 @@ references: per-candidate scans over a `remaining` set that break ties with a
 descending-string key, as the selectors did before they scored every
 candidate at once. Results must be identical, not merely close: the
 arithmetic per candidate is unchanged, only its batching and the tie-break
-mechanism differ. Each reference keeps its own clamped pair sums in the
-selectors' open-row form, `mat[sorted(open)] @ mat[best]`: a full-matrix
-product differs from it in the last bits."""
+mechanism differ. Each reference keeps its own clamped pair sums, one pair
+at a time through `similarities`, whose value for a pair does not depend on
+the rows it is computed with (`test_similarities_do_not_depend_on_the_batch`);
+the greedy reference adds them to its tau-passing rows only, as greedy
+does."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divsel.retrieval import Candidate, RetrievalConfig, retrieve_pool
+from divsel.retrieval import Candidate, Pool, RetrievalConfig, retrieve_pool
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
@@ -20,6 +22,7 @@ from divsel.selection import (
     fps_select,
     greedy_select,
     mmr_select,
+    similarities,
 )
 from divsel.synth import synth_corpus
 
@@ -39,21 +42,22 @@ def _unit_rows(pool):
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
 
 
+def _sim(mat, i, j):
+    return float(similarities(mat[i], mat[j]))
+
+
 def greedy_reference(pool, cfg):
     mat = _unit_rows(pool)
     pair_sums = np.zeros(len(pool))
-    remaining = set(range(len(pool)))
-    out = SelectedSet(cfg.alpha)
+    tau_rows = [i for i in range(len(pool)) if pool[i].vec_score >= cfg.tau]
+    remaining = set(tau_rows)
+    out = SelectedSet(cfg.alpha, Pool.from_candidates(pool))
     while out.size < cfg.k:
         best = None
         best_idx = -1
         best_gain = 0.0
-        saw_tau_pass = False
         for i in remaining:
             c = pool[i]
-            if c.vec_score < cfg.tau:
-                continue
-            saw_tau_pass = True
             count = out.label_counts.get(c.label, 0)
             if count >= cfg.label_cap:
                 continue
@@ -68,20 +72,19 @@ def greedy_reference(pool, cfg):
         if best is None:
             if out.size == 0:
                 out.stop_reason = "infeasible"
-                out.binding_constraint = "cap" if saw_tau_pass else "tau"
+                out.binding_constraint = "cap" if remaining else "tau"
             else:
-                out.stop_reason = "cap-limited" if saw_tau_pass else "threshold-limited"
+                out.stop_reason = "cap-limited" if remaining else "threshold-limited"
             return out
         chosen = pool[best_idx]
-        out.add(chosen, incoming_a=float(pair_sums[best_idx]))
+        out.add(best_idx, incoming_a=float(pair_sums[best_idx]))
         out.steps.append(
             StepRecord(out.size - 1, chosen.exemplar_id, best_gain, best[0], out.g, out.dtext, out.r)
         )
         remaining.discard(best_idx)
-        if remaining:
-            idx = sorted(remaining)
-            pair_sums[idx] += np.clip(mat[idx] @ mat[best_idx], 0.0, 1.0)
-            out.sim_ops += len(idx)
+        for i in tau_rows:
+            pair_sums[i] += np.clip(_sim(mat, i, best_idx), 0.0, 1.0)
+            out.sim_ops += 1
     out.stop_reason = "complete"
     return out
 
@@ -92,7 +95,7 @@ def mmr_reference(pool, k, lambda_mmr, alpha):
     max_sim = np.zeros(n)
     pair_sums = np.zeros(n)
     remaining = set(range(n))
-    out = SelectedSet(alpha)
+    out = SelectedSet(alpha, Pool.from_candidates(pool))
     while out.size < min(k, n) and remaining:
         best_key = None
         best_idx = -1
@@ -103,14 +106,13 @@ def mmr_reference(pool, k, lambda_mmr, alpha):
             if best_key is None or key > best_key:
                 best_key = key
                 best_idx = i
-        out.add(pool[best_idx], incoming_a=float(pair_sums[best_idx]))
+        out.add(best_idx, incoming_a=float(pair_sums[best_idx]))
         remaining.discard(best_idx)
-        if remaining:
-            idx = sorted(remaining)
-            sims = mat[idx] @ mat[best_idx]
-            pair_sums[idx] += np.clip(sims, 0.0, 1.0)
-            max_sim[idx] = np.maximum(max_sim[idx], sims)
-            out.sim_ops += len(idx)
+        for i in remaining:
+            sim = _sim(mat, i, best_idx)
+            pair_sums[i] += np.clip(sim, 0.0, 1.0)
+            max_sim[i] = np.maximum(max_sim[i], sim)
+            out.sim_ops += 1
     out.stop_reason = "complete"
     return out
 
@@ -118,20 +120,19 @@ def mmr_reference(pool, k, lambda_mmr, alpha):
 def fps_reference(pool, k, alpha):
     mat = _unit_rows(pool)
     n = len(pool)
-    out = SelectedSet(alpha)
+    out = SelectedSet(alpha, Pool.from_candidates(pool))
     pair_sums = np.zeros(n)
     min_dist = np.full(n, np.inf)
     chosen = set()
 
     def take(best_idx):
-        out.add(pool[best_idx], incoming_a=float(pair_sums[best_idx]))
+        out.add(best_idx, incoming_a=float(pair_sums[best_idx]))
         chosen.add(best_idx)
-        if len(chosen) < n:
-            idx = sorted(set(range(n)) - chosen)
-            sims = mat[idx] @ mat[best_idx]
-            pair_sums[idx] += np.clip(sims, 0.0, 1.0)
-            min_dist[idx] = np.minimum(min_dist[idx], 1.0 - sims)
-            out.sim_ops += len(idx)
+        for i in set(range(n)) - chosen:
+            sim = _sim(mat, i, best_idx)
+            pair_sums[i] += np.clip(sim, 0.0, 1.0)
+            min_dist[i] = np.minimum(min_dist[i], 1.0 - sim)
+            out.sim_ops += 1
 
     take(min(range(n), key=lambda i: (-pool[i].relevance, pool[i].exemplar_id)))
     while out.size < min(k, n):
@@ -147,6 +148,29 @@ def fps_reference(pool, k, alpha):
         take(best_idx)
     out.stop_reason = "complete"
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 16, 42, 128, 300])
+@pytest.mark.parametrize("d", [3, 16, 32, 33])
+def test_similarities_do_not_depend_on_the_batch(n, d):
+    """A subset of rows equals the same rows of the full product, a Gram row
+    equals its row product, a sub-Gram equals its block, and a pair equals
+    its entry, bit for bit: what lets a selector compute only the rows it
+    reads and a reference take one pair at a time. A numpy whose einsum
+    broke this fails here rather than as a changed digest."""
+    rng = np.random.default_rng(1000 * n + d)
+    for _ in range(10):
+        mat = rng.normal(size=(n, d))
+        mat /= np.linalg.norm(mat, axis=1, keepdims=True)
+        x = int(rng.integers(n))
+        full = similarities(mat, mat[x])
+        gram = similarities(mat, mat)
+        sub = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        assert np.array_equal(similarities(mat[sub], mat[x]), full[sub])
+        assert np.array_equal(gram[x], full)
+        assert np.array_equal(similarities(mat[sub], mat[sub]), gram[np.ix_(sub, sub)])
+        i, j = (int(v) for v in rng.integers(n, size=2))
+        assert similarities(mat[i], mat[j]) == gram[i, j]
 
 
 def outcome(result: SelectedSet):

@@ -11,6 +11,7 @@ from divsel.cli import main
 from divsel.errors import CandidateSetError, ConfigError, VerifierProtocolError, VerifierTransportError
 from divsel.verifier import (
     EndpointVerifier,
+    calibrate,
     candidate_labels,
     decide_from_scores,
     mock_verifier,
@@ -59,18 +60,29 @@ class TestDecide:
             assert len(decisions) == 1
 
     def test_calibrated_values_in_unit_interval_and_monotone(self):
-        scores = {"a": -3.0, "b": 0.0, "c": 4.0}
-        out = decide_from_scores(scores, tau_c=1.1)
-        assert 0.0 < out.calibrated["a"] < out.calibrated["b"] < out.calibrated["c"] < 1.0
+        calibrated = calibrate({"a": -3.0, "b": 0.0, "c": 4.0}, tau_c=1.1)
+        assert 0.0 < calibrated["a"] < calibrated["b"] < calibrated["c"] < 1.0
 
     def test_tau_c_validated(self):
-        with pytest.raises(ConfigError):
-            decide_from_scores({"a": 1.0}, tau_c=0.0)
+        for check in (decide_from_scores, calibrate):
+            with pytest.raises(ConfigError):
+                check({"a": 1.0}, tau_c=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_tau_c_rejected(self, bad):
-        with pytest.raises(ConfigError, match="tau_c must be finite and positive"):
-            decide_from_scores({"a": 1.0}, tau_c=bad)
+        for check in (decide_from_scores, calibrate):
+            with pytest.raises(ConfigError, match="tau_c must be finite and positive"):
+                check({"a": 1.0}, tau_c=bad)
+
+    def test_decision_is_the_smallest_label_with_the_top_score(self):
+        """The rule the decode used before: min over (-score, label)."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            labels = [f"l{i}" for i in rng.permutation(6)]
+            scores = {y: float(rng.choice([-math.inf, -1.0, -0.0, 0.0, 0.5, math.inf]))
+                      for y in labels}
+            expected = min(scores, key=lambda y: (-scores[y], y))
+            assert decide_from_scores(scores).decision == expected
 
     @pytest.mark.parametrize("scores", [{"a": math.nan, "b": 1.9}, {"b": 1.9, "a": math.nan}])
     def test_nan_score_rejected_in_any_position(self, scores):
@@ -166,6 +178,12 @@ class _Handler(BaseHTTPRequestHandler):
             payload = b'{"oops": true}'
         elif self.behavior == "nan":
             payload = b'{"logp_yes": NaN, "logp_no": 0.0}'
+        elif self.behavior == "bool":
+            payload = b'{"logp_yes": true, "logp_no": false}'
+        elif self.behavior == "string":
+            payload = b'{"logp_yes": "-0.1", "logp_no": "-2.5"}'
+        elif self.behavior == "int":
+            payload = b'{"logp_yes": 0, "logp_no": -3}'
         else:
             gold = body["label"] == "gold"
             payload = json.dumps(
@@ -224,6 +242,34 @@ class TestEndpointVerifier:
             assert code == 1
             assert "error: label 'a' scored NaN" in captured.err
             assert "NaN" not in captured.out
+        finally:
+            _Handler.behavior = "ok"
+
+    @pytest.mark.parametrize("behavior", ["bool", "string"])
+    def test_non_number_reply_is_a_protocol_error_and_decide_exits_one(
+        self, http_verifier_server, tmp_path, capsys, behavior
+    ):
+        """float() would read true as 1.0 and "-0.1" as -0.1."""
+        _Handler.behavior = behavior
+        try:
+            url = f"http://127.0.0.1:{http_verifier_server.server_address[1]}/score"
+            with pytest.raises(VerifierProtocolError, match="malformed verifier reply"):
+                EndpointVerifier(url, timeout=5.0).score("p", question_for("a"), "a")
+            prompt, labels = tmp_path / "prompt.txt", tmp_path / "labels.txt"
+            prompt.write_text("hello")
+            labels.write_text("a\nb\n")
+            code = main(["decide", "--prompt", str(prompt), "--labels", str(labels),
+                         "--verifier", "endpoint", "--url", url])
+            assert code == 1
+            assert "error: malformed verifier reply" in capsys.readouterr().err
+        finally:
+            _Handler.behavior = "ok"
+
+    def test_integer_reply_is_a_number(self, http_verifier_server):
+        _Handler.behavior = "int"
+        try:
+            url = f"http://127.0.0.1:{http_verifier_server.server_address[1]}/score"
+            assert EndpointVerifier(url, timeout=5.0).score("p", "q", "a") == (0.0, -3.0)
         finally:
             _Handler.behavior = "ok"
 
