@@ -3,13 +3,15 @@ or writing, reading a text file, parsing line-delimited JSON rows (optionally
 with unique keys) or a whole-file JSON object, decoding a JSON object onto
 typed defaults, and reading a counted run of bytes from a binary file. A
 missing file, an output path that cannot be written, text that is not UTF-8,
-or a malformed row or object raises ConfigError; a binary file shorter than
-its counts say raises MemoryFormatError."""
+a string that no UTF-8 writer can write back, or a malformed row or object
+raises ConfigError; a binary file shorter than its counts say raises
+MemoryFormatError."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -24,6 +26,32 @@ T = TypeVar("T")
 _MALFORMED = (
     DivselError, KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError
 )
+
+
+# A JSON string literal: no raw quote or backslash inside except as an escape.
+_JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def parse_json(text: str):
+    """``json.loads``, where a string holding a lone surrogate (a ``\\ud800``
+    escape outside a pair), which UTF-8 cannot encode, raises ValueError
+    giving its line and column as JSON errors do. Only an escape can put a
+    surrogate in the parsed value, so text without a backslash is not checked
+    again."""
+    data = json.loads(text)
+    if "\\" in text:
+        try:
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            char = exc.object[exc.start]
+            at = next(m.start() for m in _JSON_STRING_RE.finditer(text) if char in json.loads(m[0]))
+            line = text.count("\n", 0, at) + 1
+            column = at - text.rfind("\n", 0, at)
+            raise ValueError(
+                f"lone surrogate {char!r} in the string at line {line} column {column}, "
+                "which UTF-8 cannot encode"
+            ) from None
+    return data
 
 
 def open_input(path: str | Path, binary: bool = False):
@@ -65,7 +93,7 @@ def read_rows(path: str | Path, parse: Callable[[Mapping], T]) -> Iterator[T]:
                 if not line.strip():
                     continue
                 try:
-                    item = parse(json.loads(line))
+                    item = parse(parse_json(line))
                 except _MALFORMED as exc:
                     raise ConfigError(
                         f"{path}:{lineno}: malformed row ({type(exc).__name__}: {exc})"
@@ -96,7 +124,7 @@ def read_object(path: str | Path, parse: Callable[[Mapping], T]) -> T:
     the parser rejects raises ConfigError naming the path."""
     text = read_text(path)
     try:
-        data = json.loads(text)
+        data = parse_json(text)
         if not isinstance(data, dict):
             raise TypeError(f"expected a JSON object, got {type(data).__name__}")
         return parse(data)

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from .files import open_input, open_output, read_exact, read_unique_rows
+from .files import open_input, open_output, parse_json, read_exact, read_unique_rows
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 2
@@ -384,7 +384,7 @@ def load(path: str | Path) -> Memory:
             )
         (blob_len,) = struct.unpack("<Q", read_exact(fh, 8, "header length"))
         try:
-            header = json.loads(read_exact(fh, blob_len, "header").decode("utf-8"))
+            header = parse_json(read_exact(fh, blob_len, "header").decode("utf-8"))
             dim, count, n_post = header["dim"], header["count"], header["postings"]
             k1, b = float(header["k1"]), float(header["b"])
             ids, labels, texts = header["ids"], header["labels"], header["texts"]

@@ -1,10 +1,15 @@
-"""Structured prompt assembly with exact token accounting and compression.
+r"""Structured prompt assembly with exact token accounting and compression.
 
-The default token counter splits on whitespace and counts each punctuation
-character as its own token; it is deterministic across platforms and can be
-swapped for an external tokenizer at the count_tokens boundary. Compression
-shrinks the history summary first (oldest turn out first), then drops
-trailing exemplars, and records everything it removed.
+The default token counter takes a token to be a run of word characters or a
+single character that is neither a word character nor whitespace, the tokens
+of the regex ``\w+|[^\w\s]``, which the tests keep as its oracle. It does not
+build the token list: one ``str.translate`` maps each character onto its
+class (word, whitespace or other), with the classes taken from that regex's
+own ``\w`` and ``\s`` the first time a code point is seen, and the count is
+the "other" characters plus the word runs. It is deterministic across
+platforms, and count_tokens is still where an external tokenizer plugs in.
+Compression shrinks the history summary first (oldest turn out first), then
+drops trailing exemplars, and records everything it removed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,23 @@ from .encoder import DialogueContext
 from .errors import CompositionError, ConfigError
 from .files import read_text
 
-_TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
+_WORD_RE = re.compile(r"\w")
+_SPACE_RE = re.compile(r"\s")
+
+
+class _TokenClasses(dict):
+    """A ``str.translate`` table from code point to token class: "a" for a
+    word character, " " for whitespace, "." for anything else. A code point
+    is classified by the regexes on first sight and kept."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        cls = "a" if _WORD_RE.match(char) else " " if _SPACE_RE.match(char) else "."
+        self[code] = cls
+        return cls
+
+
+_TOKEN_CLASSES = _TokenClasses()
 
 DEFAULT_INSTRUCTION = (
     "You are an intent classifier. Use the exemplars to label the current "
@@ -46,8 +67,10 @@ COMPRESSION_POLICIES = ("summary-first", "strict")
 
 
 def count_tokens(text: str) -> int:
-    """Deterministic whitespace-and-punctuation token count."""
-    return len(_TOKEN_RE.findall(text))
+    r"""The number of ``\w+|[^\w\s]`` tokens in `text`: each non-word,
+    non-space character plus each run of word characters."""
+    classes = text.translate(_TOKEN_CLASSES)
+    return classes.count(".") + len(classes.replace(".", " ").split())
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,38 @@ class TestRetrieveSelectComposeDecide:
         assert code == 1
         assert "holds no rows" in err
 
+    def test_lone_surrogate_escape_exits_one(self, workspace, capsys, tmp_path):
+        """A \\ud800 escape in a dialogue, selection or exemplar-record file is
+        rejected where it is read, naming path:line, rather than crashing the
+        writer that would later meet the text."""
+        dialogue = json.loads((workspace / "dialogue.json").read_text())
+        bad_dialogue = tmp_path / "dialogue.json"
+        bad_dialogue.write_text(json.dumps({**dialogue, "current": "book \ud800 taxi"}) + "\n")
+        good_sel = tmp_path / "selection.jsonl"
+        good_sel.write_text('{"text": "t", "label": "l"}\n')
+        bad_sel = tmp_path / "bad_selection.jsonl"
+        bad_sel.write_text('{"text": "t", "label": "l"}\n{"text": "x\\udfff", "label": "l"}\n')
+        bad_records = tmp_path / "records.jsonl"
+        bad_records.write_text(
+            '{"id": "a", "text": "t", "label": "l", "embedding": [1.0, 0.0]}\n'
+            '{"id": "b", "text": "t", "label": "l\\ud800", "embedding": [0.0, 1.0]}\n'
+        )
+        out = tmp_path / "out"
+        for argv, where in (
+            (["compose", "--dialogue", str(bad_dialogue), "--selection", str(good_sel),
+              "--budget", "300"], f"{bad_dialogue}:1:"),
+            (["compose", "--dialogue", str(bad_dialogue), "--selection", str(good_sel),
+              "--budget", "300", "--out", str(out)], f"{bad_dialogue}:1:"),
+            (["compose", "--dialogue", str(workspace / "dialogue.json"),
+              "--selection", str(bad_sel), "--budget", "300"], f"{bad_sel}:2:"),
+            (["memory", "build", "--in", str(bad_records), "--out", str(out)],
+             f"{bad_records}:2:"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1
+            assert err.startswith("error: ") and where in err and "lone surrogate" in err
+        assert not out.exists()
+
     def test_oracle_method(self, workspace, capsys):
         pool_path = str(workspace / "pool.jsonl")
         code, out, _ = run(
@@ -415,6 +447,7 @@ class TestExitCodes:
             "nan_alpha": '{"alpha": [NaN]}',
             "repeated_alpha": '{"alpha": [0.5, 0.5]}',
             "method_key": '{"method": ["ldra"]}',
+            "lone_surrogate": '{"method": "ldra",\n "selection": {"k": 3}, "x\\ud800": 1}',
         }.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
@@ -497,6 +530,9 @@ class TestExitCodes:
         for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
                      "null_seed", "not_an_object", "section_not_object", "bad_json"):
             cases.append((eval_run + ["--config", str(files[name])], f"{files[name]}: malformed file"))
+        cases.append((eval_run + ["--config", str(files["lone_surrogate"])],
+                      f"{files['lone_surrogate']}: malformed file (ValueError: lone surrogate "
+                      "'\\ud800' in the string at line 2 column 25"))
         # A non-finite or out-of-range knob, or a fairness target list that is
         # empty or repeats a target, is a config error, not a crash, a silently
         # empty selection or a duplicated row.

@@ -271,7 +271,8 @@ class TestPersistence:
         [("dim", -1), ("dim", 0), ("dim", "4"), ("count", -1), ("count", 2.0),
          ("ids", 5), ("labels", [1, 2, 3]), ("texts", None), ("k1", [1]),
          ("k1", 10**400), ("b", "x"), ("k1", float("nan")), ("b", 7.0),
-         ("labels", ["", "flight", "hotel"]), ("vocab", ["need", "a"]), ("vocab", None)],
+         ("labels", ["", "flight", "hotel"]), ("vocab", ["need", "a"]), ("vocab", None),
+         ("texts", ["need a taxi", "lone \ud800", "book"])],
     )
     def test_load_rejects_bad_header_fields(self, tmp_path, field, value):
         """Mistyped fields fail inside the header parse, out-of-range ones in

@@ -1,6 +1,12 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from divsel import prompt as prompt_mod
 from divsel.encoder import DialogueContext, Turn
 from divsel.errors import CompositionError, ConfigError
 from divsel.prompt import (
@@ -40,6 +46,32 @@ class TestCountTokens:
 
     def test_newlines_are_free(self):
         assert count_tokens("a\nb\n\nc") == count_tokens("a b c")
+
+
+_TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+
+
+def reference_count(text: str) -> int:
+    """The token count count_tokens must equal: one per regex token."""
+    return len(_TOKEN_RE.findall(text))
+
+
+# Any code point, lone surrogates included, with surrogates drawn often.
+ANY_CHAR = st.characters(exclude_categories=()) | st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(ANY_CHAR))
+@example("a\x0bb\x0cc\x1cd\x1de\x1ff\x1eg")  # ASCII the regex takes as \s
+@example("a\x85b\xa0c\u2028d\u3000e")  # Unicode spaces
+@example("_x ² ٣Ⅻ, a_²٣Ⅻb")  # all \w
+@example("\ud800")
+@example("x\ud800y \udfff")
+@example("taxi, now!... (ok)\t\n")
+def test_count_tokens_equals_the_regex(text):
+    assert count_tokens(text) == reference_count(text)
 
 
 def compose_summary(ctx, cap):
@@ -226,6 +258,76 @@ class TestPlaceholdersInText:
         assert p.text == expected
         assert p.text.count("Answer briefly.") == 1
         assert p.token_count == count_tokens(p.text)
+
+
+# A template whose placeholders touch word characters on both sides, so a
+# token can span an inserted text and the template's own text.
+ADJACENT_TEMPLATE = "x{INSTRUCTION}y\n{SUMMARY}é{CURRENT}_{EXEMPLARS}2{ANSWER_FORMAT}z"
+WORDS = st.text(ANY_CHAR, max_size=12) | st.sampled_from(
+    ["book a taxi", "héllo wörld", "日本語, テキスト!", "Ⅻ² ٣", "a\xa0b\u3000c", ""]
+)
+
+
+def _compose_or_error(*args):
+    try:
+        return compose(*args)
+    except CompositionError as exc:
+        return ("CompositionError", str(exc))
+
+
+def compose_both_ways(*args):
+    """compose's result (or its CompositionError) counted with count_tokens,
+    then with the regex oracle."""
+    fast = _compose_or_error(*args)
+    with mock.patch.object(prompt_mod, "count_tokens", reference_count):
+        slow = _compose_or_error(*args)
+    return fast, slow
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    instruction=WORDS,
+    turns=st.lists(st.tuples(WORDS, WORDS), max_size=4),
+    current=WORDS,
+    pairs=st.lists(st.tuples(WORDS, WORDS), max_size=5),
+    max_tokens=st.integers(1, 120),
+    summary_cap=st.integers(0, 120),
+    policy=st.sampled_from(["summary-first", "strict"]),
+    template=st.sampled_from([DEFAULT_TEMPLATE, ADJACENT_TEMPLATE]),
+    reverse=st.booleans(),
+)
+def test_compose_is_the_same_under_the_reference_counter(
+    instruction, turns, current, pairs, max_tokens, summary_cap, policy, template, reverse
+):
+    """compose returns an equal Prompt (or the same error) whether it counts
+    with count_tokens or with the regex, at budgets that drop summary turns
+    and exemplars under both policies."""
+    ctx = DialogueContext(
+        turns=tuple(Turn(u, a, E, E) for u, a in turns), current=current, current_embedding=E
+    )
+    budget = BudgetConfig(max_prompt_tokens=max_tokens,
+                          summary_token_cap=min(summary_cap, max_tokens),
+                          compression_policy=policy)
+    permutation = list(reversed(range(len(pairs)))) if reverse else None
+    fast, slow = compose_both_ways(instruction, ctx, pairs, budget, permutation, template)
+    assert fast == slow
+
+
+def test_compose_oracle_sees_drops_and_adjacent_placeholders():
+    """A budget that drops every summary turn and an exemplar, in a template
+    whose placeholders join tokens across the junction, composes the same
+    prompt under both counters."""
+    ctx = DialogueContext(
+        turns=(Turn("héllo wörld", "日本語", E, E), Turn("ok", "Ⅻ²", E, E)),
+        current="book", current_embedding=E,
+    )
+    pairs = [("tëxt one", "lab"), ("two", "lab")]
+    budget = BudgetConfig(max_prompt_tokens=20, summary_token_cap=20)
+    fast, slow = compose_both_ways("Classify", ctx, pairs, budget, None, ADJACENT_TEMPLATE)
+    assert fast == slow
+    assert fast.dropped_summary_turns == 2 and fast.dropped_exemplars
+    assert reference_count(fast.text) == fast.token_count
+    assert "xClassifyy" in fast.text
 
 
 class TestBudgetConfig:
