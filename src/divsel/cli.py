@@ -440,10 +440,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_utf8(argv: list[str]) -> None:
+    """Raise DivselError for an argument that holds a lone surrogate: Python
+    decodes argv bytes that are not UTF-8 to surrogates, which no UTF-8
+    writer can write back."""
+    for i, arg in enumerate(argv, 1):
+        try:
+            arg.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DivselError(
+                f"argument {i}, {arg!r}, holds a lone surrogate: its bytes are not UTF-8"
+            ) from None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        _check_utf8(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvariantViolation as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")

@@ -103,6 +103,34 @@ def read_rows(path: str | Path, parse: Callable[[Mapping], T]) -> Iterator[T]:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def json_number(value) -> float:
+    """A JSON number (an int or a float) as a float; float() would also take
+    a bool or a numeric string, which raise TypeError here."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
+def one_dimension(parse: Callable[[Mapping], T], name: Callable[[T], str],
+                  error: type[DivselError] = ConfigError) -> Callable[[Mapping], T]:
+    """`parse` over one stream of rows, where an item whose ``embedding``
+    length differs from the stream's first item's raises `error` naming the
+    item by `name`."""
+    first_dim = None
+
+    def parse_same(row: Mapping) -> T:
+        nonlocal first_dim
+        item = parse(row)
+        dim = len(item.embedding)
+        if first_dim is None:
+            first_dim = dim
+        elif dim != first_dim:
+            raise error(f"{name(item)} has embedding dimension {dim}, expected {first_dim}")
+        return item
+
+    return parse_same
+
+
 def read_unique_rows(path: str | Path, parse: Callable[[Mapping], T], key: Callable[[T], str],
                      what: str) -> Iterator[T]:
     """:func:`read_rows`, where a row whose key repeats an earlier row's raises

@@ -54,7 +54,7 @@ from .prompt import (
     count_tokens,
     render_exemplar_line,
 )
-from .retrieval import Candidate, Pool, RetrievalConfig, retrieve_pool
+from .retrieval import Pool, RetrievalConfig, retrieve_pool
 from .selection import (
     SelectedSet,
     SelectionConfig,
@@ -347,7 +347,7 @@ def retrieve_stage(
 
 def select_for_method(
     method: str,
-    pool: Sequence[Candidate],
+    pool: Pool,
     selection: SelectionConfig,
     lambda_mmr: float,
     seed: int,
@@ -411,7 +411,7 @@ def rand_add_fill(
 
 
 def prompt_labels(
-    prompt: Prompt, pool: Sequence[Candidate], config: ExperimentConfig
+    prompt: Prompt, pool: Pool, config: ExperimentConfig
 ) -> tuple[str, ...]:
     """The label rule: the labels the prompt exposes, extended by the pool's
     shortlist."""
@@ -433,10 +433,10 @@ def run_pipeline(
     verifier,
     weights: EncoderWeights | None = None,
     seed: int = 0,
-    pool: Sequence[Candidate] | None = None,
+    pool: Pool | None = None,
 ) -> PipelineResult:
-    """Retrieve, select, prompt and decode one instance; a given pool (a Pool,
-    or candidates in pool order) skips the retrieve stage.
+    """Retrieve, select, prompt and decode one instance; a given pool skips
+    the retrieve stage.
 
     Deterministic under the mock verifier and fixed seeds. Candidate labels
     are derived from the exemplars actually present in the composed prompt,
@@ -446,8 +446,6 @@ def run_pipeline(
     with clock.stage("ann"):
         if pool is None:
             pool = retrieve_stage(instance.dialogue, memory, config.retrieval, weights)
-        else:
-            pool = Pool.from_candidates(pool)
     with clock.stage("div"):
         selection = select_for_method(
             config.method,
@@ -518,7 +516,7 @@ def evaluate(
     config: ExperimentConfig,
     seed: int,
     weights: EncoderWeights | None = None,
-    pools: Sequence[Sequence[Candidate]] | None = None,
+    pools: Sequence[Pool] | None = None,
 ) -> tuple[list[dict], dict, list[LatencyReport]]:
     """Run the pipeline over a corpus; returns per-instance rows, a summary,
     and the measured latency reports (kept out of the deterministic rows).

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from .files import open_input, open_output, parse_json, read_exact, read_unique_rows
+from .files import one_dimension, open_input, open_output, parse_json, read_exact, read_unique_rows
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 2
@@ -291,21 +291,7 @@ def _parse_record(rec: Mapping) -> Exemplar:
 def _record_parser() -> Callable[[Mapping], Exemplar]:
     """A parser of one stream's records (`_parse_record`) that also rejects an
     embedding whose dimension differs from the stream's first."""
-    first_dim = None
-
-    def parse(rec: Mapping) -> Exemplar:
-        nonlocal first_dim
-        ex = _parse_record(rec)
-        dim = ex.embedding.shape[0]
-        if first_dim is None:
-            first_dim = dim
-        elif dim != first_dim:
-            raise IngestError(
-                f"exemplar {ex.id!r} has embedding dimension {dim}, expected {first_dim}"
-            )
-        return ex
-
-    return parse
+    return one_dimension(_parse_record, lambda ex: f"exemplar {ex.id!r}", IngestError)
 
 
 def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:

@@ -5,24 +5,25 @@ live on incommensurate scales; see RetrievalConfig.normalization.
 
 A retrieved pool is a :class:`Pool`: the pool's scores, label codes, id order,
 embedding rows and their norms held as arrays, which the selectors read
-directly, over the memory's id, text and label columns. It is also a
-read-only sequence of :class:`Candidate`, each built when it is read.
+directly, over the memory's id, text and label columns. Every selector,
+the pipeline and the verifier's label rule take a Pool; a pool file is read
+into one (:func:`read_pool`). Iterating a Pool yields each item as a
+:class:`Candidate`, built when it is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .files import open_output, read_unique_rows
+from .files import json_number, one_dimension, open_output, read_unique_rows
 from .memory import Memory
 
 NORMALIZATION_MODES = ("minmax", "none")
@@ -83,7 +84,7 @@ class Candidate:
 Columns = namedtuple("Columns", "ids texts labels")
 
 
-class Pool(Sequence[Candidate]):
+class Pool:
     """A candidate pool held as arrays, in pool order.
 
     ``source.ids[rows[i]]``, ``source.texts[rows[i]]`` and
@@ -96,9 +97,9 @@ class Pool(Sequence[Candidate]):
     ``label_codes`` are equal exactly where labels are, and ``rank`` orders
     the items by (id, pool index). Every array is read-only.
 
-    Indexing and iteration build each Candidate when it is read, its
-    embedding a row of ``embeddings``; a slice is a Pool over the same
-    source. ``labels`` reads labels alone.
+    Iteration builds each Candidate when it is read, its embedding a row of
+    ``embeddings``; a slice is a Pool over the same source, and an integer
+    index raises TypeError. ``labels`` reads labels alone.
     """
 
     __slots__ = ("source", "rows", "embeddings", "row_norms", "relevance", "vec_score",
@@ -114,11 +115,8 @@ class Pool(Sequence[Candidate]):
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[Candidate]) -> "Pool":
-        """A Pool of the candidates in order; a Pool is returned as it is.
-        Duplicate ids are kept, ranked by pool index; embeddings of different
-        shapes raise DimensionError."""
-        if isinstance(candidates, Pool):
-            return candidates
+        """A Pool of the candidates in order. Duplicate ids are kept, ranked
+        by pool index; embeddings of different shapes raise DimensionError."""
         cands = list(candidates)
         n = len(cands)
         if n:
@@ -154,24 +152,17 @@ class Pool(Sequence[Candidate]):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Pool(self.source, *(getattr(self, name)[index] for name in Pool.__slots__[1:]))
-        i = operator.index(index)
-        row, source = self.rows[i], self.source
-        return Candidate(
-            exemplar_id=source.ids[row],
-            text=source.texts[row],
-            label=source.labels[row],
-            embedding=self.embeddings[i],
-            relevance=float(self.relevance[i]),
-            vec_score=float(self.vec_score[i]),
-            lex_score=float(self.lex_score[i]),
-            bm25_raw=float(self.bm25_raw[i]),
-        )
+    def __getitem__(self, index: slice) -> "Pool":
+        if not isinstance(index, slice):
+            raise TypeError(f"a Pool takes a slice, not {type(index).__name__}")
+        return Pool(self.source, *(getattr(self, name)[index] for name in Pool.__slots__[1:]))
 
     def __iter__(self) -> Iterator[Candidate]:
-        return map(self.__getitem__, range(len(self.rows)))
+        ids, texts, labels = self.source.ids, self.source.texts, self.source.labels
+        scores = zip(self.relevance.tolist(), self.vec_score.tolist(), self.lex_score.tolist(),
+                     self.bm25_raw.tolist())
+        for row, embedding, score in zip(self.rows.tolist(), self.embeddings, scores):
+            yield Candidate(ids[row], texts[row], labels[row], embedding, *score)
 
     def labels(self, stop: int | None = None) -> list[str]:
         """The labels of the first `stop` items (all by default), in pool
@@ -263,36 +254,32 @@ def pool_row(c: Candidate) -> dict:
     }
 
 
-def write_pool(candidates: Sequence[Candidate], path: str | Path) -> None:
+def write_pool(pool: Pool, path: str | Path) -> None:
     """Emit a pool as line-delimited records with component scores."""
     with open_output(path) as fh:
-        for c in candidates:
+        for c in pool:
             fh.write(json.dumps(pool_row(c), ensure_ascii=False) + "\n")
 
 
 def _parse_candidate(row: Mapping) -> Candidate:
-    emb = np.asarray(row["embedding"], dtype=np.float64)
-    c = Candidate(
-        exemplar_id=str(row["id"]),
-        text=str(row["text"]),
-        label=str(row["label"]),
-        embedding=emb,
-        relevance=float(row["relevance"]),
-        vec_score=float(row["vec_score"]),
-        lex_score=float(row["lex_score"]),
-        bm25_raw=float(row.get("bm25_raw", row["lex_score"])),
-    )
-    if emb.ndim != 1 or not np.all(np.isfinite(emb)):
-        raise ConfigError("embedding must be a flat vector of finite numbers")
-    if not all(map(math.isfinite, (c.relevance, c.vec_score, c.lex_score, c.bm25_raw))):
+    """One pool-file row; every score and embedding entry a finite JSON number."""
+    scores = [json_number(row[key]) for key in ("relevance", "vec_score", "lex_score", "bm25_raw")]
+    if not isinstance(row["embedding"], list):
+        raise TypeError("embedding must be a list of JSON numbers")
+    emb = np.array([json_number(x) for x in row["embedding"]], dtype=np.float64)
+    if not np.all(np.isfinite(emb)):
+        raise ConfigError("embedding must be a vector of finite numbers")
+    if not all(map(math.isfinite, scores)):
         raise ConfigError("scores must be finite")
-    return c
+    return Candidate(str(row["id"]), str(row["text"]), str(row["label"]), emb, *scores)
 
 
 def read_pool(path: str | Path) -> Pool:
-    """Read a pool written by :func:`write_pool`; a malformed row or a repeated
-    id raises ConfigError naming path:line."""
-    rows = read_unique_rows(path, _parse_candidate, lambda c: c.exemplar_id, "id")
+    """Read a pool written by :func:`write_pool`; a malformed row, a repeated
+    id or an embedding dimension unlike the first row's raises ConfigError
+    naming path:line."""
+    parse = one_dimension(_parse_candidate, lambda c: f"candidate {c.exemplar_id!r}")
+    rows = read_unique_rows(path, parse, lambda c: c.exemplar_id, "id")
     out = Pool.from_candidates(rows)
     if not out:
         raise SelectionError(f"pool file {path} holds no candidates")

@@ -7,16 +7,15 @@ need only running label counts and per-candidate similarity sums, so each
 step costs one similarity per candidate that passes tau. Top-K, MMR, farthest-point, random,
 and an exhaustive oracle selector share the same result shape.
 
-Every selector reads the pool as a `retrieval.Pool` (`Pool.from_candidates`
-turns a list of candidates into one) and builds no `Candidate`: a
-`SelectedSet` keeps the pool rows it took and builds each member's Candidate
-only when `members` is read. Greedy, MMR and farthest-point share one
-selection step: score every candidate at once and take the lexicographic
-maximum of the selector's keys (`_argmax`). The last key is always the
-negated id rank, so every tie breaks to the smallest exemplar id and, among
-duplicate ids, to the lowest pool index. MMR and farthest-point score every
-open row; greedy keeps its candidates, the rows that pass tau under a label
-cap not yet reached, as it goes, and scores only those.
+Every selector takes a `retrieval.Pool` and builds no `Candidate`: a
+`SelectedSet` keeps the pool rows it took and reads its members' ids,
+labels and texts from the pool's source. Greedy, MMR and farthest-point
+share one selection step: score every candidate at once and take the
+lexicographic maximum of the selector's keys (`_argmax`). The last key is
+always the negated id rank, so every tie breaks to the smallest exemplar id
+and, among duplicate ids, to the lowest pool index. MMR and farthest-point
+score every open row; greedy keeps its candidates, the rows that pass tau
+under a label cap not yet reached, as it goes, and scores only those.
 
 Every pair similarity is one formula (`similarities`): an einsum over unit
 rows, whose value for a pair does not depend on which other rows share the
@@ -50,7 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .retrieval import Candidate, Pool, cosine
+from .retrieval import Pool, cosine
 
 BRUTE_FORCE_GUARD = 1_000_000
 
@@ -130,11 +129,12 @@ class SelectedSet:
     """Incrementally maintained subset of a pool with O(1) diversity bookkeeping.
 
     Keeps the pool and its members' pool indices in order (`rows`); `ids`,
-    `labels` and `pairs` read the pool's source columns, and `members` builds
-    each member's Candidate on its first read. Tracks running label counts,
-    the sum of squared counts, and the clamped mean pairwise similarity, so
-    adding a member never rescans old pairs. Selector metadata (per-step
-    records, stop reason, similarity-op counter) rides along for audits.
+    `labels` and `pairs` read the pool's source columns, and
+    ``pool.embeddings[rows]`` holds the members' embeddings. Tracks running
+    label counts, the sum of squared counts, and the clamped mean pairwise
+    similarity, so adding a member never rescans old pairs. Selector
+    metadata (per-step records, stop reason, similarity-op counter) rides
+    along for audits.
     """
 
     def __init__(self, alpha: float, pool: Pool):
@@ -143,7 +143,6 @@ class SelectedSet:
         self.alpha = alpha
         self.pool = pool
         self.rows: list[int] = []
-        self._members: list[Candidate] = []
         self.label_counts: dict[str, int] = {}
         self.sum_sq_counts = 0
         self.mean_pairwise_sim = 0.0  # defined 0 for sets of size <= 1
@@ -158,13 +157,6 @@ class SelectedSet:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    @property
-    def members(self) -> list[Candidate]:
-        """The members as Candidates, in order, each built on its first read."""
-        built = self._members
-        built.extend(self.pool[i] for i in self.rows[len(built):])
-        return built
 
     def _source_rows(self) -> list[int]:
         return self.pool.rows[self.rows].tolist()
@@ -241,14 +233,12 @@ def _check_norms(norms: np.ndarray) -> None:
         raise DimensionError("pool contains a zero embedding")
 
 
-def _checked_pool(pool: Sequence[Candidate]) -> Pool:
-    """The pool as a Pool, once every row norm passes `_check_norms` and
-    every vec_score and relevance is finite (else SelectionError)."""
-    pool = Pool.from_candidates(pool)
+def _check_pool(pool: Pool) -> None:
+    """Raise unless every row norm passes `_check_norms` and every vec_score
+    and relevance is finite (else SelectionError)."""
     _check_norms(pool.row_norms)
     if not (np.all(np.isfinite(pool.vec_score)) and np.all(np.isfinite(pool.relevance))):
         raise SelectionError("pool contains a non-finite vec_score or relevance")
-    return pool
 
 
 def _unit_rows(pool: Pool, rows=slice(None)) -> np.ndarray:
@@ -287,7 +277,7 @@ def _argmax(cand: np.ndarray, first: np.ndarray, *rest: np.ndarray) -> int:
     return j
 
 
-def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSet:
+def greedy_select(pool: Pool, cfg: SelectionConfig) -> SelectedSet:
     """Greedy arg-max of the marginal diversity gain plus a relevance prior.
 
     Feasibility demands vec_score >= tau and per-label count < label_cap.
@@ -304,7 +294,7 @@ def greedy_select(pool: Sequence[Candidate], cfg: SelectionConfig) -> SelectedSe
         raise SelectionError("cannot select from an empty pool")
     if cfg.k > len(pool):
         raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    pool = _checked_pool(pool)
+    _check_pool(pool)
     rows = np.flatnonzero(pool.vec_score >= cfg.tau)
     mat = _unit_rows(pool, rows)
     codes, relevance, neg_rank = pool.label_codes[rows], pool.relevance[rows], -pool.rank[rows]
@@ -375,7 +365,7 @@ def _set_from_indices(pool: Pool, indices: Sequence[int], alpha: float) -> Selec
 
 
 def brute_force_select(
-    pool: Sequence[Candidate],
+    pool: Pool,
     cfg: SelectionConfig,
 ) -> SelectedSet:
     """Exhaustive arg-max over feasible subsets; test/audit oracle only.
@@ -389,7 +379,6 @@ def brute_force_select(
         raise SelectionError("cannot select from an empty pool")
     if cfg.k > len(pool):
         raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    pool = Pool.from_candidates(pool)
     feasible = np.flatnonzero(pool.vec_score >= cfg.tau).tolist()
     labels = pool.label_codes.tolist()
     per_label: dict[int, int] = {}
@@ -406,7 +395,7 @@ def brute_force_select(
             f"guard is {BRUTE_FORCE_GUARD}"
         )
 
-    pool = _checked_pool(pool)
+    _check_pool(pool)
     mat = _unit_rows(pool)
     sims = np.clip(similarities(mat, mat), 0.0, 1.0)
     ids = [pool.source.ids[row] for row in pool.rows.tolist()]
@@ -441,26 +430,26 @@ def brute_force_select(
     return _set_from_indices(pool, sorted(best_combo), cfg.alpha)
 
 
-def topk_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> SelectedSet:
+def topk_select(pool: Pool, k: int, alpha: float = 0.5) -> SelectedSet:
     """Prefix of the pool's relevance order."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
-    return _set_from_indices(Pool.from_candidates(pool), range(min(k, len(pool))), alpha)
+    return _set_from_indices(pool, range(min(k, len(pool))), alpha)
 
 
 def random_select(
-    pool: Sequence[Candidate], k: int, seed: int, alpha: float = 0.5
+    pool: Pool, k: int, seed: int, alpha: float = 0.5
 ) -> SelectedSet:
     """Uniform sample without replacement, reproducible from the seed."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
     rng = random.Random(seed)
     indices = rng.sample(range(len(pool)), min(k, len(pool)))
-    return _set_from_indices(Pool.from_candidates(pool), indices, alpha)
+    return _set_from_indices(pool, indices, alpha)
 
 
 def mmr_select(
-    pool: Sequence[Candidate], k: int, lambda_mmr: float, alpha: float = 0.5
+    pool: Pool, k: int, lambda_mmr: float, alpha: float = 0.5
 ) -> SelectedSet:
     """Maximal marginal relevance: query similarity traded against the max
     similarity to anything already chosen. Ties break by id, then pool index."""
@@ -468,7 +457,7 @@ def mmr_select(
         raise SelectionError("cannot select from an empty pool")
     if not 0.0 <= lambda_mmr <= 1.0:
         raise ConfigError(f"lambda_mmr must be in [0, 1], got {lambda_mmr}")
-    pool = _checked_pool(pool)
+    _check_pool(pool)
     mat = _unit_rows(pool)
     vec, neg_rank = pool.vec_score, -pool.rank
     n = len(pool)
@@ -486,13 +475,13 @@ def mmr_select(
     return out
 
 
-def fps_select(pool: Sequence[Candidate], k: int, alpha: float = 0.5) -> SelectedSet:
+def fps_select(pool: Pool, k: int, alpha: float = 0.5) -> SelectedSet:
     """Farthest-point traversal in embedding space, seeded at the most
     relevant item; distance is one minus similarity, criterion is the minimum
     distance to the chosen set."""
     if not pool:
         raise SelectionError("cannot select from an empty pool")
-    pool = _checked_pool(pool)
+    _check_pool(pool)
     mat = _unit_rows(pool)
     neg_rank = -pool.rank
     n = len(pool)

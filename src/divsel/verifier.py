@@ -25,7 +25,8 @@ from .errors import (
     VerifierProtocolError,
     VerifierTransportError,
 )
-from .retrieval import Candidate, Pool
+from .files import json_number
+from .retrieval import Pool
 
 PAYLOAD_VERSION = 1
 TOKEN_ENV = "DIVSEL_VERIFIER_TOKEN"
@@ -54,13 +55,13 @@ def question_for(label: str) -> str:
 
 
 def candidate_labels(
-    selected: Sequence[str], pool: Sequence[Candidate], shortlist_size: int
+    selected: Sequence[str], pool: Pool, shortlist_size: int
 ) -> tuple[str, ...]:
     """Unique labels exposed by the selection, extended by the labels of the
     top shortlist_size pool items; order is first-seen and deterministic."""
     if shortlist_size < 0:
         raise ConfigError("shortlist_size must be >= 0")
-    labels = [*map(str, selected), *Pool.from_candidates(pool).labels(shortlist_size)]
+    labels = [*map(str, selected), *pool.labels(shortlist_size)]
     out = tuple(dict.fromkeys(labels))
     if not out:
         raise CandidateSetError("no candidate labels: empty selection and zero shortlist")
@@ -200,11 +201,7 @@ class EndpointVerifier:
             raise VerifierTransportError(f"verifier endpoint unreachable: {exc}") from exc
         try:
             reply = json.loads(body.decode("utf-8"))
-            logps = reply["logp_yes"], reply["logp_no"]
-            # A JSON number only: float() would also take a bool or a numeric string.
-            if any(type(v) not in (int, float) for v in logps):
-                raise TypeError("logp_yes and logp_no must be JSON numbers")
-            logp_yes, logp_no = map(float, logps)
+            logp_yes, logp_no = json_number(reply["logp_yes"]), json_number(reply["logp_no"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise VerifierProtocolError(f"malformed verifier reply: {body!r}") from exc
         return logp_yes, logp_no

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divsel.retrieval import Candidate
+from divsel.retrieval import Candidate, Pool
 
 
 def unit(*coords) -> np.ndarray:
@@ -31,18 +31,23 @@ def make_candidate(
     )
 
 
+def pool_of(*candidates: Candidate) -> Pool:
+    """A Pool of the candidates, in order."""
+    return Pool.from_candidates(candidates)
+
+
 @pytest.fixture
 def abc_pool():
     """Three-candidate pool: two near-duplicates of one label plus an
     orthogonal candidate of another label."""
-    return [
+    return pool_of(
         make_candidate("A", "x", (1.0, 0.0), 0.9),
         make_candidate("B", "x", (0.99, 0.14), 0.89),
         make_candidate("C", "y", (0.0, 1.0), 0.6),
-    ]
+    )
 
 
-def random_pool(rng: np.random.Generator, n: int, n_labels: int, dim: int = 4) -> list[Candidate]:
+def random_pool(rng: np.random.Generator, n: int, n_labels: int, dim: int = 4) -> Pool:
     """Random candidate pool with unit embeddings and random scores."""
     pool = []
     for i in range(n):
@@ -59,4 +64,4 @@ def random_pool(rng: np.random.Generator, n: int, n_labels: int, dim: int = 4) -
                 bm25_raw=0.0,
             )
         )
-    return pool
+    return pool_of(*pool)

@@ -69,7 +69,7 @@ def scratch_r(labels, embeddings, alpha):
 def make_pool(rng, n, n_labels, dim=4):
     embs = rng.normal(size=(n, dim))
     embs /= np.linalg.norm(embs, axis=1, keepdims=True)
-    return [
+    return Pool.from_candidates(
         Candidate(
             exemplar_id=f"c{i:03d}",
             text=f"text {i}",
@@ -81,7 +81,7 @@ def make_pool(rng, n, n_labels, dim=4):
             bm25_raw=0.0,
         )
         for i in range(n)
-    ]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -141,26 +141,26 @@ def test_criterion_2_greedy_step_optimality():
             mu=float(rng.uniform(0, 0.2)),
         )
         result = greedy_select(pool, cfg)
-        for c in result.members:
-            assert c.vec_score >= cfg.tau
+        assert np.all(pool.vec_score[result.rows] >= cfg.tau)
         for count in result.label_counts.values():
             assert count <= cfg.label_cap
 
-        sims = np.stack([c.embedding for c in pool])
+        cands = list(pool)
+        sims = np.stack([c.embedding for c in cands])
         sims = np.clip(sims @ sims.T, 0.0, 1.0)
-        by_id = {c.exemplar_id: i for i, c in enumerate(pool)}
+        by_id = {c.exemplar_id: i for i, c in enumerate(cands)}
         chosen_indices: list[int] = []
         remaining = set(range(n))
         for cid in result.ids():
             counts: dict[str, int] = {}
             for j in chosen_indices:
-                counts[pool[j].label] = counts.get(pool[j].label, 0) + 1
-            labels_before = [pool[j].label for j in chosen_indices]
-            embs_before = [pool[j].embedding for j in chosen_indices]
+                counts[cands[j].label] = counts.get(cands[j].label, 0) + 1
+            labels_before = [cands[j].label for j in chosen_indices]
+            embs_before = [cands[j].embedding for j in chosen_indices]
             r_before = scratch_r(labels_before, embs_before, cfg.alpha)
             best = None
             for i in remaining:
-                cand = pool[i]
+                cand = cands[i]
                 if cand.vec_score < cfg.tau:
                     continue
                 if counts.get(cand.label, 0) >= cfg.label_cap:
@@ -177,7 +177,7 @@ def test_criterion_2_greedy_step_optimality():
                 if best is None or gain > best:
                     best = gain
             i_star = by_id[cid]
-            chosen = pool[i_star]
+            chosen = cands[i_star]
             chosen_gain = (
                 scratch_r(
                     labels_before + [chosen.label],

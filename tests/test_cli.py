@@ -140,7 +140,7 @@ class TestRetrieveSelectComposeDecide:
     def test_select_out_writes_utf8(self, workspace, capsys, tmp_path):
         pool = tmp_path / "pool.jsonl"
         row = {"id": "é1", "text": "café crème", "label": "lé", "relevance": 0.5,
-               "vec_score": 0.5, "lex_score": 0.0, "embedding": [1.0, 0.0]}
+               "vec_score": 0.5, "lex_score": 0.0, "bm25_raw": 0.0, "embedding": [1.0, 0.0]}
         pool.write_text(json.dumps(row) + "\n")
         sel = tmp_path / "selection.jsonl"
         code, out, _ = run(
@@ -174,9 +174,11 @@ class TestRetrieveSelectComposeDecide:
         assert "holds no rows" in err
 
     def test_lone_surrogate_escape_exits_one(self, workspace, capsys, tmp_path):
-        """A \\ud800 escape in a dialogue, selection or exemplar-record file is
-        rejected where it is read, naming path:line, rather than crashing the
-        writer that would later meet the text."""
+        """A \\ud800 escape in a dialogue, selection or exemplar-record file, or
+        a command-line text that was not UTF-8 (Python decodes its bytes to
+        lone surrogates), is rejected where it is read, naming path:line or
+        the argument, rather than crashing the writer that would later meet
+        the text."""
         dialogue = json.loads((workspace / "dialogue.json").read_text())
         bad_dialogue = tmp_path / "dialogue.json"
         bad_dialogue.write_text(json.dumps({**dialogue, "current": "book \ud800 taxi"}) + "\n")
@@ -199,6 +201,9 @@ class TestRetrieveSelectComposeDecide:
               "--selection", str(bad_sel), "--budget", "300"], f"{bad_sel}:2:"),
             (["memory", "build", "--in", str(bad_records), "--out", str(out)],
              f"{bad_records}:2:"),
+            (["compose", "--dialogue", str(workspace / "dialogue.json"), "--selection",
+              str(good_sel), "--budget", "300", "--instruction", "bad \udcff byte",
+              "--out", str(out)], "argument 9, 'bad \\udcff byte', holds"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1
@@ -366,7 +371,20 @@ class TestExitCodes:
         no_id = tmp_path / "no_id.jsonl"
         no_id.write_text('{"t_ann": 1}\n')
         row = {"id": "a", "text": "t", "label": "l", "relevance": 0.5, "vec_score": 0.5,
-               "lex_score": 0.0, "embedding": [1.0, 0.0]}
+               "lex_score": 0.0, "bm25_raw": 0.0, "embedding": [1.0, 0.0]}
+        # A score or embedding entry must be a JSON number, and bm25_raw is
+        # required; a second row of another dimension names its line.
+        not_numbers = {}
+        for name, bad in (("bool_score", {"relevance": True}), ("str_score", {"vec_score": "0.9"}),
+                          ("bool_emb", {"embedding": [True, 0.5]})):
+            not_numbers[name] = tmp_path / f"{name}.jsonl"
+            not_numbers[name].write_text(json.dumps({**row, **bad}) + "\n")
+        no_raw = tmp_path / "no_raw.jsonl"
+        no_raw.write_text(json.dumps({k: v for k, v in row.items() if k != "bm25_raw"}) + "\n")
+        mixed_pool = tmp_path / "mixed_pool.jsonl"
+        mixed_pool.write_text(
+            json.dumps(row) + "\n" + json.dumps({**row, "id": "b", "embedding": [1, 0, 0]}) + "\n"
+        )
         nan_score = tmp_path / "nan_score.jsonl"
         nan_score.write_text(json.dumps(row) + "\n" + json.dumps({**row, "vec_score": float("nan")}) + "\n")
         nan_emb = tmp_path / "nan_emb.jsonl"
@@ -503,6 +521,16 @@ class TestExitCodes:
              f"{mixed_dims}:3: malformed row (IngestError: exemplar 'b' has embedding dimension 3, "
              "expected 2)"),
             (["select", "--pool", str(deep)], f"{deep}:1: malformed row (RecursionError"),
+            (["select", "--pool", str(not_numbers["bool_score"])],
+             f"{not_numbers['bool_score']}:1: malformed row (TypeError: expected a JSON number, got True)"),
+            (["select", "--pool", str(not_numbers["str_score"])],
+             f"{not_numbers['str_score']}:1: malformed row (TypeError: expected a JSON number, got '0.9')"),
+            (["select", "--pool", str(not_numbers["bool_emb"])],
+             f"{not_numbers['bool_emb']}:1: malformed row (TypeError: expected a JSON number, got True)"),
+            (["select", "--pool", str(no_raw)], f"{no_raw}:1: malformed row (KeyError: 'bm25_raw')"),
+            (["select", "--pool", str(mixed_pool), "--K", "2", "--tau", "0"],
+             f"{mixed_pool}:2: malformed row (ConfigError: candidate 'b' has embedding dimension 3, "
+             "expected 2)"),
         ]
         # Every output path: a missing directory, or a file where a directory
         # must go, fails naming the path.

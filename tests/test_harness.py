@@ -287,7 +287,7 @@ def fairness_reference(memory, corpus, config, dropped):
                     base = harness.select_for_method(
                         arm.split("_")[0], pool, config.selection, config.lambda_mmr, seed
                     )
-                    pairs = [(c.text, c.label) for c in base.members]
+                    pairs = base.pairs()
                     permutation = None
                     if arm == "ldra_shuffle":
                         permutation = list(range(len(pairs)))
@@ -423,7 +423,7 @@ def rand_add_case(small_world, idx, words, extra):
     cfg = base_config()
     pool = harness.retrieve_stage(inst.dialogue, mem, cfg.retrieval)
     sel = harness.select_for_method("topk", pool, cfg.selection, cfg.lambda_mmr, 0)
-    pairs = [(c.text, c.label) for c in sel.members]
+    pairs = sel.pairs()
     if extra:
         pairs.append((" ".join(f"x{i}" for i in range(extra)), "long"))
     return inst.dialogue, pairs, sel.ids(), cfg

@@ -1,6 +1,6 @@
-"""The array-native candidate pool: a `Pool` reads as the list of its
-candidates, and every selector returns the same result for a Pool as for that
-list."""
+"""The array-native candidate pool: a `Pool` iterates its candidates, and
+every selector returns the same result for a Pool as for the Pool rebuilt
+from that list."""
 
 import warnings
 
@@ -67,24 +67,24 @@ def select_all(pool, k, tau, label_cap, seed):
         random_select(pool, k, seed),
         brute_force_select(pool, cfg),
     )
-    return [(outcome(r), [m.label for m in r.members]) for r in results]
+    return [(outcome(r), r.labels()) for r in results]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    pool=st.one_of(retrieved_pools(), pools().map(Pool.from_candidates)),
+    pool=st.one_of(retrieved_pools(), pools()),
     data=st.data(),
     tau=st.sampled_from([-1.0, 0.4]),
     label_cap=st.integers(1, 3),
     seed=st.integers(0, 9),
 )
 def test_every_selector_reads_a_pool_as_its_candidate_list(pool, data, tau, label_cap, seed):
-    """Retrieved pools rank by the memory's id ranks, converted lists by
-    their own; both must give the list's ids, steps, sim_ops, g/d/r, stop
-    reason and binding constraint."""
+    """Retrieved pools rank by the memory's id ranks, pools rebuilt from
+    their candidate list by their own; both must give the same ids, labels,
+    steps, sim_ops, g/d/r, stop reason and binding constraint."""
     k = data.draw(st.integers(1, len(pool)))
     assert select_all(pool, k, tau, label_cap, seed) == select_all(
-        list(pool), k, tau, label_cap, seed
+        Pool.from_candidates(list(pool)), k, tau, label_cap, seed
     )
 
 
@@ -128,16 +128,16 @@ class TestPool:
             assert isinstance(part, Pool)
             assert [fields(c) for c in part] == whole[s]
         assert not pool[5:2]
-        assert fields(pool[-1]) == whole[-1]
-        assert fields(pool[np.int64(2)]) == whole[2]
-        for i in (7, -8):
-            with pytest.raises(IndexError):
+        # A Pool is not a sequence of candidates: an integer index is refused.
+        for i in (0, -1, np.int64(2), 7):
+            with pytest.raises(TypeError):
                 pool[i]
 
     def test_iteration_builds_each_candidate_on_read(self):
         _, pool = self.pool()
-        assert [fields(c) for c in pool] == [fields(pool[i]) for i in range(len(pool))]
-        assert pool[0] is not pool[0]
+        first, again = list(pool), list(pool)
+        assert [fields(c) for c in first] == [fields(c) for c in again]
+        assert all(a is not b for a, b in zip(first, again))
 
     def test_labels_read_without_candidates(self):
         _, pool = self.pool()
@@ -148,7 +148,7 @@ class TestPool:
         assert pool[2:].labels(2) == labels[2:4]
         for shortlist in (0, 2, 9):
             assert candidate_labels(["q"], pool, shortlist) == candidate_labels(
-                ["q"], list(pool), shortlist
+                ["q"], Pool.from_candidates(list(pool)), shortlist
             )
 
     def test_arrays_are_read_only(self):
@@ -166,7 +166,6 @@ class TestPool:
         assert pool.rank.tolist() == [2, 0, 3, 1]
         assert pool.label_codes.tolist() == [0, 1, 0, 2]
         assert [fields(c) for c in pool] == [fields(c) for c in cands]
-        assert Pool.from_candidates(pool) is pool
 
     def test_from_candidates_rejects_mixed_shapes_and_accepts_none(self):
         with pytest.raises(DimensionError):
@@ -191,21 +190,20 @@ class TestPool:
 
 
 class TestSelectedSetKeepsRows:
-    def test_no_candidate_is_built_until_members_is_read(self, monkeypatch):
-        """A selection keeps pool rows. With `Pool.__getitem__` raising, every
+    def test_no_candidate_is_built(self, monkeypatch):
+        """A selection keeps pool rows. With `Pool.__iter__` raising, every
         selector runs and its ids, labels and pairs are read from the pool's
         columns; a pipeline query of each method, with its invariant checks,
-        and a fairness-suite instance complete too. `members` then builds
-        each Candidate once, on its first read."""
+        and a fairness-suite instance complete too."""
         mem, corpus = synth_corpus(8, 6, 0.6, seed=5, dim=16, instances=2)
         inst = corpus[0]
         pool = retrieve_pool(mem, inst.dialogue.current_embedding, inst.dialogue.current,
                              RetrievalConfig(pool_size=16))
 
-        def no_candidates(self, index):
+        def no_candidates(self):
             raise AssertionError("a Candidate was built")
 
-        monkeypatch.setattr(Pool, "__getitem__", no_candidates)
+        monkeypatch.setattr(Pool, "__iter__", no_candidates)
         cfg = SelectionConfig(k=4, tau=-1.0)
         results = [
             greedy_select(pool, cfg), topk_select(pool, 4), mmr_select(pool, 4, 0.5),
@@ -221,12 +219,6 @@ class TestSelectedSetKeepsRows:
             result = harness.run_pipeline(inst, config, mem, harness.instance_verifier(inst, config, 0))
             harness.verify_run_invariants(result, config, inst)
         harness.fairness_suite(mem, [inst], harness.ExperimentConfig())
-        monkeypatch.undo()
-
-        for r in results:
-            members = r.members
-            assert [fields(c) for c in members] == [fields(pool[i]) for i in r.rows]
-            assert all(a is b for a, b in zip(r.members, members))
 
 
 class TestRowNorms:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from conftest import make_candidate, random_pool, unit
+from conftest import make_candidate, pool_of, random_pool, unit
 from divsel.errors import ConfigError, DimensionError, SelectionError
-from divsel.retrieval import Candidate, Pool
+from divsel.retrieval import Candidate
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
@@ -127,8 +127,8 @@ class TestClosedFormDeltas:
 
     def test_new_label_on_two_distinct(self):
         """{a, b} gaining c: label diversity moves 1/2 -> 2/3."""
-        s = SelectedSet(1.0, Pool.from_candidates([make_candidate("1", "a", (1, 0, 0), 0.5),
-                                                   make_candidate("2", "b", (0, 1, 0), 0.5)]))
+        s = SelectedSet(1.0, pool_of(make_candidate("1", "a", (1, 0, 0), 0.5),
+                                     make_candidate("2", "b", (0, 1, 0), 0.5)))
         s.add(0, 0.0)
         s.add(1, 0.0)
         g, _ = s.after_add(0, 0.0)[2:]
@@ -136,26 +136,25 @@ class TestClosedFormDeltas:
         np.testing.assert_allclose(1 - (2 + 0 + 1) / 9, 2 / 3, atol=1e-12)
 
     def test_repeated_label_keeps_zero(self):
-        s = SelectedSet(1.0, Pool.from_candidates(
-            make_candidate(str(i), "a", (1, 0), 0.5) for i in range(3)))
+        s = SelectedSet(1.0, pool_of(*(make_candidate(str(i), "a", (1, 0), 0.5) for i in range(3))))
         for i in range(3):
             s.add(i, float(i))
         g, _ = s.after_add(s.label_counts["a"], 3.0)[2:]
         assert g - s.g == 0.0
 
     def test_empty_set_delta_is_zero(self):
-        s = SelectedSet(0.5, Pool.from_candidates([]))
+        s = SelectedSet(0.5, pool_of())
         g, _ = s.after_add(0, 0.0)[2:]
         assert g - s.g == 0.0
 
     def test_orthogonal_add_keeps_text_diversity(self):
-        s = SelectedSet(0.5, Pool.from_candidates([make_candidate("1", "a", (1, 0), 0.5)]))
+        s = SelectedSet(0.5, pool_of(make_candidate("1", "a", (1, 0), 0.5)))
         s.add(0, 0.0)
         _, d = s.after_add(0, 0.0)[2:]
         assert d - s.dtext == 0.0
 
     def test_duplicate_add_drops_text_diversity_to_zero(self):
-        s = SelectedSet(0.5, Pool.from_candidates([make_candidate("1", "a", (1, 0), 0.5)]))
+        s = SelectedSet(0.5, pool_of(make_candidate("1", "a", (1, 0), 0.5)))
         s.add(0, 0.0)
         _, d = s.after_add(0, 1.0)[2:]
         assert d - s.dtext == -1.0
@@ -167,14 +166,14 @@ class TestClosedFormDeltas:
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 9))
         pool = random_pool(rng, size + 1, n_labels=3, dim=4)
-        s = SelectedSet(float(rng.uniform(0, 1)), Pool.from_candidates(pool))
-        for i, c in enumerate(pool[:size]):
-            s.add(i, clamped_sum(c, s.members))
-        incoming = pool[size]
-        g, d = s.after_add(s.label_counts.get(incoming.label, 0), clamped_sum(incoming, s.members))[2:]
+        s = SelectedSet(float(rng.uniform(0, 1)), pool)
+        *members, incoming = pool
+        for i, c in enumerate(members):
+            s.add(i, clamped_sum(c, members[:i]))
+        g, d = s.after_add(s.label_counts.get(incoming.label, 0), clamped_sum(incoming, members))[2:]
         dg, dd = g - s.g, d - s.dtext
-        labels_before = [c.label for c in s.members]
-        embs_before = [c.embedding for c in s.members]
+        labels_before = [c.label for c in members]
+        embs_before = [c.embedding for c in members]
         g_direct = scratch_g(labels_before + [incoming.label]) - scratch_g(labels_before)
         d_direct = scratch_d(embs_before + [incoming.embedding]) - scratch_d(embs_before)
         assert abs(dg - g_direct) <= 1e-12
@@ -194,15 +193,15 @@ class TestGreedySelect:
         assert result.ids() == ["A", "C"]
         assert result.stop_reason == "complete"
         # step-2 audit by scratch evaluation of both alternatives
-        a_only = [abc_pool[0]]
-        r_ab = scratch_r(a_only + [abc_pool[1]], 0.5)
-        r_ac = scratch_r(a_only + [abc_pool[2]], 0.5)
+        a, b, c = abc_pool
+        r_ab = scratch_r([a, b], 0.5)
+        r_ac = scratch_r([a, c], 0.5)
         np.testing.assert_allclose(r_ac, 0.75, atol=1e-12)
         assert r_ab < 0.01
         assert result.steps[1].r == result.r
 
     def test_cap_limits_single_label_pool(self):
-        pool = [make_candidate(f"c{i}", "only", (1, 0.01 * i), 0.8) for i in range(4)]
+        pool = pool_of(*(make_candidate(f"c{i}", "only", (1, 0.01 * i), 0.8) for i in range(4)))
         result = greedy_select(pool, self.cfg(k=3, label_cap=1))
         assert result.size == 1
         assert result.stop_reason == "cap-limited"
@@ -219,7 +218,7 @@ class TestGreedySelect:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(SelectionError):
-            greedy_select([], self.cfg())
+            greedy_select(pool_of(), self.cfg())
 
     def test_alpha_one_cap_one_yields_distinct_labels(self):
         rng = np.random.default_rng(11)
@@ -268,7 +267,7 @@ class TestGreedySelect:
             mu=float(rng.uniform(0, 0.2)),
         )
         result = self.SELECTORS[selector](pool, cfg, float(rng.uniform(0, 1)))
-        if result.members:
+        if result.size:
             g, d, r = result.recompute()
             assert abs(g - result.g) <= 1e-9
             assert abs(d - result.dtext) <= 1e-9
@@ -277,12 +276,11 @@ class TestGreedySelect:
         if selector in ("topk", "random", "brute_force"):
             assert result.sim_ops == size * (size - 1) // 2
         elif selector == "greedy":
-            assert result.sim_ops == size * sum(c.vec_score >= cfg.tau for c in pool)
+            assert result.sim_ops == size * int(np.sum(pool.vec_score >= cfg.tau))
         else:
             assert result.sim_ops == sum(len(pool) - step for step in range(1, size + 1))
         if selector in ("greedy", "brute_force"):
-            for c in result.members:
-                assert c.vec_score >= cfg.tau
+            assert np.all(pool.vec_score[result.rows] >= cfg.tau)
             for n in result.label_counts.values():
                 assert n <= cfg.label_cap
 
@@ -340,7 +338,7 @@ class TestBruteForce:
         assert sorted(oracle.ids()) == ["A", "C"]
 
     def test_identical_candidates_pick_lexicographically_first(self):
-        pool = [make_candidate(c, "same", (1, 0), 0.5) for c in ("d", "b", "c", "a")]
+        pool = pool_of(*(make_candidate(c, "same", (1, 0), 0.5) for c in ("d", "b", "c", "a")))
         cfg = SelectionConfig(alpha=0.5, k=2, tau=0.0, label_cap=4, mu=0.0)
         oracle = brute_force_select(pool, cfg)
         assert sorted(oracle.ids()) == ["a", "b"]
@@ -389,12 +387,12 @@ class TestMmr:
         0.445 - 0.495 < 0, the orthogonal candidate scores 0.3."""
         result = mmr_select(abc_pool, 2, lambda_mmr=0.5)
         assert result.ids() == ["A", "C"]
-        sim_ba = float(abc_pool[1].embedding @ abc_pool[0].embedding)
+        sim_ba = float(abc_pool.embeddings[1] @ abc_pool.embeddings[0])
         assert 0.5 * 0.89 - 0.5 * sim_ba < 0.5 * 0.6 - 0.5 * 0.0
 
     def test_duplicate_never_second(self, abc_pool):
         dup = make_candidate("A2", "x", (1.0, 0.0), 0.9)
-        pool = abc_pool + [dup]
+        pool = pool_of(*abc_pool, dup)
         result = mmr_select(pool, 3, lambda_mmr=0.5)
         assert result.ids()[1] != "A2"
 
@@ -409,7 +407,7 @@ class TestFps:
         assert result.ids() == ["A", "C"]
 
     def test_identical_pool_fills_by_id(self):
-        pool = [make_candidate(c, "same", (1, 0), 0.5) for c in ("c", "a", "b")]
+        pool = pool_of(*(make_candidate(c, "same", (1, 0), 0.5) for c in ("c", "a", "b")))
         result = fps_select(pool, 3)
         assert result.ids() == ["a", "b", "c"]  # relevance ties seed by id too
 
@@ -451,13 +449,15 @@ class TestNonFinitePool:
     @pytest.mark.parametrize("field", ["vec_score", "relevance"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_score_rejected(self, abc_pool, field, bad):
-        pool = [abc_pool[0], replace(abc_pool[1], **{field: bad}), abc_pool[2]]
+        a, b, c = abc_pool
+        pool = pool_of(a, replace(b, **{field: bad}), c)
         for select in self.SELECTORS:
             with pytest.raises(SelectionError, match="non-finite"):
                 select(pool)
 
     def test_non_finite_embedding_rejected(self, abc_pool):
-        pool = [abc_pool[0], replace(abc_pool[1], embedding=np.array([np.nan, 1.0])), abc_pool[2]]
+        a, b, c = abc_pool
+        pool = pool_of(a, replace(b, embedding=np.array([np.nan, 1.0])), c)
         for select in self.SELECTORS + (lambda p: brute_force_select(p, SelectionConfig(k=2)),):
             with pytest.raises(DimensionError, match="non-finite"):
                 select(pool)
@@ -468,7 +468,7 @@ class TestNonFinitePool:
         rows = {"a": [1.0, 0.0], "nan": [np.nan, 1.0], "b": [0.0, 1.0], "zero": [0.0, 0.0]}
 
         def pool(*names):
-            return [Candidate(n, "t", n, np.array(rows[n]), 0.5, 0.5, 0.0, 0.0) for n in names]
+            return pool_of(*(Candidate(n, "t", n, np.array(rows[n]), 0.5, 0.5, 0.0, 0.0) for n in names))
 
         with pytest.raises(DimensionError, match="non-finite"):
             topk_select(pool("a", "nan", "b", "zero"), 2)
@@ -481,6 +481,8 @@ class TestNonFinitePool:
         assert (result.g, result.dtext, result.sim_ops) == (0.5, 1.0, 1)
 
     def test_mixed_dimensions_rejected(self, abc_pool):
-        pool = [abc_pool[0], replace(abc_pool[1], embedding=unit(1, 0, 0))]
+        """A pool holds one embedding matrix, so candidates of two dimensions
+        never become a pool that a selector could read."""
+        a, b, _ = abc_pool
         with pytest.raises(DimensionError, match="shape"):
-            fps_select(pool, 2)
+            fps_select(pool_of(a, replace(b, embedding=unit(1, 0, 0))), 2)

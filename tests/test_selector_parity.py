@@ -47,17 +47,18 @@ def _sim(mat, i, j):
 
 
 def greedy_reference(pool, cfg):
+    cands = list(pool)
     mat = _unit_rows(pool)
     pair_sums = np.zeros(len(pool))
-    tau_rows = [i for i in range(len(pool)) if pool[i].vec_score >= cfg.tau]
+    tau_rows = [i for i in range(len(pool)) if cands[i].vec_score >= cfg.tau]
     remaining = set(tau_rows)
-    out = SelectedSet(cfg.alpha, Pool.from_candidates(pool))
+    out = SelectedSet(cfg.alpha, pool)
     while out.size < cfg.k:
         best = None
         best_idx = -1
         best_gain = 0.0
         for i in remaining:
-            c = pool[i]
+            c = cands[i]
             count = out.label_counts.get(c.label, 0)
             if count >= cfg.label_cap:
                 continue
@@ -76,7 +77,7 @@ def greedy_reference(pool, cfg):
             else:
                 out.stop_reason = "cap-limited" if remaining else "threshold-limited"
             return out
-        chosen = pool[best_idx]
+        chosen = cands[best_idx]
         out.add(best_idx, incoming_a=float(pair_sums[best_idx]))
         out.steps.append(
             StepRecord(out.size - 1, chosen.exemplar_id, best_gain, best[0], out.g, out.dtext, out.r)
@@ -90,19 +91,20 @@ def greedy_reference(pool, cfg):
 
 
 def mmr_reference(pool, k, lambda_mmr, alpha):
+    cands = list(pool)
     mat = _unit_rows(pool)
     n = len(pool)
     max_sim = np.zeros(n)
     pair_sums = np.zeros(n)
     remaining = set(range(n))
-    out = SelectedSet(alpha, Pool.from_candidates(pool))
+    out = SelectedSet(alpha, pool)
     while out.size < min(k, n) and remaining:
         best_key = None
         best_idx = -1
         for i in remaining:
             penalty = max_sim[i] if out.size else 0.0
-            score = lambda_mmr * pool[i].vec_score - (1.0 - lambda_mmr) * penalty
-            key = (score, _ReverseStr(pool[i].exemplar_id))
+            score = lambda_mmr * cands[i].vec_score - (1.0 - lambda_mmr) * penalty
+            key = (score, _ReverseStr(cands[i].exemplar_id))
             if best_key is None or key > best_key:
                 best_key = key
                 best_idx = i
@@ -118,9 +120,10 @@ def mmr_reference(pool, k, lambda_mmr, alpha):
 
 
 def fps_reference(pool, k, alpha):
+    cands = list(pool)
     mat = _unit_rows(pool)
     n = len(pool)
-    out = SelectedSet(alpha, Pool.from_candidates(pool))
+    out = SelectedSet(alpha, pool)
     pair_sums = np.zeros(n)
     min_dist = np.full(n, np.inf)
     chosen = set()
@@ -134,14 +137,14 @@ def fps_reference(pool, k, alpha):
             min_dist[i] = np.minimum(min_dist[i], 1.0 - sim)
             out.sim_ops += 1
 
-    take(min(range(n), key=lambda i: (-pool[i].relevance, pool[i].exemplar_id)))
+    take(min(range(n), key=lambda i: (-cands[i].relevance, cands[i].exemplar_id)))
     while out.size < min(k, n):
         best_key = None
         best_idx = -1
         for i in range(n):
             if i in chosen:
                 continue
-            key = (float(min_dist[i]), _ReverseStr(pool[i].exemplar_id))
+            key = (float(min_dist[i]), _ReverseStr(cands[i].exemplar_id))
             if best_key is None or key > best_key:
                 best_key = key
                 best_idx = i
@@ -218,7 +221,7 @@ def pools(draw):
                 bm25_raw=0.0,
             )
         )
-    return pool
+    return Pool.from_candidates(pool)
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,11 +258,11 @@ def test_fps_matches_scalar_reference(pool, data):
 def test_full_ties_pick_smallest_id_then_lowest_index():
     """Identical candidates: every selector takes them in (id, index) order."""
     e = np.array([1.0, 0.0])
-    pool = [Candidate(eid, "t", lab, e, 0.5, 0.5, 0.0, 0.0)
-            for eid, lab in (("b", "x"), ("a", "y"), ("b", "z"), ("a", "w"))]
+    pool = Pool.from_candidates(Candidate(eid, "t", lab, e, 0.5, 0.5, 0.0, 0.0)
+                                for eid, lab in (("b", "x"), ("a", "y"), ("b", "z"), ("a", "w")))
     cfg = SelectionConfig(alpha=0.0, k=4, tau=0.0, label_cap=1, mu=0.0)
     for result in (greedy_select(pool, cfg), mmr_select(pool, 4, 1.0), fps_select(pool, 4)):
-        assert [m.label for m in result.members] == ["y", "w", "x", "z"]
+        assert result.labels() == ["y", "w", "x", "z"]
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from conftest import make_candidate
+from conftest import make_candidate, pool_of
 from divsel.cli import main
 from divsel.errors import CandidateSetError, ConfigError, VerifierProtocolError, VerifierTransportError
 from divsel.verifier import (
@@ -22,11 +22,11 @@ from divsel.verifier import (
 
 class TestCandidateLabels:
     def pool(self):
-        return [
+        return pool_of(
             make_candidate("p1", "c", (1, 0), 0.9),
             make_candidate("p2", "d", (0, 1), 0.8),
             make_candidate("p3", "a", (1, 1), 0.7),
-        ]
+        )
 
     def test_dedup_in_first_seen_order(self):
         labels = candidate_labels(["a", "a", "b"], self.pool(), shortlist_size=0)
