@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,10 @@ class EncoderWeights:
     """Attention projections and recency knobs; immutable after load.
 
     The defaults degrade the encoder to current-utterance-only: identity
-    query/key projections with zero value projections.
+    query/key projections with zero value projections. ``zero_values`` is
+    derived, not passed: it holds when ``w_v`` and ``w_v_prime`` are both
+    all-zero, and then :func:`encode_context` skips the attention arithmetic,
+    whose value products could only add zeros.
     """
 
     w_q: np.ndarray
@@ -67,6 +70,7 @@ class EncoderWeights:
     w_v_prime: np.ndarray
     recency_lambda: float = 0.0
     recency_weight: float = 0.0
+    zero_values: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.w_q.shape[0]
@@ -84,6 +88,8 @@ class EncoderWeights:
             raise ConfigError("recency_lambda must be >= 0")
         if self.recency_weight < 0:
             raise ConfigError("recency_weight must be >= 0")
+        object.__setattr__(self, "zero_values",
+                           not (self.w_v.any() or self.w_v_prime.any()))
 
     @property
     def dim(self) -> int:
@@ -128,20 +134,23 @@ def encode_context(ctx: DialogueContext, weights: EncoderWeights) -> np.ndarray:
 
     With empty history both attention sums vanish and the result is simply the
     layer-normalized current embedding. Attention weights over user turns and
-    over agent turns each sum to one when history is present.
+    over agent turns each sum to one when history is present. Under zero value
+    projections (``weights.zero_values``) the history is checked but not
+    attended to: both sums are zero whatever the attention weights, so the
+    result is the no-history one. Full attention would come out NaN instead
+    when a history large enough to overflow the logits makes them non-finite.
     """
     d = weights.dim
     e_q = _check_embedding(ctx.current_embedding, d, "current embedding")
     n = len(ctx.turns) + 1
     user_sum = np.zeros(d)
     agent_sum = np.zeros(d)
-    if ctx.turns:
-        h = np.stack(
-            [_check_embedding(t.user_embedding, d, f"turn {i} user embedding") for i, t in enumerate(ctx.turns)]
-        )
-        g = np.stack(
-            [_check_embedding(t.agent_embedding, d, f"turn {i} agent embedding") for i, t in enumerate(ctx.turns)]
-        )
+    h = [_check_embedding(t.user_embedding, d, f"turn {i} user embedding")
+         for i, t in enumerate(ctx.turns)]
+    g = [_check_embedding(t.agent_embedding, d, f"turn {i} agent embedding")
+         for i, t in enumerate(ctx.turns)]
+    if h and not weights.zero_values:
+        h, g = np.stack(h), np.stack(g)
         q_proj = weights.w_q @ e_q
         scale = math.sqrt(d)
         # turn index t runs 1..n-1; recency kernel is -lambda * (n - t)

@@ -5,10 +5,10 @@ frequency) pairs of every term grouped by term id, and the offsets of each
 term's group. Ingest builds them by tokenizing the texts once; the memory file
 stores them, so a load never tokenizes. From the postings every memory derives
 each row's length normalization and each posting's BM25 weight.
-``Memory.bm25_scores`` scores a query by scatter-adding the weights of its
-terms' postings; ``Memory.bm25_score`` is the scalar oracle it must match bit
-for bit, re-tokenizing one exemplar's text and computing its idf and weights
-from scratch.
+``Memory.bm25_scores`` scores a query by summing the weights of its terms'
+postings per row in one weighted ``bincount``; ``Memory.bm25_score`` is the
+scalar oracle it must match bit for bit, re-tokenizing one exemplar's text and
+computing its idf and weights from scratch.
 
 The memory is immutable after build; any number of readers may share it.
 """
@@ -98,8 +98,8 @@ def _check_postings(postings: Postings, n: int) -> None:
         raise IngestError(f"postings offsets end at {offsets[-1]}, not at the postings count {count}")
     if count and not (docs.min() >= 0 and docs.max() < n):
         raise IngestError(f"a posting row is outside [0, {n})")
-    # A repeated (term, row) pair would be scored once by the scatter-add, so
-    # rows must rise strictly within a term; only a term's first row may not.
+    # A repeated (term, row) pair would add its weight twice in `bm25_scores`,
+    # so rows must rise strictly within a term; only a term's first row may not.
     rising = docs[1:] > docs[:-1]
     starts = offsets[1:-1]
     rising[starts[(starts > 0) & (starts < count)] - 1] = True
@@ -252,18 +252,21 @@ class Memory:
     def bm25_scores(self, query_text: str) -> np.ndarray:
         """BM25 scores of every exemplar against the query, in memory order.
 
-        Scatter-adds the weights of each query term's postings, repeated terms
-        once per occurrence and in query order, so every score is
-        bit-identical to :meth:`bm25_score`.
+        Concatenates the postings of the query's known terms, a repeated term
+        once per occurrence and in query order, and sums their weights per
+        row in one weighted ``bincount``. It adds in input order from 0.0 and
+        a term names each row at most once, so every row adds its terms' weights
+        in query order and its score is bit-identical to :meth:`bm25_score`.
         """
-        out = np.zeros(len(self.ids), dtype=np.float64)
-        for term in tokenize(query_text):
-            t = self.vocab.get(term)
-            if t is None:
-                continue
-            lo, hi = self.offsets[t], self.offsets[t + 1]
-            out[self.post_docs[lo:hi]] += self.post_weights[lo:hi]
-        return out
+        n = len(self.ids)
+        offsets, vocab = self.offsets, self.vocab
+        spans = [slice(offsets[t], offsets[t + 1])
+                 for t in map(vocab.get, tokenize(query_text)) if t is not None]
+        if not spans:
+            return np.zeros(n, dtype=np.float64)
+        docs = np.concatenate([self.post_docs[s] for s in spans])
+        weights = np.concatenate([self.post_weights[s] for s in spans])
+        return np.bincount(docs, weights=weights, minlength=n)
 
 
 def _parse_record(rec: Mapping) -> Exemplar:

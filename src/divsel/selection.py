@@ -30,7 +30,8 @@ and add each member's incoming sum in member order. `sim_ops` counts the
 similarities computed. A unit row is a pool embedding divided by the pool's
 ``row_norms``, which a retrieved pool gathers from its memory, so no
 selector takes a norm. The scalar `text_diversity`, `SelectedSet.recompute`
-and the brute-force Gram enumeration stay as independent oracles.
+(one Gram of rows it normalizes itself) and the brute-force Gram enumeration
+stay as independent oracles.
 
 Conventions for tiny sets (the objective is otherwise undefined): the label
 diversity of a singleton is 0, its text diversity is 1, and the empty set
@@ -200,11 +201,26 @@ class SelectedSet:
         self.r = r_score(self.g, self.dtext, self.alpha)
 
     def recompute(self) -> tuple[float, float, float]:
-        """Diversity terms recomputed from scratch (audit path, no increments)."""
-        if not self.rows:
+        """Diversity terms recomputed from scratch (audit path, no increments).
+
+        The text diversity comes from one Gram of the members' embeddings,
+        normalized here with their own norms: it reads neither `similarities`
+        nor the pool's ``row_norms``, so it stays independent of the
+        selectors' fast path. Pair similarities are clamped to [0, 1] as
+        `text_diversity`, the scalar oracle, clamps them."""
+        m = len(self.rows)
+        if not m:
             return 0.0, 0.0, 0.0
         g = label_diversity(self.labels())
-        d = text_diversity(self.pool.embeddings[self.rows])
+        raw = self.pool.embeddings[self.rows]
+        norms = np.linalg.norm(raw, axis=1)
+        if not norms.all():
+            raise DimensionError("similarity is undefined for a zero vector")
+        d = 1.0
+        if m > 1:
+            unit = raw / norms[:, None]
+            sims = np.clip(unit @ unit.T, 0.0, 1.0)[np.triu_indices(m, 1)]
+            d = 1.0 - float(sims.sum()) / (m * (m - 1) / 2)
         return g, d, r_score(g, d, self.alpha)
 
 
@@ -227,9 +243,9 @@ def _check_norms(norms: np.ndarray) -> None:
     """Raise DimensionError unless every row norm is finite and non-zero. A
     row with a non-finite entry has a non-finite norm, and so has a finite
     row whose squares overflow; neither has a unit row."""
-    if not np.all(np.isfinite(norms)):
+    if not np.isfinite(norms).all():
         raise DimensionError("pool contains an embedding with a non-finite norm")
-    if np.any(norms == 0.0):
+    if not norms.all():
         raise DimensionError("pool contains a zero embedding")
 
 
@@ -237,7 +253,7 @@ def _check_pool(pool: Pool) -> None:
     """Raise unless every row norm passes `_check_norms` and every vec_score
     and relevance is finite (else SelectionError)."""
     _check_norms(pool.row_norms)
-    if not (np.all(np.isfinite(pool.vec_score)) and np.all(np.isfinite(pool.relevance))):
+    if not (np.isfinite(pool.vec_score).all() and np.isfinite(pool.relevance).all()):
         raise SelectionError("pool contains a non-finite vec_score or relevance")
 
 

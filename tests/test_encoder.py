@@ -34,6 +34,123 @@ def make_ctx(rng, n_turns):
     return DialogueContext(turns=turns, current="current", current_embedding=unit(rng))
 
 
+def full_attention(ctx, w):
+    """The encoder formula in full, with no shortcut for zero value
+    projections: softmax attention over user and agent turns with the
+    recency kernel, value projections, sum, layer norm."""
+    d = w.dim
+    e_q = ctx.current_embedding
+    n = len(ctx.turns) + 1
+    user_sum, agent_sum = np.zeros(d), np.zeros(d)
+    if ctx.turns:
+        h = np.stack([t.user_embedding for t in ctx.turns])
+        g = np.stack([t.agent_embedding for t in ctx.turns])
+        q_proj = w.w_q @ e_q
+        rec = np.array([w.recency_weight * (-w.recency_lambda * (n - t)) for t in range(1, n)])
+
+        def softmax(x):
+            e = np.exp(x - x.max())
+            return e / e.sum()
+
+        beta = softmax((h @ w.w_k.T) @ q_proj / math.sqrt(d) + rec)
+        gamma = softmax((g @ w.w_k.T) @ q_proj / math.sqrt(d) + rec)
+        user_sum = w.w_v @ (beta @ h)
+        agent_sum = w.w_v_prime @ (gamma @ g)
+    return layer_norm(e_q + user_sum + agent_sum)
+
+
+def history_ctx(e_q, history):
+    """A context over the current embedding e_q whose turn t has user and
+    agent embeddings history[t]."""
+    turns = tuple(Turn(f"u{t}", f"a{t}", np.array(u), np.array(a))
+                  for t, (u, a) in enumerate(history))
+    return DialogueContext(turns=turns, current="x", current_embedding=np.array(e_q))
+
+
+class TestZeroValueProjections:
+    """Under all-zero value projections `encode_context` skips the attention
+    arithmetic; `full_attention` is its oracle."""
+
+    def test_zero_values_is_derived_from_the_value_projections(self):
+        eye, zero = np.eye(3), np.zeros((3, 3))
+        assert EncoderWeights.default(3).zero_values
+        assert EncoderWeights(eye, eye, zero, zero, 0.5, 1.0).zero_values
+        assert not EncoderWeights(eye, eye, 1e-300 * eye, zero).zero_values
+        assert not EncoderWeights(eye, eye, zero, -eye).zero_values
+        with pytest.raises(TypeError):
+            EncoderWeights(eye, eye, zero, zero, zero_values=True)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bit_equal_to_full_attention_on_random_history(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 12))
+        zero = np.zeros((d, d))
+        weights = [EncoderWeights.default(d),
+                   EncoderWeights(rng.normal(size=(d, d)), rng.normal(size=(d, d)), zero, zero,
+                                  float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))]
+        for n_turns in range(4):
+            e_q = rng.normal(size=d)
+            e_q[rng.random(d) < 0.3] = -0.0
+            history = [(rng.normal(scale=10.0 ** rng.integers(-3, 4), size=d),
+                        rng.normal(size=d)) for _ in range(n_turns)]
+            ctx = history_ctx(e_q, history)
+            for w in weights:
+                assert w.zero_values
+                assert encode_context(ctx, w).tobytes() == full_attention(ctx, w).tobytes()
+            assert encode_context(ctx, weights[0]).tobytes() == layer_norm(
+                e_q + np.zeros(d) + np.zeros(d)).tobytes()
+
+    def test_negative_zero_rounds_as_the_full_formula(self):
+        """With a mean of exactly 0, a -0.0 entry of e_q would come out -0.0
+        without the zero sums; the full formula adds them and gives +0.0."""
+        e_q = [-0.0, 1.0, -1.0, -0.0, 0.5, -0.5]
+        for history in ([], [([0.3] * 6, [-0.2] * 6)]):
+            ctx = history_ctx(e_q, history)
+            w = EncoderWeights.default(6)
+            out = encode_context(ctx, w)
+            assert out.tobytes() == full_attention(ctx, w).tobytes()
+            assert not np.signbit(out[[0, 3]]).any()
+
+    def test_history_that_overflows_the_logits_contributes_nothing(self):
+        """Every history entry 1e308 at d=8 overflows the attention logits:
+        the full formula comes out NaN, the zero-projection path gives the
+        no-history encoding."""
+        e_q = np.linspace(0.1, 0.8, 8)
+        ctx = history_ctx(e_q, [([1e308] * 8, [1e308] * 8)] * 2)
+        w = EncoderWeights.default(8)
+        with np.errstate(all="ignore"):
+            assert np.isnan(full_attention(ctx, w)).all()
+        out = encode_context(ctx, w)
+        assert out.tobytes() == encode_context(history_ctx(e_q, []), w).tobytes()
+        assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.full(D, np.nan), EncodingError),
+        (np.array([0.0, np.inf, 0.0, 0.0, 0.0, 0.0]), EncodingError),
+        (np.zeros(D + 1), DimensionError),
+        (np.zeros((2, D)), DimensionError),
+    ])
+    @pytest.mark.parametrize("side", ["user", "agent"])
+    def test_bad_turn_embedding_still_raises(self, bad, error, side):
+        rng = np.random.default_rng(2)
+        good = unit(rng)
+        turn = (bad, good) if side == "user" else (good, bad)
+        ctx = DialogueContext(turns=(Turn("u0", "a0", good, good), Turn("u1", "a1", *turn)),
+                              current="x", current_embedding=unit(rng))
+        with pytest.raises(error, match=f"turn 1 {side} embedding"):
+            encode_context(ctx, EncoderWeights.default(D))
+
+    def test_non_zero_weights_run_the_full_formula(self):
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            mats = [rng.normal(size=(D, D)) for _ in range(4)]
+            mats[int(rng.integers(2, 4))] = np.zeros((D, D))  # one value projection zero
+            w = EncoderWeights(*mats, float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
+            assert not w.zero_values
+            ctx = make_ctx(rng, int(rng.integers(1, 5)))
+            assert encode_context(ctx, w).tobytes() == full_attention(ctx, w).tobytes()
+
+
 class TestEncodeContext:
     def test_empty_history_is_layer_normed_current(self):
         rng = np.random.default_rng(0)

@@ -188,11 +188,11 @@ class TestBm25Parity:
     @given(case=bm25_cases())
     @settings(max_examples=150, deadline=None)
     def test_postings_scores_equal_scalar_oracle(self, case):
-        """The scatter-add scores are bit-identical to the per-exemplar
+        """The postings scores are bit-identical to the per-exemplar
         oracle, which re-tokenizes each exemplar's text."""
         mem, query = case
         oracle = np.array([mem.bm25_score(query, eid) for eid in mem.ids])
-        assert np.array_equal(mem.bm25_scores(query), oracle)
+        assert mem.bm25_scores(query).tobytes() == oracle.tobytes()
 
     def test_every_document_frequency_matches_the_oracle(self):
         """Row i holds terms w0..w(i-1), so document frequencies run through
@@ -216,6 +216,27 @@ class TestBm25Parity:
         mem = ingest(small_records())
         for query in ("", "zebra", "!!"):
             assert np.array_equal(mem.bm25_scores(query), np.zeros(3))
+
+    @pytest.mark.parametrize("query", [
+        "taxi flight taxi a taxi",  # repeated terms, one of them in two rows
+        "zebra unicorn",  # only unknown terms
+        "",  # no term at all
+        "common",  # a term in every row
+        "hotel",  # a term in exactly one row
+        "room common zebra a common",  # known, unknown and repeated mixed
+    ])
+    def test_scores_equal_the_oracle_bit_for_bit(self, query):
+        """The one-bincount scores equal the scalar oracle's bytes on every
+        row, and a query without a known term gives N zeros."""
+        texts = ["need a taxi now common", "cancel flight common taxi taxi",
+                 "book a hotel room common", "common", "nothing shared here common"]
+        mem = ingest([rec(f"e{i}", t, "x", [1.0, float(i)]) for i, t in enumerate(texts)])
+        scores = mem.bm25_scores(query)
+        oracle = np.array([mem.bm25_score(query, eid) for eid in mem.ids])
+        assert scores.dtype == np.float64 and scores.shape == (len(texts),)
+        assert scores.tobytes() == oracle.tobytes()
+        if not any(t in mem.vocab for t in tokenize(query)):
+            assert scores.tobytes() == np.zeros(len(texts)).tobytes()
 
 
 class TestPersistence:

@@ -180,6 +180,48 @@ class TestClosedFormDeltas:
         assert abs(dd - d_direct) <= 1e-12
 
 
+class TestRecompute:
+    """`SelectedSet.recompute` takes d from one Gram of rows it normalizes
+    itself; the scalar `text_diversity` is its oracle."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_text_diversity_matches_the_scalar_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        cands = [make_candidate(f"c{i}", f"l{i % 3}", rng.normal(size=5), 0.5) for i in range(n)]
+        # Unnormalized rows, a duplicate and an anti-correlated row.
+        cands = [replace(c, embedding=c.embedding * rng.uniform(0.1, 10.0)) for c in cands]
+        cands += [replace(cands[0], exemplar_id="dup"), replace(cands[0], exemplar_id="neg",
+                                                                 embedding=-cands[0].embedding)]
+        pool = pool_of(*cands)
+        s = SelectedSet(float(rng.uniform(0, 1)), pool)
+        s.rows = [int(i) for i in rng.choice(len(cands), size=int(rng.integers(1, len(cands) + 1)),
+                                             replace=False)]
+        g, d, r = s.recompute()
+        assert abs(d - text_diversity(pool.embeddings[s.rows])) <= 1e-12
+        assert g == label_diversity(s.labels())
+        assert r == r_score(g, d, s.alpha)
+
+    def test_singleton_and_empty(self):
+        pool = pool_of(make_candidate("1", "a", (3, 4), 0.5))
+        s = SelectedSet(0.5, pool)
+        assert s.recompute() == (0.0, 0.0, 0.0)
+        s.add(0, 0.0)
+        assert s.recompute() == (0.0, 1.0, 0.5)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_zero_row_raises_like_the_oracle(self, size):
+        cands = [make_candidate(str(i), "a", (1, i), 0.5) for i in range(size)]
+        pool = pool_of(*cands, replace(cands[0], exemplar_id="z", embedding=np.zeros(2)))
+        s = SelectedSet(0.5, pool)
+        s.rows = list(range(1, size + 1))
+        with pytest.raises(DimensionError):
+            text_diversity(pool.embeddings[s.rows])
+        with pytest.raises(DimensionError):
+            s.recompute()
+
+
 class TestGreedySelect:
     def cfg(self, **kw):
         base = dict(alpha=0.5, k=2, tau=0.0, label_cap=2, mu=0.05)

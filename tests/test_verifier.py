@@ -206,6 +206,9 @@ def http_verifier_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 class TestEndpointVerifier:
