@@ -3,6 +3,10 @@
 Modeled reports evaluate the cost terms in TERMS over a workload shape;
 measured reports come from wall-clock stage timers.
 The two kinds are never mixed in one report object.
+
+scipy is needed only by `calibrate_constants` (and so `divsel budget
+calibrate`), which imports its `nnls` on first use: importing this module,
+or running any query, evaluation or fairness path, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ConfigError
 from .files import open_output, overlay, read_object
@@ -227,6 +230,8 @@ def calibrate_constants(
 ) -> CostConstants:
     """Fit each stage's TERMS to measured reports by non-negative least
     squares, one column per term: the product of its sizes."""
+    from scipy.optimize import nnls  # local: only a fit needs scipy, so the query path never loads it
+
     if not samples:
         raise ConfigError("calibration needs at least one sample")
     if any(report.kind != "measured" for report, _ in samples):

@@ -285,7 +285,12 @@ def _parse_record(rec: Mapping) -> Exemplar:
         raise IngestError(f"exemplar {rid!r} embedding is not a flat vector")
     if not np.all(np.isfinite(raw)):
         raise IngestError(f"exemplar {rid!r} embedding has non-finite entries")
-    norm = float(np.linalg.norm(raw))
+    # Finite entries whose squares overflow give an infinite norm, refused
+    # here rather than stored as a zero row; numpy need not warn as well.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(raw))
+    if not math.isfinite(norm):
+        raise IngestError(f"exemplar {rid!r} embedding norm overflows")
     if norm <= 0.0:
         raise IngestError(f"exemplar {rid!r} embedding has zero norm")
     return Exemplar(rid, text, label, raw / norm)
@@ -399,7 +404,10 @@ def load(path: str | Path) -> Memory:
     # One native float64 matrix, which the memory keeps as its only copy of
     # the embeddings, and its row norms, which it keeps too.
     matrix = _native(raw, "<f8").reshape(count, dim)
-    norms = np.linalg.norm(matrix, axis=1)
+    # A corrupt row whose squares overflow fails the unit-norm check below;
+    # numpy need not warn about it as well.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
     if not np.all(np.abs(norms - 1.0) <= NORM_TOLERANCE):
         raise MemoryFormatError("corrupt memory: stored embeddings are not unit vectors")
     postings = Postings(terms, _native(offsets, "<i8"), _native(docs, "<i4"), _native(tfs, "<i4"))

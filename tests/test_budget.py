@@ -149,37 +149,47 @@ class TestScalarizedObjective:
         assert scalarized_objective(0.8, 1e9, math.inf, 0.5) == 0.8
 
 
+PLANTED = CostConstants(
+    c_ann=2e-4, c_bm25=3e-5, c_sim=1e-6, c_delta=5e-6,
+    c_sum=7e-4, c_fmt=2e-4, r_tok=80.0,
+)
+
+
+def planted_samples() -> list[tuple[LatencyReport, WorkloadShape]]:
+    """Noiseless measured reports of 30 random shapes under PLANTED."""
+    rng = np.random.default_rng(0)
+    samples = []
+    for _ in range(30):
+        s = shape(
+            memory_size=int(rng.integers(100, 5000)),
+            query_terms=int(rng.integers(1, 20)),
+            pool_size=int(rng.integers(16, 256)),
+            k=int(rng.integers(1, 10)),
+            turns=int(rng.integers(0, 8)),
+            prompt_tokens=int(rng.integers(50, 500)),
+            gen_tokens=int(rng.integers(0, 100)),
+        )
+        modeled = model_latency(PLANTED, s)
+        clock = StageClock()
+        clock.times = {
+            "ann": modeled.t_ann, "div": modeled.t_div,
+            "prompt": modeled.t_prompt, "llm": modeled.t_llm,
+        }
+        samples.append((clock.report(), s))
+    return samples
+
+
+def assert_planted(fitted: CostConstants) -> None:
+    for name, _ in (term for terms in TERMS.values() for term in terms):
+        np.testing.assert_allclose(getattr(fitted, name), getattr(PLANTED, name), rtol=1e-6)
+    np.testing.assert_allclose(fitted.r_tok, PLANTED.r_tok, rtol=1e-6)
+
+
 class TestCalibration:
     def test_recovers_planted_constants(self):
         """Generate noiseless stage timings from known constants; the fit must
         recover them."""
-        truth = CostConstants(
-            c_ann=2e-4, c_bm25=3e-5, c_sim=1e-6, c_delta=5e-6,
-            c_sum=7e-4, c_fmt=2e-4, r_tok=80.0,
-        )
-        rng = np.random.default_rng(0)
-        samples = []
-        for _ in range(30):
-            s = shape(
-                memory_size=int(rng.integers(100, 5000)),
-                query_terms=int(rng.integers(1, 20)),
-                pool_size=int(rng.integers(16, 256)),
-                k=int(rng.integers(1, 10)),
-                turns=int(rng.integers(0, 8)),
-                prompt_tokens=int(rng.integers(50, 500)),
-                gen_tokens=int(rng.integers(0, 100)),
-            )
-            modeled = model_latency(truth, s)
-            clock = StageClock()
-            clock.times = {
-                "ann": modeled.t_ann, "div": modeled.t_div,
-                "prompt": modeled.t_prompt, "llm": modeled.t_llm,
-            }
-            samples.append((clock.report(), s))
-        fitted = calibrate_constants(samples)
-        for name, _ in (term for terms in TERMS.values() for term in terms):
-            np.testing.assert_allclose(getattr(fitted, name), getattr(truth, name), rtol=1e-6)
-        np.testing.assert_allclose(fitted.r_tok, truth.r_tok, rtol=1e-6)
+        assert_planted(calibrate_constants(planted_samples()))
 
     def test_rejects_modeled_reports(self):
         rep = model_latency(CostConstants(), shape())

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestMemoryCli:
         )
         assert code == 1
         assert "error" in err
+
+    def test_overflowing_norm_fails_before_writing(self, workspace, capsys):
+        bad = workspace / "overflow.jsonl"
+        bad.write_text('{"id": "big", "text": "t", "label": "l", "embedding": [1e300, 1e300]}\n')
+        out = workspace / "overflow.divmem"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "memory", "build", "--in", str(bad), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exemplar 'big' embedding norm overflows" in err
+        assert not out.exists()
 
 
 class TestRetrieveSelectComposeDecide:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,14 @@ class TestIngest:
     def test_non_finite_rejected(self):
         with pytest.raises(IngestError, match="non-finite"):
             ingest([rec("e1", "a", "x", [float("nan"), 0.0])])
+
+    def test_overflowing_norm_rejected_without_a_warning(self):
+        """Finite entries whose squares overflow are refused, naming the
+        exemplar, instead of being stored as a zero row."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match="exemplar 'e1' embedding norm overflows"):
+                ingest([rec("e1", "a", "x", [1e300, 1e300])])
 
     def test_constructor_rejects_duplicate_ids(self):
         with pytest.raises(IngestError, match="duplicate exemplar id 'e1'"):
@@ -350,6 +359,18 @@ class TestPersistence:
         path.write_bytes(data[: len(data) - 9])
         with pytest.raises(MemoryFormatError, match="truncated"):
             load(path)
+
+    def test_overflowing_stored_norm_refused_without_a_warning(self, tmp_path):
+        mem = ingest(small_records())
+        path = tmp_path / "mem.divmem"
+        persist(mem, path)
+        data = path.read_bytes()
+        row = mem.get("e1").embedding.astype("<f8").tobytes()
+        path.write_bytes(data.replace(row, np.array([1e300, 1e300, 0.0, 0.0], "<f8").tobytes(), 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MemoryFormatError, match="not unit vectors"):
+                load(path)
 
     def test_version_mismatch(self, tmp_path):
         mem = ingest(small_records())
