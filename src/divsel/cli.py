@@ -86,11 +86,7 @@ def _eval_inputs(args):
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     weights = load_weights(args.weights) if args.weights else None
-    header = {
-        "type": "header",
-        "config_hash": config.config_hash(),
-        "aga_convention": "slot active iff gold value != not_mentioned",
-    }
+    header = {"type": "header", "config_hash": config.config_hash()}
     return mem, corpus, config, weights, header
 
 
@@ -103,9 +99,7 @@ def cmd_memory_build(args) -> int:
 
 def cmd_retrieve(args) -> int:
     mem = memory_mod.load(args.memory)
-    cfg = retrieval.RetrievalConfig(
-        lambda_vec=args.lambda_vec, pool_size=args.pool_size, normalization=args.normalization
-    )
+    cfg = retrieval.RetrievalConfig(lambda_vec=args.lambda_vec, pool_size=args.pool_size)
     if args.dialogue is not None:
         weights = load_weights(args.weights) if args.weights else None
         pool = harness.retrieve_stage(harness.read_dialogue(args.dialogue), mem, cfg, weights)
@@ -185,6 +179,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    verifier_mod.check_tau_c(args.tau_c)
     prompt_text = read_text(args.prompt)
     labels = [
         line.strip() for line in read_text(args.labels).splitlines() if line.strip()
@@ -197,7 +192,7 @@ def cmd_decide(args) -> int:
         if not args.url:
             raise DivselError("--url is required with the endpoint verifier")
         boundary = verifier_mod.EndpointVerifier(args.url, timeout=args.timeout)
-    output = verifier_mod.score_labels(prompt_text, labels, boundary, args.tau_c)
+    output = verifier_mod.score_labels(prompt_text, labels, boundary)
     _emit([{"type": "decision", "decision": output.decision, "scores": output.scores,
             "calibrated": verifier_mod.calibrate(output.scores, args.tau_c)}], args.out)
     return 0
@@ -341,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--dialogue", help="dialogue JSON file (the corpus row format)")
     p.add_argument("--L", dest="pool_size", type=int, default=ret.pool_size)
     p.add_argument("--lambda-vec", dest="lambda_vec", type=float, default=ret.lambda_vec)
-    p.add_argument("--normalization", default=ret.normalization)
     p.add_argument("--weights")
     p.add_argument("--out")
 
@@ -375,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", required=True)
     p.add_argument("--labels", required=True, help="file with one label per line")
     p.add_argument("--verifier", choices=["mock", "endpoint"], default="mock")
-    p.add_argument("--tau-c", dest="tau_c", type=float, default=defaults.tau_c)
+    p.add_argument("--tau-c", dest="tau_c", type=float, default=verifier_mod.DEFAULT_TAU_C)
     p.add_argument("--gold", help="gold label for the mock verifier")
     p.add_argument("--noise-seed", dest="noise_seed", type=int, default=0)
     p.add_argument("--margin", type=float, default=defaults.mock_margin)

@@ -109,9 +109,23 @@ class EncoderWeights:
 
 
 def layer_norm(x: np.ndarray, epsilon: float = LN_EPSILON) -> np.ndarray:
-    """Layer normalization without a learned affine."""
-    centered = x - x.mean()
-    return centered / math.sqrt(float((centered**2).mean()) + epsilon)
+    """Layer normalization without a learned affine.
+
+    A vector whose centred squares overflow raises EncodingError, as does one
+    constant across its dimensions: both would come out as the zero vector,
+    which has no direction to retrieve by."""
+    # Overflow is refused below by the mean square it leaves; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean()
+        mean_square = float((centered**2).mean())
+    if not math.isfinite(mean_square):
+        raise EncodingError("embedding is too large to normalize")
+    # Squares can underflow to zero, so only a zero mean square needs the look.
+    if mean_square == 0.0 and not centered.any():
+        raise EncodingError(
+            "layer normalization maps an embedding that is constant across its dimensions to zero"
+        )
+    return centered / math.sqrt(mean_square + epsilon)
 
 
 def _check_embedding(vec: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -137,8 +151,9 @@ def encode_context(ctx: DialogueContext, weights: EncoderWeights) -> np.ndarray:
     over agent turns each sum to one when history is present. Under zero value
     projections (``weights.zero_values``) the history is checked but not
     attended to: both sums are zero whatever the attention weights, so the
-    result is the no-history one. Full attention would come out NaN instead
-    when a history large enough to overflow the logits makes them non-finite.
+    result is the no-history one. Full attention would raise EncodingError
+    instead when a history large enough to overflow the logits makes them
+    non-finite, as the blended vector then is.
     """
     d = weights.dim
     e_q = _check_embedding(ctx.current_embedding, d, "current embedding")

@@ -1,7 +1,8 @@
 """File boundary shared by the loaders and writers: opening a path for reading
 or writing, reading a text file, parsing line-delimited JSON rows (optionally
-with unique keys) or a whole-file JSON object, decoding a JSON object onto
-typed defaults, and reading a counted run of bytes from a binary file. A
+with unique keys) or a whole-file JSON object, reading a JSON number or a
+flat list of them (every embedding a reader takes), decoding a JSON object
+onto typed defaults, and reading a counted run of bytes from a binary file. A
 missing file, an output path that cannot be written, text that is not UTF-8,
 a string that no UTF-8 writer can write back, or a malformed row or object
 raises ConfigError; a binary file shorter than its counts say raises
@@ -10,10 +11,13 @@ MemoryFormatError."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
+
+import numpy as np
 
 from .errors import ConfigError, DivselError, MemoryFormatError
 
@@ -103,12 +107,33 @@ def read_rows(path: str | Path, parse: Callable[[Mapping], T]) -> Iterator[T]:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
 def json_number(value) -> float:
     """A JSON number (an int or a float) as a float; float() would also take
     a bool or a numeric string, which raise TypeError here."""
-    if type(value) not in (int, float):
+    if type(value) not in _JSON_NUMBER_TYPES:
         raise TypeError(f"expected a JSON number, got {value!r}")
     return float(value)
+
+
+def json_vector(value, what: str) -> np.ndarray:
+    """A flat list of finite JSON numbers as a float64 vector. A value that
+    is not a list, or an entry that is not a JSON number (the
+    :func:`json_number` rule, which refuses a bool, a numeric string and a
+    nested list), raises TypeError; a non-finite entry raises ValueError
+    naming `what`."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a list of JSON numbers, got {type(value).__name__}")
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, value)):
+        for x in value:
+            json_number(x)
+    # A sum is finite when every entry is; only an overflowing one needs the
+    # entries checked one by one.
+    if not math.isfinite(sum(value)) and not all(map(math.isfinite, value)):
+        raise ValueError(f"{what} has non-finite entries")
+    return np.array(value, dtype=np.float64)
 
 
 def one_dimension(parse: Callable[[Mapping], T], name: Callable[[T], str],

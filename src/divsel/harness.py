@@ -5,7 +5,7 @@ dialogue, rank the memory into a pool), select (`select_for_method`, the one
 selector dispatch), prompt (`prompt_stage`: budgeted compose, whose result the
 random-add method fills through `rand_add_fill`) and decode, in two parts: the
 label rule (`prompt_labels`: the labels the prompt exposes, extended by the
-pool's shortlist) and scoring (`decode_stage`: a prompt text and those labels
+pool's shortlist) and scoring (`score_labels`: a prompt text and those labels
 scored through the verifier). The stages are composed by
 `run_pipeline` (and through it `evaluate`, and through that the one grid loop
 of `sweep` and `grid_search`), every `fairness_suite` arm and the CLI's
@@ -42,7 +42,7 @@ from .budget import (
 )
 from .encoder import DialogueContext, EncoderWeights, Turn, encode_context
 from .errors import CompositionError, ConfigError, InvariantViolation
-from .files import open_output, overlay, read_object, read_rows, read_unique_rows
+from .files import json_vector, open_output, overlay, read_object, read_rows, read_unique_rows
 from .memory import Memory, tokenize
 from .prompt import (
     BudgetConfig,
@@ -120,20 +120,21 @@ def write_corpus(instances: Sequence[EvalInstance], path: str | Path) -> None:
 
 
 def _parse_dialogue(row: Mapping) -> DialogueContext:
-    """The dialogue of one corpus row (also the dialogue-file format)."""
+    """The dialogue of one corpus row (also the dialogue-file format); every
+    embedding a flat list of finite JSON numbers (`files.json_vector`)."""
     turns = tuple(
         Turn(
             user=str(t["user"]),
             agent=str(t["agent"]),
-            user_embedding=np.asarray(t["user_embedding"], dtype=np.float64),
-            agent_embedding=np.asarray(t["agent_embedding"], dtype=np.float64),
+            user_embedding=json_vector(t["user_embedding"], "turn user embedding"),
+            agent_embedding=json_vector(t["agent_embedding"], "turn agent embedding"),
         )
         for t in row.get("turns", [])
     )
     return DialogueContext(
         turns=turns,
         current=str(row["current"]),
-        current_embedding=np.asarray(row["current_embedding"], dtype=np.float64),
+        current_embedding=json_vector(row["current_embedding"], "current embedding"),
     )
 
 
@@ -172,7 +173,6 @@ class FairnessConfig:
     """Equal-budget protocol knobs."""
 
     shuffle_seed: int = 13
-    prefix_replace: bool = True
     token_targets: tuple[int, ...] = (260, 285, 310, 330, 360)
 
     def __post_init__(self):
@@ -197,7 +197,6 @@ class ExperimentConfig:
     base_seed: int = 0
     shortlist_size: int = 3
     mock_margin: float = 2.0
-    tau_c: float = 1.0
     lambda_mmr: float = 0.5
     instruction: str = DEFAULT_INSTRUCTION
     answer_format: str = DEFAULT_ANSWER_FORMAT
@@ -209,8 +208,6 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.shortlist_size < 0:
             raise ConfigError("shortlist_size must be >= 0")
-        if not (math.isfinite(self.tau_c) and self.tau_c > 0):
-            raise ConfigError(f"tau_c must be finite and positive, got {self.tau_c}")
         if not (math.isfinite(self.mock_margin) and self.mock_margin > 0):
             raise ConfigError(f"mock_margin must be finite and positive, got {self.mock_margin}")
         if not 0.0 <= self.lambda_mmr <= 1.0:
@@ -419,13 +416,6 @@ def prompt_labels(
     return candidate_labels(exposed, pool, config.shortlist_size)
 
 
-def decode_stage(
-    text: str, labels: Sequence[str], verifier, config: ExperimentConfig
-) -> VerifierOutput:
-    """Score the labels against the prompt text through the verifier."""
-    return score_labels(text, labels, verifier, config.tau_c)
-
-
 def run_pipeline(
     instance: EvalInstance,
     config: ExperimentConfig,
@@ -464,7 +454,7 @@ def run_pipeline(
                 derive_seed(seed, instance.id, "randadd"),
             )
     with clock.stage("llm"):
-        output = decode_stage(prompt.text, prompt_labels(prompt, pool, config), verifier, config)
+        output = score_labels(prompt.text, prompt_labels(prompt, pool, config), verifier)
     return PipelineResult(
         instance_id=instance.id,
         prediction=output.decision,
@@ -624,7 +614,6 @@ def fairness_suite(
     if not corpus:
         raise ConfigError("fairness suite needs a non-empty corpus")
     seed = config.base_seed
-    arms = [a for a in FAIRNESS_ARMS if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
 
     # Retrieval, the base selections, each arm's exemplars and the verifier are
     # target-independent; build them once per instance.
@@ -636,7 +625,7 @@ def fairness_suite(
             for m in ("ldra", "topk")
         }
         arm_inputs = {}
-        for arm in arms:
+        for arm in FAIRNESS_ARMS:
             base = bases[arm.split("_")[0]]  # each arm is named after its base
             pairs = base.pairs()
             permutation = None
@@ -665,12 +654,12 @@ def fairness_suite(
             compression_policy=config.budget.compression_policy,
         )
         try:
-            arm_tokens: dict[str, list[int]] = {a: [] for a in arms}
-            arm_correct: dict[str, int] = {a: 0 for a in arms}
-            arm_covered: dict[str, int] = {a: 0 for a in arms}
+            arm_tokens: dict[str, list[int]] = {a: [] for a in FAIRNESS_ARMS}
+            arm_correct: dict[str, int] = {a: 0 for a in FAIRNESS_ARMS}
+            arm_covered: dict[str, int] = {a: 0 for a in FAIRNESS_ARMS}
             for i, (inst, pool, arm_inputs, verifier) in enumerate(per_instance):
                 unpadded: dict[str, Prompt] = {}
-                for arm in arms:
+                for arm in FAIRNESS_ARMS:
                     pairs, permutation, exclude_ids = arm_inputs[arm]
                     key = (i, arm, budget.summary_token_cap)
                     kept = kept_whole.get(key)
@@ -693,7 +682,7 @@ def fairness_suite(
                                 and not prompt.dropped_exemplars):
                             kept_whole[key] = (prompt, labels)
                     unpadded[arm] = prompt
-                    output = decode_stage(text, labels, verifier, config)
+                    output = score_labels(text, labels, verifier)
                     covered, correct = mock_coverage(f"{inst.id}/{arm}", inst.gold, output)
                     arm_tokens[arm].append(target)
                     arm_correct[arm] += correct
@@ -706,7 +695,7 @@ def fairness_suite(
                     f"exceeds {TOKEN_DEVIATION_LIMIT_PCT}%"
                 )
             n = len(per_instance)
-            for arm in arms:
+            for arm in FAIRNESS_ARMS:
                 rows.append(
                     {
                         "type": "fairness",

@@ -28,7 +28,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import IngestError, MemoryFormatError, UnknownIdError, VersionMismatchError
-from .files import one_dimension, open_input, open_output, parse_json, read_exact, read_unique_rows
+from .files import (
+    json_vector, one_dimension, open_input, open_output, parse_json, read_exact, read_unique_rows
+)
 
 MAGIC = b"DIVSEL-MEM"
 FORMAT_VERSION = 2
@@ -270,21 +272,18 @@ class Memory:
 
 
 def _parse_record(rec: Mapping) -> Exemplar:
-    """One exemplar record {id, text, label, embedding}, its embedding
-    re-normalized to unit L2 norm; a malformed record raises IngestError."""
+    """One exemplar record {id, text, label, embedding}, its embedding (a
+    flat list of finite JSON numbers, `files.json_vector`) re-normalized to
+    unit L2 norm; a malformed record raises IngestError."""
     try:
         rid = str(rec["id"])
         text = str(rec["text"])
         label = str(rec["label"])
-        raw = np.asarray(rec["embedding"], dtype=np.float64)
+        raw = json_vector(rec["embedding"], f"exemplar {rid!r} embedding")
     except (KeyError, TypeError, ValueError) as exc:
         raise IngestError(f"malformed record: {exc}") from exc
     if not label:
         raise IngestError(f"exemplar {rid!r} has an empty label")
-    if raw.ndim != 1:
-        raise IngestError(f"exemplar {rid!r} embedding is not a flat vector")
-    if not np.all(np.isfinite(raw)):
-        raise IngestError(f"exemplar {rid!r} embedding has non-finite entries")
     # Finite entries whose squares overflow give an infinite norm, refused
     # here rather than stored as a zero row; numpy need not warn as well.
     with np.errstate(over="ignore"):
@@ -314,7 +313,9 @@ def _build(exemplars: Iterable[Exemplar], k1: float, b: float) -> Memory:
 def ingest(records: Iterable[Mapping], k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Memory:
     """Build a Memory from exemplar records {id, text, label, embedding}.
 
-    Embeddings are re-normalized to unit L2 norm. Duplicate ids, dimension
+    Each embedding is a flat list of finite JSON numbers, as a JSONL file
+    gives it (an entry that is a bool, a string or a numpy scalar is
+    rejected), re-normalized to unit L2 norm. Duplicate ids, dimension
     mismatches, and empty streams are rejected.
     """
     return _build(map(_record_parser(), records), k1, b)

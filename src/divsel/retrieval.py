@@ -1,7 +1,8 @@
 """Hybrid relevance scoring: a convex mix of query-vector cosine and BM25.
 
-Scores are normalized onto [0, 1] before mixing because the two components
-live on incommensurate scales; see RetrievalConfig.normalization.
+Both scores are normalized onto [0, 1] before mixing, because the two
+components live on incommensurate scales: the cosine as (cos + 1) / 2, BM25
+min-max over the memory.
 
 A retrieved pool is a :class:`Pool`: the pool's scores, label codes, id order,
 embedding rows and their norms held as arrays, which the selectors read
@@ -23,10 +24,8 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .files import json_number, one_dimension, open_output, read_unique_rows
+from .files import json_number, json_vector, one_dimension, open_output, read_unique_rows
 from .memory import Memory
-
-NORMALIZATION_MODES = ("minmax", "none")
 
 
 class ExactScanIndex:
@@ -45,26 +44,23 @@ class ExactScanIndex:
 
 @dataclass(frozen=True)
 class RetrievalConfig:
-    """Pool retrieval knobs: mixing weight, pool size, normalization mode."""
+    """Pool retrieval knobs: mixing weight and pool size."""
 
     lambda_vec: float = 0.6
     pool_size: int = 128
-    normalization: str = "minmax"
 
     def __post_init__(self):
         if not 0.0 <= self.lambda_vec <= 1.0:
             raise ConfigError(f"lambda_vec must be in [0, 1], got {self.lambda_vec}")
         if self.pool_size < 1:
             raise ConfigError(f"pool_size must be >= 1, got {self.pool_size}")
-        if self.normalization not in NORMALIZATION_MODES:
-            raise ConfigError(f"unknown normalization mode {self.normalization!r}")
 
 
 @dataclass(frozen=True)
 class Candidate:
     """One scored pool member.
 
-    vec_score is the raw query cosine; lex_score is BM25 after the configured
+    vec_score is the raw query cosine; lex_score is BM25 after min-max
     normalization (so relevance always recomputes from the stored components);
     bm25_raw keeps the unnormalized lexical score for audit.
     """
@@ -212,9 +208,7 @@ def retrieve_pool(
         raise DimensionError("query vector has non-finite entries")
     vec_raw = ExactScanIndex(memory).query(z)
     lex_raw = memory.bm25_scores(query_text)
-    vec_n, lex_n = vec_raw, lex_raw
-    if cfg.normalization == "minmax":
-        vec_n, lex_n = (vec_raw + 1.0) / 2.0, _minmax(lex_raw)
+    vec_n, lex_n = (vec_raw + 1.0) / 2.0, _minmax(lex_raw)
     rel = cfg.lambda_vec * vec_n + (1.0 - cfg.lambda_vec) * lex_n
 
     # Only items at or above the L-th largest relevance can make the pool;
@@ -264,11 +258,7 @@ def write_pool(pool: Pool, path: str | Path) -> None:
 def _parse_candidate(row: Mapping) -> Candidate:
     """One pool-file row; every score and embedding entry a finite JSON number."""
     scores = [json_number(row[key]) for key in ("relevance", "vec_score", "lex_score", "bm25_raw")]
-    if not isinstance(row["embedding"], list):
-        raise TypeError("embedding must be a list of JSON numbers")
-    emb = np.array([json_number(x) for x in row["embedding"]], dtype=np.float64)
-    if not np.all(np.isfinite(emb)):
-        raise ConfigError("embedding must be a vector of finite numbers")
+    emb = json_vector(row["embedding"], "embedding")
     if not all(map(math.isfinite, scores)):
         raise ConfigError("scores must be finite")
     return Candidate(str(row["id"]), str(row["text"]), str(row["label"]), emb, *scores)

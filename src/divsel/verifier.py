@@ -75,26 +75,26 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _check_tau_c(tau_c: float) -> None:
+def check_tau_c(tau_c: float) -> None:
+    """Raise ConfigError unless the temperature is finite and positive."""
     if not (math.isfinite(tau_c) and tau_c > 0):
         raise ConfigError(f"tau_c must be finite and positive, got {tau_c}")
 
 
 def calibrate(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C) -> dict[str, float]:
     """The temperature-calibrated probability of each label's log odds."""
-    _check_tau_c(tau_c)
+    check_tau_c(tau_c)
     return {y: _logistic(s / tau_c) for y, s in scores.items()}
 
 
-def decide_from_scores(scores: Mapping[str, float], tau_c: float = DEFAULT_TAU_C) -> VerifierOutput:
+def decide_from_scores(scores: Mapping[str, float]) -> VerifierOutput:
     """Decode the arg max of a score map: the smallest label among those with
     the top score.
 
-    The decision is invariant to the temperature tau_c, because the logistic
-    is monotone; tau_c is only checked. A NaN score, which would decide by
+    The logistic is monotone, so the decision is the arg max of `calibrate`
+    at every temperature and takes none. A NaN score, which would decide by
     map order, raises VerifierProtocolError naming its label.
     """
-    _check_tau_c(tau_c)
     if not scores:
         raise CandidateSetError("cannot decide over an empty score map")
     for label, s in scores.items():
@@ -112,7 +112,6 @@ def score_labels(
     prompt_text: str,
     labels: Sequence[str],
     verifier: VerifierBoundary,
-    tau_c: float = DEFAULT_TAU_C,
 ) -> VerifierOutput:
     """Query the verifier once per label and decode the best-scoring intent.
 
@@ -126,7 +125,7 @@ def score_labels(
     for label in labels:
         logp_yes, logp_no = verifier.score(prompt_text, question_for(label), label)
         scores[label] = logp_yes - logp_no
-    return decide_from_scores(scores, tau_c)
+    return decide_from_scores(scores)
 
 
 def _log_sigmoid(x: float) -> float:

@@ -36,7 +36,7 @@ from divsel.selection import (
     topk_select,
 )
 from divsel.synth import synth_corpus
-from divsel.verifier import candidate_labels, decide_from_scores
+from divsel.verifier import calibrate, candidate_labels, decide_from_scores
 
 # --- independent scratch oracles --------------------------------------------
 
@@ -303,14 +303,17 @@ def test_criterion_6_cost_model_conformance(fixed_corpus):
 
 
 def test_criterion_7_decision_invariance():
-    """The decoded label is identical at calibration temperatures 0.9, 1.0,
-    and 1.3 for 1,000 random score maps."""
+    """The decoded label is the arg max of the calibrated probabilities at
+    temperatures 0.9, 1.0 and 1.3 for 1,000 random score maps, so the decode
+    takes no temperature."""
     rng = np.random.default_rng(7)
     for _ in range(1_000):
         n_labels = int(rng.integers(2, 9))
         scores = {f"l{i}": float(rng.normal(scale=3.0)) for i in range(n_labels)}
-        decisions = {decide_from_scores(scores, t).decision for t in (0.9, 1.0, 1.3)}
-        assert len(decisions) == 1
+        decision = decide_from_scores(scores).decision
+        for t in (0.9, 1.0, 1.3):
+            calibrated = calibrate(scores, t)
+            assert decision == max(calibrated, key=calibrated.get)
     _report(7, "temperature-invariant decisions on 1,000 score maps")
 
 

@@ -1,11 +1,13 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from divsel.budget import CostConstants
 from divsel.cli import main
+from divsel.harness import ExperimentConfig
 from divsel.memory import load
 
 
@@ -186,6 +188,28 @@ class TestRetrieveSelectComposeDecide:
         assert code == 1
         assert "holds no rows" in err
 
+    def test_degenerate_dialogue_embedding_names_its_cause(self, workspace, capsys, tmp_path):
+        """A current embedding that is constant across its dimensions, or
+        whose centred squares overflow, has no direction after layer
+        normalization: `retrieve` exits 1 saying so, even when the dense score
+        has no weight, and prints no numpy warning."""
+        mem_path = str(workspace / "synth" / "memory.divmem")
+        row = json.loads((workspace / "dialogue.json").read_text())
+        for embedding, cause in (
+            ([0.5] * 16, "layer normalization maps an embedding that is constant across its "
+                         "dimensions to zero"),
+            ([1e300, -1e300] * 8, "embedding is too large to normalize"),
+        ):
+            dialogue = tmp_path / "dialogue.json"
+            dialogue.write_text(json.dumps({**row, "current_embedding": embedding}) + "\n")
+            for weight in ("0.6", "0"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, _, err = run(capsys, "retrieve", "--memory", mem_path,
+                                       "--dialogue", str(dialogue), "--lambda-vec", weight)
+                assert code == 1
+                assert err == f"error: {cause}\n"
+
     def test_lone_surrogate_escape_exits_one(self, workspace, capsys, tmp_path):
         """A \\ud800 escape in a dialogue, selection or exemplar-record file, or
         a command-line text that was not UTF-8 (Python decodes its bytes to
@@ -317,7 +341,9 @@ class TestEvalCli:
             assert code == 0
         assert fair_a.read_bytes() == fair_b.read_bytes()
         rows = [json.loads(l) for l in fair_a.read_text().splitlines()]
-        assert rows[0]["type"] == "header"
+        config = replace(ExperimentConfig.from_file(cfg), base_seed=5)
+        assert rows[0] == {"type": "header", "config_hash": config.config_hash()}
+        assert json.loads(out_a.read_text().splitlines()[0]) == rows[0]
         assert any(r["type"] == "fairness" for r in rows)
 
     def test_sweep_and_grid(self, workspace, capsys, tmp_path):
@@ -437,6 +463,18 @@ class TestExitCodes:
         record = {"id": "a", "text": "t", "label": "l", "embedding": [1.0, 0.0]}
         dup_records = tmp_path / "dup_records.jsonl"
         dup_records.write_text(json.dumps(record) + "\n" + json.dumps({**record, "text": "u"}) + "\n")
+        # An embedding entry must be a JSON number in every reader: records,
+        # corpus and dialogue as well as the pool.
+        bool_records = tmp_path / "bool_records.jsonl"
+        bool_records.write_text(json.dumps({**record, "embedding": [True, 0.5]}) + "\n")
+        str_records = tmp_path / "str_records.jsonl"
+        str_records.write_text(json.dumps({**record, "embedding": ["0.3", 1]}) + "\n")
+        str_corpus = tmp_path / "str_corpus.jsonl"
+        str_corpus.write_text(json.dumps(first) + "\n"
+                              + json.dumps({**second, "current_embedding": ["0.3"] * 16}) + "\n")
+        bool_dialogue = tmp_path / "bool_dialogue.json"
+        bool_turn = {**first["turns"][0], "agent_embedding": [True] * 16}
+        bool_dialogue.write_text(json.dumps({**first, "turns": [bool_turn]}) + "\n")
         mixed_dims = tmp_path / "mixed_dims.jsonl"
         mixed_dims.write_text(
             json.dumps(record) + "\n\n" + json.dumps({**record, "id": "b", "embedding": [1, 0, 0]}) + "\n"
@@ -459,7 +497,9 @@ class TestExitCodes:
             "nan_mu": '{"selection": {"mu": NaN}}',
             "inf_mu": '{"selection": {"mu": Infinity}}',
             "nan_tau": '{"selection": {"tau": NaN}}',
-            "inf_tau_c": '{"tau_c": Infinity}',
+            "removed_tau_c": '{"tau_c": 1.0}',
+            "removed_normalization": '{"retrieval": {"normalization": "none"}}',
+            "removed_prefix_replace": '{"fairness": {"prefix_replace": false}}',
             "nan_margin": '{"mock_margin": NaN}',
             "zero_margin": '{"mock_margin": 0}',
             "nan_lambda": '{"lambda_mmr": NaN}',
@@ -534,6 +574,14 @@ class TestExitCodes:
              f"{mixed_dims}:3: malformed row (IngestError: exemplar 'b' has embedding dimension 3, "
              "expected 2)"),
             (["select", "--pool", str(deep)], f"{deep}:1: malformed row (RecursionError"),
+            (build + [str(bool_records)], f"{bool_records}:1: malformed row (IngestError: "
+             "malformed record: expected a JSON number, got True)"),
+            (build + [str(str_records)], f"{str_records}:1: malformed row (IngestError: "
+             "malformed record: expected a JSON number, got '0.3')"),
+            (["eval", "run", "--memory", mem, "--corpus", str(str_corpus)],
+             f"{str_corpus}:2: malformed row (TypeError: expected a JSON number, got '0.3')"),
+            (["retrieve", "--memory", mem, "--dialogue", str(bool_dialogue)],
+             f"{bool_dialogue}:1: malformed row (TypeError: expected a JSON number, got True)"),
             (["select", "--pool", str(not_numbers["bool_score"])],
              f"{not_numbers['bool_score']}:1: malformed row (TypeError: expected a JSON number, got True)"),
             (["select", "--pool", str(not_numbers["str_score"])],
@@ -581,7 +629,6 @@ class TestExitCodes:
             ("nan_mu", "mu must be finite and >= 0, got nan"),
             ("inf_mu", "mu must be finite and >= 0, got inf"),
             ("nan_tau", "tau must be finite, got nan"),
-            ("inf_tau_c", "tau_c must be finite and positive, got inf"),
             ("nan_margin", "mock_margin must be finite and positive, got nan"),
             ("zero_margin", "mock_margin must be finite and positive, got 0.0"),
             ("nan_lambda", "lambda_mmr must be finite and in [0, 1], got nan"),
@@ -591,6 +638,12 @@ class TestExitCodes:
         ):
             cases.append((eval_run + ["--config", str(files[name])],
                           f"{files[name]}: malformed file (ConfigError: {message})"))
+        # A setting the config no longer has is refused like any unknown key.
+        for name, key in (("removed_tau_c", "tau_c"),
+                          ("removed_normalization", "retrieval.normalization"),
+                          ("removed_prefix_replace", "fairness.prefix_replace")):
+            cases.append((eval_run + ["--config", str(files[name])],
+                          f"{files[name]}: malformed file (ConfigError: unknown config key {key})"))
         for name in ("not_an_object", "grid_value", "grid_key"):
             cases.append((grid + [str(files[name])], f"{files[name]}: malformed file"))
         # A grid value of the wrong type for its parameter, a non-finite one
@@ -642,6 +695,9 @@ class TestExitCodes:
              "budget must be positive, got nan"),
             (["budget", "control", "--B", "nan"], "budget must be positive, got nan"),
             (decide + ["--tau-c", "nan"], "tau_c must be finite and positive, got nan"),
+            # Refused before the verifier is called: the URL is never reached.
+            (decide + ["--verifier", "endpoint", "--url", "http://127.0.0.1:1/", "--tau-c", "nan"],
+             "tau_c must be finite and positive, got nan"),
             (decide + ["--margin", "nan"], "margin must be finite and positive, got nan"),
             (decide + ["--margin", "inf"], "margin must be finite and positive, got inf"),
             *((decide + ["--verifier", "endpoint", "--url", "http://127.0.0.1:1/",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,13 +114,13 @@ class TestZeroValueProjections:
 
     def test_history_that_overflows_the_logits_contributes_nothing(self):
         """Every history entry 1e308 at d=8 overflows the attention logits:
-        the full formula comes out NaN, the zero-projection path gives the
-        no-history encoding."""
+        the full formula's blended vector comes out NaN, which layer_norm
+        refuses, and the zero-projection path gives the no-history encoding."""
         e_q = np.linspace(0.1, 0.8, 8)
         ctx = history_ctx(e_q, [([1e308] * 8, [1e308] * 8)] * 2)
         w = EncoderWeights.default(8)
-        with np.errstate(all="ignore"):
-            assert np.isnan(full_attention(ctx, w)).all()
+        with np.errstate(all="ignore"), pytest.raises(EncodingError, match="too large"):
+            full_attention(ctx, w)
         out = encode_context(ctx, w)
         assert out.tobytes() == encode_context(history_ctx(e_q, []), w).tobytes()
         assert np.isfinite(out).all()
@@ -244,6 +245,21 @@ class TestEncodeContext:
         ctx = make_ctx(rng, 1)
         with pytest.raises(DimensionError):
             encode_context(ctx, EncoderWeights.default(D + 1))
+
+    @pytest.mark.parametrize("current, cause", [
+        ([0.5] * D, "constant across its dimensions to zero"),
+        ([1e300, -1e300] * (D // 2), "too large to normalize"),
+        ([1e308] * D, "too large to normalize"),
+    ])
+    def test_degenerate_current_embedding_names_its_cause(self, current, cause):
+        """A constant embedding layer-normalizes to zero and one whose
+        centred squares (or whose mean) overflow to no direction at all;
+        either raises EncodingError naming why, and numpy warns of nothing."""
+        ctx = DialogueContext(turns=(), current="x", current_embedding=np.array(current))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EncodingError, match=cause):
+                encode_context(ctx, EncoderWeights.default(D))
 
     def test_nan_embedding_rejected(self):
         bad = np.full(D, np.nan)

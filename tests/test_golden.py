@@ -24,15 +24,15 @@ GOLDEN = {
     "budget control": "9a0fcf6263833b7205637b4e10c5e7b3f5bc12070a2dc04e8baa59f65669f61e",
     "budget model": "172e0d2a2755990a884bf477feb9eed9d385f2608c559dd7c6707e3fca684bf1",
     "compose": "c82cf7bfddf1e90828f4000d39cd8074d806e70f0a7a969c324da122aeb7c652",
-    "eval fairness": "7e106d6df2b62048fa8fa28e6fbcc5c85638720095c3aaf23e4df2a9457291a0",
-    "eval grid": "d2a388a4530f69f27af8e4c5ac2f0af7d239d23b9469f703a9535c3f23edbfb8",
-    "eval run fps": "bf1b7792080fc374270d5af9daa680283bcecd5e042ad5e4276abc3ce2e77f83",
-    "eval run ldra": "09b5db11779f2b3df57230c9a99fd7f891cc45dbb8050819f3b8e298879cc705",
-    "eval run mmr": "1145c14e97815552441797c194e868eb0b58508c123b11633e16d84cf2a0ba4d",
-    "eval run random": "3e71e615307d5e7a8ab32a17199a71ac8f0e21fd1c4514ac1858ba5ea980fddd",
-    "eval run topk": "ccffcc1d3c803e0e35df9783726144c82933499d63c4ccd3ab67e9ffdcf92bb2",
-    "eval run topk_rand_add": "82743486f4cdb44a079d67493df2bc3c3551c85c2920724b93a1025c1c9d4a30",
-    "eval sweep": "c797169692a5ff499e142dad64f1d84f0e7d8b1ed652bfb20d6257ae345c936e",
+    "eval fairness": "8c7930a90c3eec38a114a6a139ca524b454265baeef4dfb2fab51ec6f900dfc3",
+    "eval grid": "5c390ef0962efe036e1caeec9c574ff01b466b8bfd76a8164813731bdbe8a150",
+    "eval run fps": "2d77b4a4ca486b2eeadb1579c70544e45c4b90d2bee7829323656c773c896969",
+    "eval run ldra": "1f5ac8ad8cb14af4a6d640c923551a2c1c2e9a8447f97d38b58a1a96e2034467",
+    "eval run mmr": "728679aecc16d4e1b8b1bd4dc856044967828711846cccd9e8bcaff5f1f39438",
+    "eval run random": "a28b56fb490bea35cc62812e8e27fb22da991ea470c1ad83fc9ecec34a288968",
+    "eval run topk": "3d2bde715f2c7b2dc15fa70c699ef4417606d8a38d7eb145ca52cbddf54969fa",
+    "eval run topk_rand_add": "818ab8edbfc2b9691fdd4c36fb18090c131ba089b3021e27a66c518f0860b315",
+    "eval sweep": "584304431ebdc4edeea574bc5ed9ca4fde94b3a4048bcc0164199628e81e65e3",
     "retrieve": "ccb1a8b2a0ce29dfba50c8b00288c19eaae22ab4e8358dbf95da50491b624f26",
     "select fps": "fd36a5100354e1c764f9a1fe8e6db4556ccde9687869c4a48192aed873a52dd7",
     "select ldra": "4f4b30b320f19fe8d5e974338ef450fd7e6ea7b7039e3e33fa9989d41b2a4548",

@@ -267,8 +267,7 @@ def fairness_reference(memory, corpus, config, dropped):
     labels taken from the padded prompt. Appends to `dropped` the (target,
     arm) of every prompt that compression cut."""
     seed = config.base_seed
-    arms = [a for a in harness.FAIRNESS_ARMS
-            if a != "ldra_prefix_replace" or config.fairness.prefix_replace]
+    arms = harness.FAIRNESS_ARMS
     rows = []
     for target in config.fairness.token_targets:
         budget = BudgetConfig(
@@ -311,7 +310,7 @@ def fairness_reference(memory, corpus, config, dropped):
                     prompt = replace(prompt, text=text, token_count=count_tokens(text))
                     labels = candidate_labels([lab for _, lab in prompt.exemplars], pool,
                                               config.shortlist_size)
-                    output = harness.score_labels(prompt.text, labels, verifier, config.tau_c)
+                    output = harness.score_labels(prompt.text, labels, verifier)
                     cov, ok = harness.mock_coverage(inst.id, inst.gold, output)
                     tokens[arm].append(prompt.token_count)
                     correct[arm] += ok
@@ -787,10 +786,10 @@ class TestConfig:
 
     def test_default_hash_is_pinned(self):
         # The eval header row carries this hash; it moves only with a config field.
-        assert ExperimentConfig().config_hash() == "1131f3ddbdd2"
+        assert ExperimentConfig().config_hash() == "08b30a8865b1"
 
     @pytest.mark.parametrize("data", [
-        {"tau_c": 2},
+        {"mock_margin": 2},
         {"selection": {"alpha": 1}},
         {"retrieval": {"lambda_vec": 0}},
     ])

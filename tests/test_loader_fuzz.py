@@ -52,7 +52,7 @@ def _valid_memory(tmp_path_factory) -> bytes:
     rng = np.random.default_rng(4)
     rows = [
         {"id": f"e{i}", "text": f"text {i} word{i % 3}", "label": f"l{i % 2}",
-         "embedding": list(rng.normal(size=3))}
+         "embedding": rng.normal(size=3).tolist()}
         for i in range(4)
     ]
     path = tmp_path_factory.mktemp("fuzz") / "valid.divmem"

@@ -253,7 +253,7 @@ class TestPersistence:
         rng = np.random.default_rng(3)
         rows = [
             rec(f"e{i}", " ".join(rng.choice(WORDS, size=rng.integers(0, 7))), f"lab{i % 4}",
-                list(rng.normal(size=4)))
+                rng.normal(size=4).tolist())
             for i in range(60)
         ]
         mem = ingest(rows)
@@ -337,7 +337,7 @@ class TestPersistence:
         rng = np.random.default_rng(7)
         rows = [
             rec(f"e{i}", f"utterance number {i} about topic {i % 5}", f"lab{i % 5}",
-                list(rng.normal(size=8)))
+                rng.normal(size=8).tolist())
             for i in range(100)
         ]
         mem = ingest(rows)
@@ -455,7 +455,7 @@ class TestStoredPostings:
         rng = np.random.default_rng(11)
         rows = [
             rec(f"e{i}", " ".join(rng.choice(WORDS + ("Taxi!", "a_room"), size=rng.integers(0, 9))),
-                f"lab{i % 3}", list(rng.normal(size=3)))
+                f"lab{i % 3}", rng.normal(size=3).tolist())
             for i in range(40)
         ]
         path = tmp_path / "mem.divmem"

@@ -37,7 +37,7 @@ def small_memory(rng: np.random.Generator, n: int):
     ids = [f"e{i}" for i in rng.permutation(n)]  # "e10" sorts before "e9"
     return ingest(
         {"id": ids[i], "text": f"word{i % 3} filler", "label": "xyz"[int(rng.integers(3))],
-         "embedding": list(vecs[int(rng.integers(3))])}
+         "embedding": vecs[int(rng.integers(3))].tolist()}
         for i in range(n)
     ), vecs[0]
 

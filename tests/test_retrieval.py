@@ -48,7 +48,7 @@ def make_memory(rng, n=40, n_labels=5, dim=6):
                 "id": f"e{i:03d}",
                 "text": f"word{i % 7} word{i % 3} filler",
                 "label": f"lab{i % n_labels}",
-                "embedding": list(v / np.linalg.norm(v)),
+                "embedding": (v / np.linalg.norm(v)).tolist(),
             }
         )
     return ingest(rows)
@@ -144,8 +144,6 @@ class TestRetrievePool:
             RetrievalConfig(lambda_vec=1.2)
         with pytest.raises(ConfigError):
             RetrievalConfig(pool_size=0)
-        with pytest.raises(ConfigError):
-            RetrievalConfig(normalization="zscore")
 
 
 @st.composite
@@ -160,13 +158,12 @@ def ranking_cases(draw):
     ids = [f"e{i}" for i in rng.permutation(n)]  # "e10" sorts before "e9"
     rows = [
         {"id": ids[i], "text": f"word{i % n_texts} filler", "label": "x",
-         "embedding": list(vecs[int(rng.integers(n_vecs))])}
+         "embedding": vecs[int(rng.integers(n_vecs))].tolist()}
         for i in range(n)
     ]
     cfg = RetrievalConfig(
         lambda_vec=draw(st.sampled_from((0.0, 0.5, 1.0))),
         pool_size=draw(st.integers(1, n + 3)),
-        normalization=draw(st.sampled_from(("minmax", "none"))),
     )
     query = draw(st.sampled_from(("word0", "word1 word1", "filler", "zebra")))
     return ingest(rows), vecs[0] + draw(st.sampled_from((0.0, 0.3))), query, cfg
@@ -181,10 +178,9 @@ class TestRankingParity:
         mem, z, query, cfg = case
         vec = ExactScanIndex(mem).query(z)
         lex = mem.bm25_scores(query)
-        if cfg.normalization == "minmax":
-            vec = (vec + 1.0) / 2.0
-            span = lex.max() - lex.min()
-            lex = np.full_like(lex, 0.5) if span <= 1e-12 else (lex - lex.min()) / span
+        vec = (vec + 1.0) / 2.0
+        span = lex.max() - lex.min()
+        lex = np.full_like(lex, 0.5) if span <= 1e-12 else (lex - lex.min()) / span
         rel = cfg.lambda_vec * vec + (1.0 - cfg.lambda_vec) * lex
         ids = mem.ids
         reference = sorted(range(len(mem)), key=lambda i: (-rel[i], ids[i]))[: cfg.pool_size]

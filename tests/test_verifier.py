@@ -13,6 +13,7 @@ from divsel.verifier import (
     EndpointVerifier,
     calibrate,
     candidate_labels,
+    check_tau_c,
     decide_from_scores,
     mock_verifier,
     question_for,
@@ -53,26 +54,30 @@ class TestDecide:
         assert decide_from_scores({"b": 0.0, "a": 0.0}).decision == "a"
 
     def test_temperature_never_changes_the_decision(self):
+        """The decision is the arg max of the calibrated probabilities at any
+        temperature, so decoding takes none."""
         rng = np.random.default_rng(0)
         for _ in range(50):
             scores = {f"l{i}": float(rng.normal()) for i in range(6)}
-            decisions = {decide_from_scores(scores, t).decision for t in (0.9, 1.0, 1.3)}
-            assert len(decisions) == 1
+            decision = decide_from_scores(scores).decision
+            for t in (0.9, 1.0, 1.3):
+                calibrated = calibrate(scores, t)
+                assert decision == max(calibrated, key=calibrated.get)
 
     def test_calibrated_values_in_unit_interval_and_monotone(self):
         calibrated = calibrate({"a": -3.0, "b": 0.0, "c": 4.0}, tau_c=1.1)
         assert 0.0 < calibrated["a"] < calibrated["b"] < calibrated["c"] < 1.0
 
     def test_tau_c_validated(self):
-        for check in (decide_from_scores, calibrate):
-            with pytest.raises(ConfigError):
-                check({"a": 1.0}, tau_c=0.0)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="tau_c must be finite and positive"):
+                calibrate({"a": 1.0}, tau_c=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_tau_c_rejected(self, bad):
-        for check in (decide_from_scores, calibrate):
+        for check in (check_tau_c, lambda t: calibrate({"a": 1.0}, tau_c=t)):
             with pytest.raises(ConfigError, match="tau_c must be finite and positive"):
-                check({"a": 1.0}, tau_c=bad)
+                check(bad)
 
     def test_decision_is_the_smallest_label_with_the_top_score(self):
         """The rule the decode used before: min over (-score, label)."""
