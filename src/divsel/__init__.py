@@ -51,6 +51,7 @@ from .retrieval import (
     RetrievalConfig,
     cosine,
     retrieve_pool,
+    similarities,
 )
 from .selection import (
     SelectedSet,
@@ -62,7 +63,6 @@ from .selection import (
     mmr_select,
     r_score,
     random_select,
-    similarities,
     text_diversity,
     topk_select,
 )

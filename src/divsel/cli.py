@@ -184,6 +184,13 @@ def cmd_decide(args) -> int:
     labels = [
         line.strip() for line in read_text(args.labels).splitlines() if line.strip()
     ]
+    # Refused before any verifier is built: a repeated label would be scored
+    # twice, the second answer overwriting the first.
+    seen: set[str] = set()
+    for label in labels:
+        if label in seen:
+            raise DivselError(f"label {label!r} is repeated in {args.labels}")
+        seen.add(label)
     if args.verifier == "mock":
         if not args.gold:
             raise DivselError("--gold is required with the mock verifier")

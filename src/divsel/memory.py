@@ -139,6 +139,10 @@ class Memory:
     row's label code and ``row_norms`` each embedding row's L2 norm, taken
     unless given, as :func:`load` gives them (checked for shape, not against
     the matrix); retrieval builds its pools from them.
+    ``embedding_matrix32`` is a read-only float32 copy of the matrix (N·d·4
+    bytes, not persisted) and ``max_row_norm`` the largest row norm: the
+    dense pass of retrieval's pre-scan and the bound on its error, so given
+    norms must be the matrix's own, as load's are.
     """
 
     def __init__(self, ids: Sequence[str], texts: Sequence[str], labels: Sequence[str],
@@ -210,8 +214,15 @@ class Memory:
         elif row_norms.shape != (n,):
             raise IngestError(f"{row_norms.shape} row norms given for {n} rows")
         self.row_norms = row_norms
+        self.max_row_norm = float(row_norms.max())
+        # Retrieval's pre-scan reads this float32 copy, half the matrix's
+        # bytes. An entry beyond float32's range becomes inf; retrieval never
+        # pre-scans a memory with rows that large, and numpy need not warn.
+        with np.errstate(over="ignore"):
+            self.embedding_matrix32 = embeddings.astype(np.float32)
         for arr in (self.post_docs, self.post_tfs, self.post_weights, self.offsets, self.norm,
-                    self.id_rank, self.label_codes, embeddings, self.row_norms):
+                    self.id_rank, self.label_codes, embeddings, self.row_norms,
+                    self.embedding_matrix32):
             arr.setflags(write=False)
 
     def __len__(self) -> int:

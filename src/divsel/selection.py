@@ -17,10 +17,11 @@ and, among duplicate ids, to the lowest pool index. MMR and farthest-point
 score every open row; greedy keeps its candidates, the rows that pass tau
 under a label cap not yet reached, as it goes, and scores only those.
 
-Every pair similarity is one formula (`similarities`): an einsum over unit
-rows, whose value for a pair does not depend on which other rows share the
-call. So each selector computes only the similarities it can read, and a
-scalar reference that takes one pair at a time gets the same bits. Greedy
+Every pair similarity is one formula (`retrieval.similarities`, which also
+gives retrieval's exact dense scores): an einsum over unit rows, whose value
+for a pair does not depend on which other rows share the call. So each
+selector computes only the similarities it can read, and a scalar reference
+that takes one pair at a time gets the same bits. Greedy
 gathers the unit rows of its tau-passing items once and, after each step,
 adds the new member's clamped similarities to those rows alone into their
 pair sums, which `add` takes as the closed-form increment; no other row is
@@ -50,7 +51,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .retrieval import Pool, cosine
+from .retrieval import Pool, cosine, similarities
 
 BRUTE_FORCE_GUARD = 1_000_000
 
@@ -222,21 +223,6 @@ class SelectedSet:
             sims = np.clip(unit @ unit.T, 0.0, 1.0)[np.triu_indices(m, 1)]
             d = 1.0 - float(sims.sum()) / (m * (m - 1) / 2)
         return g, d, r_score(g, d, self.alpha)
-
-
-_SIM_SPECS = {(2, 1): "ij,j->i", (2, 2): "ij,kj->ik", (1, 1): "j,j->"}
-
-
-def similarities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of unit rows, the one pair-similarity formula: rows `a`
-    (n x d) against one row `b` give n values, against rows `b` (m x d) an
-    n x m Gram, and one row against one row a scalar.
-
-    An einsum sums each pair over d on its own, so a pair's value does not
-    depend on the other rows of the call, as a BLAS product's can: a subset
-    of rows, a row or block of a Gram and a single pair all equal the same
-    entries of the full product, bit for bit."""
-    return np.einsum(_SIM_SPECS[a.ndim, b.ndim], a, b)
 
 
 def _check_norms(norms: np.ndarray) -> None:

@@ -14,8 +14,6 @@ import json
 import math
 import os
 import random
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
@@ -180,6 +178,9 @@ class EndpointVerifier:
         self.timeout = timeout
 
     def score(self, prompt_text: str, question_text: str, label: str) -> tuple[float, float]:
+        import urllib.error  # local: only an endpoint call needs urllib, so the query path never loads it
+        import urllib.request
+
         payload = {
             "v": PAYLOAD_VERSION,
             "prompt_text": prompt_text,

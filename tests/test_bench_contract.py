@@ -44,30 +44,35 @@ def _calls(mem, corpus, config):
 
 
 def test_traced_layers_match_untraced_and_restore():
+    """At a pool of 16 from 30 rows the float32 pre-scan runs, and the tracer
+    times it as `retrieval.dense`; at a pool of 64 every row is scored exactly
+    and no pre-scan runs."""
     mem, corpus = synth_corpus(labels=6, per_label=5, ambiguity=0.6, seed=3, dim=16, instances=2)
-    config = replace(
-        harness.ExperimentConfig(),
-        retrieval=replace(harness.ExperimentConfig().retrieval, pool_size=16),
-        fairness=replace(harness.ExperimentConfig().fairness, token_targets=(300,)),
-    )
-    untraced = _calls(mem, corpus, config)
-    # The rand-add paths add lines here, so the fill itself is traced.
-    assert len(untraced[1][4].exemplars) > len(untraced[1][1])
+    for pool_size, prunes in ((16, True), (64, False)):
+        config = replace(
+            harness.ExperimentConfig(),
+            retrieval=replace(harness.ExperimentConfig().retrieval, pool_size=pool_size),
+            fairness=replace(harness.ExperimentConfig().fairness, token_targets=(300,)),
+        )
+        untraced = _calls(mem, corpus, config)
+        # The rand-add paths add lines here, so the fill itself is traced.
+        assert len(untraced[1][4].exemplars) > len(untraced[1][1])
 
-    tracer = spans.Tracer()
-    tracer.install_layers()
-    try:
-        tracer.begin_query("q")
-        traced = _calls(mem, corpus, config)
-        tracer.end_query()
-    finally:
-        restored = tracer.restore()
+        tracer = spans.Tracer()
+        tracer.install_layers()
+        try:
+            tracer.begin_query("q")
+            traced = _calls(mem, corpus, config)
+            tracer.end_query()
+        finally:
+            restored = tracer.restore()
 
-    assert restored
-    assert traced == untraced
-    counts = tracer.query_counts["q"]
-    for key in ("select_calls", "tau_pass", "compose_calls"):
-        assert counts.get(key, 0) > 0, key
-    # One walk for the rand-add pipeline run and one per instance and target
-    # in each fairness run, every one through the wrapped global.
-    assert sum(1 for span in tracer.spans if span[0] == "harness.randadd") == 1 + 1 * 1 + 2 * 3
+        assert restored
+        assert traced == untraced
+        counts = tracer.query_counts["q"]
+        for key in ("select_calls", "tau_pass", "compose_calls"):
+            assert counts.get(key, 0) > 0, key
+        # One walk for the rand-add pipeline run and one per instance and target
+        # in each fairness run, every one through the wrapped global.
+        assert sum(1 for span in tracer.spans if span[0] == "harness.randadd") == 1 + 1 * 1 + 2 * 3
+        assert any(span[0] == "retrieval.dense" for span in tracer.spans) is prunes

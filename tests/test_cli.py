@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from divsel import verifier as verifier_mod
 from divsel.budget import CostConstants
 from divsel.cli import main
 from divsel.harness import ExperimentConfig
@@ -714,6 +715,25 @@ class TestExitCodes:
             assert code == 1, argv
             assert f"error: {message}" in err, (argv, err)
             assert "NaN" not in out, argv
+
+    def test_decide_refuses_a_repeated_label(self, capsys, tmp_path, monkeypatch):
+        """A labels file that names a label twice exits 1 naming it, before
+        any verifier is built or called: the endpoint is never contacted."""
+        prompt, labels = tmp_path / "prompt.txt", tmp_path / "labels.txt"
+        prompt.write_text("hello")
+        labels.write_text("a\n a\nb\n")
+        built = []
+        for name in ("mock_verifier", "EndpointVerifier"):
+            monkeypatch.setattr(verifier_mod, name,
+                                lambda *args, name=name, **kwargs: built.append(name))
+        decide = ["decide", "--prompt", str(prompt), "--labels", str(labels)]
+        for argv in (decide + ["--gold", "a"],
+                     decide + ["--verifier", "endpoint", "--url", "http://127.0.0.1:1/"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert f"error: label 'a' is repeated in {labels}" in err, err
+            assert out == ""
+        assert built == []
 
     def test_usage_errors_exit_one_and_help_exits_zero(self, workspace, capsys):
         corpus = str(workspace / "synth" / "corpus.jsonl")

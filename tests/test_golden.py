@@ -33,9 +33,9 @@ GOLDEN = {
     "eval run topk": "3d2bde715f2c7b2dc15fa70c699ef4417606d8a38d7eb145ca52cbddf54969fa",
     "eval run topk_rand_add": "818ab8edbfc2b9691fdd4c36fb18090c131ba089b3021e27a66c518f0860b315",
     "eval sweep": "584304431ebdc4edeea574bc5ed9ca4fde94b3a4048bcc0164199628e81e65e3",
-    "retrieve": "ccb1a8b2a0ce29dfba50c8b00288c19eaae22ab4e8358dbf95da50491b624f26",
+    "retrieve": "393dda5bafce6d4b084469a862acff14f32e2af406e31319951a97cddd8ff7a2",
     "select fps": "fd36a5100354e1c764f9a1fe8e6db4556ccde9687869c4a48192aed873a52dd7",
-    "select ldra": "4f4b30b320f19fe8d5e974338ef450fd7e6ea7b7039e3e33fa9989d41b2a4548",
+    "select ldra": "9821efd6c639439d4956a39d2c3df6756b8956574d084f6367e8fb9ff4a4cbe0",
     "select mmr": "0a9822a414b2cad3b8b3aae58efbbed8a2b2e8dfdee26af27fb87992f0f39b39",
     "select oracle": "3e4abdfd050e94001b0d830d3df669ce2afc2b0e5bf96d091b8fdee6495850df",
     "select random": "433ce1df3f8187da7c2d2a3254b1c5804278b218d9c84bc34565d624648d2cac",

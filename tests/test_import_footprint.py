@@ -1,5 +1,6 @@
-"""The package and its query path load no scipy module; only a constants fit
-does, through scipy's `nnls`.
+"""The package and its query path load no scipy module, and no urllib.request,
+http, ssl or email module; only a constants fit loads scipy, through its
+`nnls`, and only an endpoint verifier's call loads urllib.request.
 
 Each check runs in a fresh interpreter: this process has imported scipy
 already (the calibration tests fit constants), so `sys.modules` here says
@@ -32,7 +33,8 @@ cfg = harness.ExperimentConfig(runs=1, fairness=harness.FairnessConfig(token_tar
 harness.run_pipeline(corpus[0], cfg, mem, mock_verifier(corpus[0].gold, 1, 2.0))
 harness.evaluate(mem, corpus, cfg, seed=0)
 harness.fairness_suite(mem, corpus, cfg)
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("scipy", "http", "ssl", "email") or m == "urllib.request")))
 """
 
 FIT = """
