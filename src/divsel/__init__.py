@@ -2,14 +2,12 @@
 understanding: hybrid retrieval over a labeled memory, budgeted subset
 selection balancing label coverage and linguistic variety, structured prompt
 composition with exact token accounting, calibrated verifier decoding, and a
-seeded evaluation harness with budget/position fairness controls."""
+seeded evaluation harness with equal-token and position-bias fairness arms."""
 
 from .budget import (
-    ControlDecision,
     CostConstants,
     LatencyReport,
     WorkloadShape,
-    budget_control,
     calibrate_constants,
     latency_percentiles,
     model_latency,
@@ -49,21 +47,18 @@ from .retrieval import (
     ExactScanIndex,
     Pool,
     RetrievalConfig,
-    cosine,
     retrieve_pool,
     similarities,
 )
 from .selection import (
     SelectedSet,
     SelectionConfig,
-    brute_force_select,
     fps_select,
     greedy_select,
     label_diversity,
     mmr_select,
     r_score,
     random_select,
-    text_diversity,
     topk_select,
 )
 from .synth import synth_corpus

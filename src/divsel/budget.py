@@ -1,4 +1,4 @@
-"""Latency model, per-stage measurement, and the anytime budget controller.
+"""Latency model, per-stage measurement, and the fit of its constants.
 
 Modeled reports evaluate the cost terms in TERMS over a workload shape;
 measured reports come from wall-clock stage timers.
@@ -15,7 +15,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +40,8 @@ _DECODE_TERMS = (("r_tok", ("decode_tokens",)),)
 
 @dataclass(frozen=True)
 class CostConstants:
-    """Per-stage cost coefficients plus decoder throughput (tokens/second)."""
+    """Per-stage cost coefficients plus decoder throughput (tokens/second):
+    every constant finite, each coefficient >= 0 and the throughput > 0."""
 
     c_ann: float = 1e-6
     c_bm25: float = 1e-7
@@ -51,10 +52,12 @@ class CostConstants:
     r_tok: float = 50.0
 
     def __post_init__(self):
-        for terms in TERMS.values():
-            for name, _ in terms:
-                if getattr(self, name) < 0:
-                    raise ConfigError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if value < 0:
+                raise ConfigError(f"{f.name} must be >= 0")
         if self.r_tok <= 0:
             raise ConfigError("r_tok must be positive")
 
@@ -169,41 +172,6 @@ class StageClock:
     def report(self) -> LatencyReport:
         """The measured report of the stage times accumulated so far."""
         return LatencyReport.of_stages("measured", self.times)
-
-
-@dataclass(frozen=True)
-class ControlDecision:
-    """Outcome of the anytime budget controller."""
-
-    pool_size: int
-    k: int
-    over_budget: bool
-    modeled_total: float
-
-
-def budget_control(constants: CostConstants, shape: WorkloadShape, budget: float) -> ControlDecision:
-    """Greedily shrink the shape's (pool_size, k) until the modeled total fits.
-
-    Halves pool_size first (floored at k), then decrements k (floored at 1,
-    pool_size following it down). Returns the first feasible pair, or the
-    floor pair flagged over budget.
-    """
-    if not budget > 0:  # NaN too; +inf means no budget
-        raise ConfigError(f"budget must be positive, got {budget}")
-    pool_size, k = shape.pool_size, shape.k
-    if k < 1 or pool_size < k:
-        raise ConfigError("need pool_size >= k >= 1")
-    while True:
-        total = model_latency(constants, replace(shape, pool_size=pool_size, k=k)).t_total
-        if total <= budget:
-            return ControlDecision(pool_size, k, False, total)
-        if pool_size > k:
-            pool_size = max(k, pool_size // 2)
-        elif k > 1:
-            k -= 1
-            pool_size = k
-        else:
-            return ControlDecision(pool_size, k, True, total)
 
 
 def check_objective_terms(budget: float, lambda_penalty: float) -> None:

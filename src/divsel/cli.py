@@ -11,7 +11,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ _SHAPE_KEYS = {
 }
 
 # `select` runs one selector; topk_rand_add differs from topk only in the
-# prompt stage, and the brute-force oracle is not a harness method.
+# prompt stage.
 _SELECT_METHODS = tuple(m for m in harness.METHODS if m != "topk_rand_add")
 
 
@@ -212,12 +212,6 @@ def cmd_budget_model(args) -> int:
     return 0
 
 
-def cmd_budget_control(args) -> int:
-    decision = budget_mod.budget_control(_constants(args), _shape(vars(args)), args.B)
-    _emit([{"type": "budget_control", **asdict(decision)}], args.out)
-    return 0
-
-
 def _calibration_sample(row) -> tuple[budget_mod.LatencyReport, budget_mod.WorkloadShape]:
     times = {stage: row[f"t_{stage}"] for stage in budget_mod.STAGES}
     return budget_mod.LatencyReport.of_stages("measured", times), _shape(row)
@@ -348,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "select", cmd_select, "pick a diverse exemplar subset from a pool file")
     p.add_argument("--pool", required=True)
-    p.add_argument("--method", choices=[*_SELECT_METHODS, "oracle"], default=defaults.method)
+    p.add_argument("--method", choices=_SELECT_METHODS, default=defaults.method)
     p.add_argument("--K", dest="k", type=int, default=sel.k)
     p.add_argument("--alpha", type=float, default=sel.alpha)
     p.add_argument("--tau", type=float, default=sel.tau)
@@ -384,21 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=10.0)
     p.add_argument("--out")
 
-    p = sub.add_parser("budget", help="latency modeling, calibration, and control")
+    p = sub.add_parser("budget", help="latency modeling and calibration")
     bsub = p.add_subparsers(dest="budget_cmd", required=True)
-    for name, func in (("model", cmd_budget_model), ("control", cmd_budget_control)):
-        p = command(bsub, name, func)
-        p.add_argument("--constants")
-        p.add_argument("--N", type=int, default=1000)
-        p.add_argument("--terms", type=int, default=8)
-        p.add_argument("--L", type=int, default=ret.pool_size)
-        p.add_argument("--K", type=int, default=sel.k)
-        p.add_argument("--turns", type=int, default=2)
-        p.add_argument("--prompt-tokens", dest="prompt_tokens", type=int, default=300)
-        p.add_argument("--gen-tokens", dest="gen_tokens", type=int, default=8)
-        p.add_argument("--out")
-        if name == "control":
-            p.add_argument("--B", type=float, required=True)
+    p = command(bsub, "model", cmd_budget_model)
+    p.add_argument("--constants")
+    p.add_argument("--N", type=int, default=1000)
+    p.add_argument("--terms", type=int, default=8)
+    p.add_argument("--L", type=int, default=ret.pool_size)
+    p.add_argument("--K", type=int, default=sel.k)
+    p.add_argument("--turns", type=int, default=2)
+    p.add_argument("--prompt-tokens", dest="prompt_tokens", type=int, default=300)
+    p.add_argument("--gen-tokens", dest="gen_tokens", type=int, default=8)
+    p.add_argument("--out")
     p = command(bsub, "calibrate", cmd_budget_calibrate)
     p.add_argument("--runs", required=True, help="JSONL of measured stage timings and sizes")
     p.add_argument("--out")

@@ -58,7 +58,6 @@ from .retrieval import Pool, RetrievalConfig, retrieve_pool
 from .selection import (
     SelectedSet,
     SelectionConfig,
-    brute_force_select,
     fps_select,
     greedy_select,
     mmr_select,
@@ -349,8 +348,8 @@ def select_for_method(
     lambda_mmr: float,
     seed: int,
 ) -> SelectedSet:
-    """The one selector dispatch: a harness method or the brute-force
-    `oracle`. Only the random selector reads the seed."""
+    """The one selector dispatch, by harness method. Only the random
+    selector reads the seed."""
     if method == "ldra":
         return greedy_select(pool, selection)
     if method in ("topk", "topk_rand_add"):
@@ -361,8 +360,6 @@ def select_for_method(
         return fps_select(pool, selection.k, selection.alpha)
     if method == "random":
         return random_select(pool, selection.k, seed, selection.alpha)
-    if method == "oracle":
-        return brute_force_select(pool, selection)
     raise ConfigError(f"unknown method {method!r}")
 
 

@@ -6,9 +6,9 @@ term's group. Ingest builds them by tokenizing the texts once; the memory file
 stores them, so a load never tokenizes. From the postings every memory derives
 each row's length normalization and each posting's BM25 weight.
 ``Memory.bm25_scores`` scores a query by summing the weights of its terms'
-postings per row in one weighted ``bincount``; ``Memory.bm25_score`` is the
-scalar oracle it must match bit for bit, re-tokenizing one exemplar's text and
-computing its idf and weights from scratch.
+postings per row in one weighted ``bincount``, bit for bit the scalar Okapi
+score that re-tokenizes one exemplar's text and takes its idf and weights
+from scratch (the tests keep that score as its oracle).
 
 The memory is immutable after build; any number of readers may share it.
 """
@@ -20,7 +20,6 @@ import math
 import re
 import struct
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -199,9 +198,9 @@ class Memory:
         self.avg_doc_len = max(int(lengths.sum()), 1) / n
         self.norm = self.k1 * (1.0 - self.b + self.b * lengths / self.avg_doc_len)
         # Each posting's weight idf * tf * (k1 + 1) / (tf + norm[row]), in the
-        # order of operations of `bm25_score`. The idf is taken per term with
-        # math.log, once per distinct document frequency: numpy's vectorized
-        # log differs from it in the last bit.
+        # order of operations of the scalar Okapi formula. The idf is taken
+        # per term with math.log, once per distinct document frequency:
+        # numpy's vectorized log differs from it in the last bit.
         df = np.diff(self.offsets)
         dfs, term_df = np.unique(df, return_inverse=True)
         idf = np.array([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in dfs.tolist()])
@@ -210,7 +209,10 @@ class Memory:
         # The matrix is kept as given (load's file view, ingest's one stack).
         self.embedding_matrix = embeddings
         if row_norms is None:
-            row_norms = np.linalg.norm(embeddings, axis=1)
+            # A finite row whose squares overflow gets an infinite norm, which
+            # the selectors reject; numpy need not warn about it as well.
+            with np.errstate(over="ignore"):
+                row_norms = np.linalg.norm(embeddings, axis=1)
         elif row_norms.shape != (n,):
             raise IngestError(f"{row_norms.shape} row norms given for {n} rows")
         self.row_norms = row_norms
@@ -239,29 +241,6 @@ class Memory:
         i = self._row(exemplar_id)
         return Exemplar(self.ids[i], self.texts[i], self.labels[i], self.embedding_matrix[i])
 
-    def _idf(self, term_id: int) -> float:
-        df = int(self.offsets[term_id + 1] - self.offsets[term_id])
-        n = len(self.ids)
-        return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-    def bm25_score(self, query_text: str, exemplar_id: str) -> float:
-        """Okapi BM25 score of one exemplar against a raw query string.
-
-        The scalar reference for :meth:`bm25_scores`: it re-tokenizes the
-        exemplar's text instead of reading the postings. Zero when no query
-        term occurs in the exemplar text.
-        """
-        counts = Counter(tokenize(self.texts[self._row(exemplar_id)]))
-        dl = sum(counts.values())
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avg_doc_len)
-        score = 0.0
-        for term in tokenize(query_text):
-            tf = counts.get(term, 0)
-            if tf == 0:
-                continue
-            score += self._idf(self.vocab[term]) * tf * (self.k1 + 1.0) / (tf + norm)
-        return score
-
     def bm25_scores(self, query_text: str) -> np.ndarray:
         """BM25 scores of every exemplar against the query, in memory order.
 
@@ -269,7 +248,8 @@ class Memory:
         once per occurrence and in query order, and sums their weights per
         row in one weighted ``bincount``. It adds in input order from 0.0 and
         a term names each row at most once, so every row adds its terms' weights
-        in query order and its score is bit-identical to :meth:`bm25_score`.
+        in query order and its score is bit-identical to the scalar Okapi
+        formula's, taken one exemplar at a time.
         """
         n = len(self.ids)
         offsets, vocab = self.offsets, self.vocab

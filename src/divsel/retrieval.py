@@ -195,21 +195,6 @@ class Pool:
         return [self.source.labels[row] for row in self.rows[:stop].tolist()]
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; raises on zero vectors or dim mismatch."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionError(f"cosine over mismatched shapes {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise DimensionError("cosine is undefined for a zero vector")
-    # Python min/max clamp like np.clip (NaN and -0.0 pass through) at a
-    # fraction of its per-call cost on a scalar.
-    return min(max(float(np.dot(u, v) / (nu * nv)), -1.0), 1.0)
-
-
 def _minmax(raw: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """BM25 scores min-max normalized by the memory-wide `lo` and `hi`; 0.5
     throughout when they (nearly) coincide."""

@@ -4,8 +4,8 @@ The objective is a convex mixture of label diversity (one minus the sum of
 squared label proportions) and text diversity (one minus the mean pairwise
 embedding similarity). Greedy selection uses closed-form marginal gains that
 need only running label counts and per-candidate similarity sums, so each
-step costs one similarity per candidate that passes tau. Top-K, MMR, farthest-point, random,
-and an exhaustive oracle selector share the same result shape.
+step costs one similarity per candidate that passes tau. Top-K, MMR,
+farthest-point and random selectors share the same result shape.
 
 Every selector takes a `retrieval.Pool` and builds no `Candidate`: a
 `SelectedSet` keeps the pool rows it took and reads its members' ids,
@@ -26,13 +26,12 @@ gathers the unit rows of its tau-passing items once and, after each step,
 adds the new member's clamped similarities to those rows alone into their
 pair sums, which `add` takes as the closed-form increment; no other row is
 ever read. MMR and farthest-point step (`_take`) over every open pool row.
-Top-K, random and the brute-force result take one Gram of their chosen rows
-and add each member's incoming sum in member order. `sim_ops` counts the
-similarities computed. A unit row is a pool embedding divided by the pool's
-``row_norms``, which a retrieved pool gathers from its memory, so no
-selector takes a norm. The scalar `text_diversity`, `SelectedSet.recompute`
-(one Gram of rows it normalizes itself) and the brute-force Gram enumeration
-stay as independent oracles.
+Top-K and random take one Gram of their chosen rows and add each member's
+incoming sum in member order. `sim_ops` counts the similarities computed.
+A unit row is a pool embedding divided by the pool's ``row_norms``, which a
+retrieved pool gathers from its memory, so no selector takes a norm.
+`SelectedSet.recompute` (one Gram of rows it normalizes itself) stays as the
+independent check of the incremental terms.
 
 Conventions for tiny sets (the objective is otherwise undefined): the label
 diversity of a singleton is 0, its text diversity is 1, and the empty set
@@ -42,7 +41,6 @@ diversity so the score stays in [0, 1] even for anti-correlated embeddings.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -51,10 +49,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SelectionError
-from .retrieval import Pool, cosine, similarities
-
-BRUTE_FORCE_GUARD = 1_000_000
-
+from .retrieval import Pool, similarities
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -102,22 +97,6 @@ def label_diversity(labels: Iterable[str]) -> float:
     if n == 0:
         raise SelectionError("label diversity of an empty set is undefined")
     return 1.0 - sum(c * c for c in counts.values()) / (n * n)
-
-
-def text_diversity(embeddings: Sequence[np.ndarray]) -> float:
-    """One minus the mean clamped pairwise similarity; a singleton scores 1."""
-    m = len(embeddings)
-    if m == 0:
-        raise SelectionError("text diversity of an empty set is undefined")
-    if m == 1:
-        if float(np.linalg.norm(embeddings[0])) == 0.0:
-            raise DimensionError("similarity is undefined for a zero vector")
-        return 1.0
-    total = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            total += max(0.0, cosine(embeddings[i], embeddings[j]))
-    return 1.0 - total / (m * (m - 1) / 2)
 
 
 def r_score(g: float | np.ndarray, dtext: float | np.ndarray, alpha: float):
@@ -207,8 +186,8 @@ class SelectedSet:
         The text diversity comes from one Gram of the members' embeddings,
         normalized here with their own norms: it reads neither `similarities`
         nor the pool's ``row_norms``, so it stays independent of the
-        selectors' fast path. Pair similarities are clamped to [0, 1] as
-        `text_diversity`, the scalar oracle, clamps them."""
+        selectors' fast path. Pair similarities are clamped to [0, 1], as
+        the objective clamps them."""
         m = len(self.rows)
         if not m:
             return 0.0, 0.0, 0.0
@@ -364,72 +343,6 @@ def _set_from_indices(pool: Pool, indices: Sequence[int], alpha: float) -> Selec
     out.sim_ops = len(indices) * (len(indices) - 1) // 2
     out.stop_reason = "complete"
     return out
-
-
-def brute_force_select(
-    pool: Pool,
-    cfg: SelectionConfig,
-) -> SelectedSet:
-    """Exhaustive arg-max over feasible subsets; test/audit oracle only.
-
-    Enumerates subsets at the largest feasible cardinality (at most k): the
-    per-label cap is a partition matroid, so that cardinality matches what
-    greedy filling can reach. Ties in the objective break lexicographically
-    on the sorted id tuple.
-    """
-    if not pool:
-        raise SelectionError("cannot select from an empty pool")
-    if cfg.k > len(pool):
-        raise SelectionError(f"k={cfg.k} exceeds pool size {len(pool)}")
-    feasible = np.flatnonzero(pool.vec_score >= cfg.tau).tolist()
-    labels = pool.label_codes.tolist()
-    per_label: dict[int, int] = {}
-    for i in feasible:
-        per_label[labels[i]] = per_label.get(labels[i], 0) + 1
-    max_size = min(cfg.k, sum(min(cfg.label_cap, n) for n in per_label.values()))
-    if max_size == 0:  # nothing passed tau: any passing item fits under a cap >= 1
-        out = SelectedSet(cfg.alpha, pool)
-        out.stop_reason, out.binding_constraint = "infeasible", "tau"
-        return out
-    if math.comb(len(feasible), max_size) > BRUTE_FORCE_GUARD:
-        raise SelectionError(
-            f"brute force would enumerate C({len(feasible)}, {max_size}) subsets; "
-            f"guard is {BRUTE_FORCE_GUARD}"
-        )
-
-    _check_pool(pool)
-    mat = _unit_rows(pool)
-    sims = np.clip(similarities(mat, mat), 0.0, 1.0)
-    ids = [pool.source.ids[row] for row in pool.rows.tolist()]
-
-    # A cap-respecting subset of max_size items always exists, so one is found.
-    best_key: tuple[float, tuple[str, ...]] | None = None
-    best_combo: tuple[int, ...] = ()
-    for combo in itertools.combinations(feasible, max_size):
-        counts: dict[int, int] = {}
-        ok = True
-        for i in combo:
-            counts[labels[i]] = counts.get(labels[i], 0) + 1
-            if counts[labels[i]] > cfg.label_cap:
-                ok = False
-                break
-        if not ok:
-            continue
-        g = 1.0 - sum(n * n for n in counts.values()) / (max_size * max_size)
-        if max_size == 1:
-            d = 1.0
-        else:
-            total = 0.0
-            for a in range(max_size):
-                for b in range(a + 1, max_size):
-                    total += sims[combo[a], combo[b]]
-            d = 1.0 - total / (max_size * (max_size - 1) / 2)
-        r = r_score(g, d, cfg.alpha)
-        combo_ids = tuple(sorted(ids[i] for i in combo))
-        if best_key is None or r > best_key[0] or (r == best_key[0] and combo_ids < best_key[1]):
-            best_key = (r, combo_ids)
-            best_combo = combo
-    return _set_from_indices(pool, sorted(best_combo), cfg.alpha)
 
 
 def topk_select(pool: Pool, k: int, alpha: float = 0.5) -> SelectedSet:

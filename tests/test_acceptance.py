@@ -31,12 +31,12 @@ from divsel.retrieval import Candidate, Pool, retrieve_pool
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
-    brute_force_select,
     greedy_select,
     topk_select,
 )
 from divsel.synth import synth_corpus
 from divsel.verifier import calibrate, candidate_labels, decide_from_scores
+from oracles import bm25_score, brute_force_select
 
 # --- independent scratch oracles --------------------------------------------
 
@@ -344,7 +344,7 @@ def test_criterion_9_determinism_and_round_trip(fixed_corpus, tmp_path):
     queries = [inst.dialogue.current for inst in corpus[:5]]
     for q in queries:
         for eid in memory.ids[::97]:
-            assert loaded.bm25_score(q, eid) == memory.bm25_score(q, eid)
+            assert bm25_score(loaded, q, eid) == bm25_score(memory, q, eid)
     _report(9, "byte-identical reruns and bit-exact memory round-trip")
 
 

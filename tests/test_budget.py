@@ -9,7 +9,6 @@ from divsel.budget import (
     LatencyReport,
     StageClock,
     WorkloadShape,
-    budget_control,
     calibrate_constants,
     latency_percentiles,
     model_latency,
@@ -64,6 +63,14 @@ class TestModelLatency:
         with pytest.raises(ConfigError):
             CostConstants(r_tok=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_constant_must_be_finite(self, bad):
+        """An infinite rate would make decoding free, and a NaN constant
+        would surface as a NaN stage time; both are refused by name."""
+        for name in CostConstants().to_dict():
+            with pytest.raises(ConfigError, match=f"^{name} must be finite, got {bad}$"):
+                CostConstants.from_dict({**CostConstants().to_dict(), name: bad})
+
 
 class TestMeasuredReport:
     def test_totals_are_stage_sums(self):
@@ -81,43 +88,6 @@ class TestMeasuredReport:
     def test_times_finite_and_non_negative(self, bad):
         with pytest.raises(ConfigError, match="t_div must be finite and >= 0"):
             LatencyReport.of_stages("measured", {"ann": 0.1, "div": bad, "prompt": 0.0, "llm": 0.2})
-
-
-class TestBudgetControl:
-    constants = CostConstants(c_sim=1e-4, c_delta=0.0, c_sum=0.0, c_fmt=0.0,
-                              c_ann=0.0, c_bm25=0.0, r_tok=1e9)
-
-    def test_already_under_budget_is_a_no_op(self):
-        decision = budget_control(self.constants, shape(pool_size=128, k=6), budget=10.0)
-        assert (decision.pool_size, decision.k) == (128, 6)
-        assert not decision.over_budget
-
-    def test_halves_pool_when_scan_dominates(self):
-        # t_div = 1e-4 * L * K; with L=128, K=6 that's 0.0768
-        decision = budget_control(self.constants, shape(pool_size=128, k=6), budget=0.05)
-        assert decision.pool_size <= 64
-        assert not decision.over_budget
-        assert decision.modeled_total <= 0.05
-
-    def test_floor_pair_with_flag_when_budget_unreachable(self):
-        slow = CostConstants(c_sim=10.0, r_tok=1e9)
-        decision = budget_control(slow, shape(pool_size=128, k=6), budget=1e-9)
-        assert (decision.pool_size, decision.k) == (1, 1)
-        assert decision.over_budget
-
-    def test_never_increases_and_terminates(self):
-        decision = budget_control(self.constants, shape(pool_size=256, k=8), budget=0.001)
-        assert decision.pool_size <= 256 and decision.k <= 8
-        assert decision.pool_size >= decision.k or decision.k == 1
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_budget_validated(self, bad):
-        with pytest.raises(ConfigError, match="budget must be positive"):
-            budget_control(self.constants, shape(), budget=bad)
-
-    def test_infinite_budget_keeps_the_shape(self):
-        decision = budget_control(self.constants, shape(pool_size=128, k=6), budget=math.inf)
-        assert (decision.pool_size, decision.k, decision.over_budget) == (128, 6, False)
 
 
 class TestScalarizedObjective:

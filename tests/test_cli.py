@@ -248,14 +248,6 @@ class TestRetrieveSelectComposeDecide:
             assert err.startswith("error: ") and where in err and "lone surrogate" in err
         assert not out.exists()
 
-    def test_oracle_method(self, workspace, capsys):
-        pool_path = str(workspace / "pool.jsonl")
-        code, out, _ = run(
-            capsys, "select", "--pool", pool_path, "--method", "oracle", "--K", "2",
-            "--alpha", "0.5", "--tau", "0.0", "--cap", "2",
-        )
-        assert code == 0
-
     def test_permutation_preserves_token_count(self, workspace, capsys):
         base_args = [
             "compose", "--dialogue", str(workspace / "dialogue.json"),
@@ -272,7 +264,7 @@ class TestRetrieveSelectComposeDecide:
 
 
 class TestBudgetCli:
-    def test_model_and_control(self, workspace, capsys):
+    def test_model(self, workspace, capsys):
         code, out, _ = run(
             capsys, "budget", "model", "--N", "1000", "--terms", "8", "--L", "128",
             "--K", "6", "--prompt-tokens", "300", "--gen-tokens", "100",
@@ -280,13 +272,6 @@ class TestBudgetCli:
         assert code == 0
         row = json.loads(out.splitlines()[0])
         assert row["t_total"] > 0
-
-        code, out, _ = run(
-            capsys, "budget", "control", "--L", "128", "--K", "6", "--B", "100",
-        )
-        assert code == 0
-        row = json.loads(out.splitlines()[0])
-        assert row["pool_size"] == 128 and row["k"] == 6
 
     def test_calibrate(self, workspace, capsys):
         runs = workspace / "runs.jsonl"
@@ -523,6 +508,13 @@ class TestExitCodes:
         }.items():
             files[name] = tmp_path / f"{name}.json"
             files[name].write_text(text)
+        # Every cost constant must be finite: JSON's NaN and Infinity parse.
+        non_finite = {}
+        for field in CostConstants().to_dict():
+            for bad in (float("nan"), float("inf")):
+                path = tmp_path / f"{bad}_{field}.json"
+                path.write_text(json.dumps({**CostConstants().to_dict(), field: bad}))
+                non_finite[path] = f"{field} must be finite, got {bad}"
         grid = ["eval", "grid", "--memory", mem, "--corpus", corpus, "--grids"]
         eval_run = ["eval", "run", "--memory", mem, "--corpus", corpus]
         compose = ["compose", "--dialogue", dialogue, "--budget", "300", "--selection"]
@@ -600,7 +592,6 @@ class TestExitCodes:
         good_pool.write_text(json.dumps(row) + "\n")
         for argv in (
             ["budget", "model"],
-            ["budget", "control", "--B", "1"],
             ["budget", "calibrate", "--runs", str(runs)],
             ["memory", "build", "--in", str(records)],
             ["retrieve", "--memory", mem, "--dialogue", dialogue],
@@ -617,6 +608,11 @@ class TestExitCodes:
                      "bool_constant", "not_an_object"):
             cases.append((["budget", "model", "--constants", str(files[name])],
                           f"{files[name]}: malformed file"))
+        # Refused as the file is read, so `eval grid` evaluates no θ first.
+        for path, message in non_finite.items():
+            for argv in (["budget", "model"], ["eval", "grid", "--memory", mem, "--corpus", corpus]):
+                cases.append((argv + ["--constants", str(path)],
+                              f"{path}: malformed file (ConfigError: {message})"))
         for name in ("unknown_nested", "unknown_top", "wrong_type", "float_for_int",
                      "null_seed", "not_an_object", "section_not_object", "bad_json"):
             cases.append((eval_run + ["--config", str(files[name])], f"{files[name]}: malformed file"))
@@ -694,7 +690,6 @@ class TestExitCodes:
              "lambda_penalty must be finite and positive, got inf"),
             (["eval", "grid", *data, "--grids", str(grids), "--B", "nan"],
              "budget must be positive, got nan"),
-            (["budget", "control", "--B", "nan"], "budget must be positive, got nan"),
             (decide + ["--tau-c", "nan"], "tau_c must be finite and positive, got nan"),
             # Refused before the verifier is called: the URL is never reached.
             (decide + ["--verifier", "endpoint", "--url", "http://127.0.0.1:1/", "--tau-c", "nan"],
@@ -756,11 +751,18 @@ class TestExitCodes:
              "error: one of the arguments --query --dialogue is required"),
             (["retrieve", "--memory", "m", "--query", "q", "--dialogue", "d"],
              "error: argument --dialogue: not allowed with argument --query"),
+            # The brute-force selector and the budget controller are not commands.
+            (["select", "--pool", "p", "--method", "oracle"],
+             "error: argument --method: invalid choice: 'oracle'"),
+            (["budget", "control", "--B", "1"],
+             "error: argument budget_cmd: invalid choice: 'control'"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 1, argv
-            assert message in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            assert message in err, argv
+            assert "Traceback" not in err, argv
         with pytest.raises(SystemExit) as exc:
             main(["select", "--help"])
         assert exc.value.code == 0

@@ -18,7 +18,6 @@ from divsel.selection import (
     SelectionConfig,
     _argmax,
     _unit_rows,
-    brute_force_select,
     fps_select,
     greedy_select,
     mmr_select,
@@ -27,6 +26,7 @@ from divsel.selection import (
 )
 from divsel.synth import synth_corpus
 from divsel.verifier import candidate_labels
+from oracles import brute_force_select
 from test_selector_parity import outcome, pools
 
 

@@ -9,11 +9,11 @@ from divsel.memory import Memory, ingest
 from divsel.retrieval import (
     ExactScanIndex,
     RetrievalConfig,
-    cosine,
     read_pool,
     retrieve_pool,
     write_pool,
 )
+from oracles import cosine
 
 
 class TestCosine:

@@ -13,16 +13,15 @@ from divsel.retrieval import Candidate
 from divsel.selection import (
     SelectedSet,
     SelectionConfig,
-    brute_force_select,
     fps_select,
     greedy_select,
     label_diversity,
     mmr_select,
     r_score,
     random_select,
-    text_diversity,
     topk_select,
 )
+from oracles import brute_force_select, text_diversity
 
 # --- independent scratch oracles (no incremental bookkeeping) ---------------
 
