@@ -314,8 +314,13 @@ def retrieve_pool(
     else:
         rows = np.arange(n)
 
-    vec_raw = np.clip(similarities(memory.embedding_matrix[rows], u), -1.0, 1.0)
-    lex_n = _minmax(lex_raw[rows], lo, hi)
+    # Each candidate's embedding row and BM25 score are gathered from the
+    # memory once; the pool takes its rows of them from those gathers. The
+    # maximum and minimum give np.clip's bits, NaN included, without its
+    # slower dispatch.
+    embeddings, lex_c = memory.embedding_matrix[rows], lex_raw[rows]
+    vec_raw = np.minimum(np.maximum(similarities(embeddings, u), -1.0), 1.0)
+    lex_n = _minmax(lex_c, lo, hi)
     rel = lam * ((vec_raw + 1.0) / 2.0) + (1.0 - lam) * lex_n
 
     # The candidates hold every row at or above the L-th largest relevance,
@@ -325,12 +330,12 @@ def retrieve_pool(
     return Pool(
         memory,
         top,
-        memory.embedding_matrix[top],
+        embeddings[order],
         memory.row_norms[top],
         rel[order],
         vec_raw[order],
         lex_n[order],
-        lex_raw[top],
+        lex_c[order],
         memory.label_codes[top],
         memory.id_rank[top],
     )

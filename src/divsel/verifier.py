@@ -10,10 +10,10 @@ endpoint.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
-import random
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
@@ -135,9 +135,17 @@ def _log_sigmoid(x: float) -> float:
 
 class MockVerifier:
     """Deterministic stand-in: the gold label scores +margin iff queried; any
-    other label scores -margin plus small seeded noise. End-to-end accuracy
-    under this mock equals the rate at which selection exposes the gold label.
-    A label's score depends on nothing but the label, so each is drawn once."""
+    other label scores -margin plus noise uniform on [-margin/4, margin/4).
+    End-to-end accuracy under this mock equals the rate at which selection
+    exposes the gold label; the noise decides only among non-gold labels, so
+    it moves only the prediction of an instance whose gold label is not a
+    candidate. A label's score depends on nothing but the label, so each is
+    drawn once.
+
+    The noise is one keyed hash: the top 53 bits of the 8-byte BLAKE2s digest
+    of "noise_seed:label" (UTF-8, which refuses a lone surrogate), scaled to
+    [0, 1) and mapped as ``uniform(a, b) = a + (b - a)·u``. It is the same in
+    every process and on every platform, as the builtin hash() is not."""
 
     def __init__(self, gold_label: str, noise_seed: int, margin: float = 2.0):
         if not (math.isfinite(margin) and margin > 0):
@@ -153,8 +161,9 @@ class MockVerifier:
             if label == self.gold_label:
                 s = self.margin
             else:
-                rng = random.Random(f"{self.noise_seed}:{label}")
-                s = -self.margin + rng.uniform(-self.margin / 4, self.margin / 4)
+                key = f"{self.noise_seed}:{label}".encode("utf-8")
+                bits = int.from_bytes(hashlib.blake2s(key, digest_size=8).digest(), "big") >> 11
+                s = -self.margin + (-self.margin / 4 + (self.margin / 2) * (bits * 2.0 ** -53))
             scores = self._scores[label] = (_log_sigmoid(s), _log_sigmoid(-s))
         return scores
 

@@ -23,12 +23,13 @@ GOLDEN = {
     "budget calibrate": "88194fea4d689e8a7dc85bb0273a59cb2d0421534599f2f08b9280a6d218a977",
     "budget model": "172e0d2a2755990a884bf477feb9eed9d385f2608c559dd7c6707e3fca684bf1",
     "compose": "c82cf7bfddf1e90828f4000d39cd8074d806e70f0a7a969c324da122aeb7c652",
+    "decide": "c83c0d518b2d10b7152721ae1790223edeb0cebb320782fd210b679837df75b4",
     "eval fairness": "8c7930a90c3eec38a114a6a139ca524b454265baeef4dfb2fab51ec6f900dfc3",
     "eval grid": "5c390ef0962efe036e1caeec9c574ff01b466b8bfd76a8164813731bdbe8a150",
-    "eval run fps": "2d77b4a4ca486b2eeadb1579c70544e45c4b90d2bee7829323656c773c896969",
+    "eval run fps": "46466cce4c97fe4531adf562e2963cb534e9714410ba6b5e787d0b1037bb768d",
     "eval run ldra": "1f5ac8ad8cb14af4a6d640c923551a2c1c2e9a8447f97d38b58a1a96e2034467",
     "eval run mmr": "728679aecc16d4e1b8b1bd4dc856044967828711846cccd9e8bcaff5f1f39438",
-    "eval run random": "a28b56fb490bea35cc62812e8e27fb22da991ea470c1ad83fc9ecec34a288968",
+    "eval run random": "cf6733e40bbad472b87baa330d258d65f844dbd45fcf7a041bcfb4ec433f8a75",
     "eval run topk": "3d2bde715f2c7b2dc15fa70c699ef4417606d8a38d7eb145ca52cbddf54969fa",
     "eval run topk_rand_add": "818ab8edbfc2b9691fdd4c36fb18090c131ba089b3021e27a66c518f0860b315",
     "eval sweep": "584304431ebdc4edeea574bc5ed9ca4fde94b3a4048bcc0164199628e81e65e3",
@@ -107,6 +108,15 @@ def emissions(tmp_path_factory):
          "--budget", "310", "--permute", "5", "--out", prompt],
         None,
     ) + prompt.read_bytes()
+
+    # Every label but the gold one, so each score is the mock's noise.
+    gold = corpus[0].gold
+    labels = root / "labels.txt"
+    labels.write_text("".join(f"{label}\n" for label in sorted(set(mem.labels) - {gold})))
+    out["decide"] = _run(
+        ["decide", "--prompt", prompt, "--labels", labels, "--verifier", "mock",
+         "--gold", gold, "--noise-seed", "9"]
+    )
 
     out["budget model"] = _run(
         ["budget", "model", "--N", 5000, "--terms", 12, "--L", 64, "--K", 5,

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from divsel.verifier import (
     question_for,
     score_labels,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestCandidateLabels:
@@ -142,6 +148,41 @@ class TestMockVerifier:
             assert v.score("p", question_for(label), label) == fresh.score("q", "other", label)
         other = mock_verifier("gold", noise_seed=12, margin=2.0)
         assert v.score("p", "", "a") != other.score("p", "", "a")
+
+    def test_non_gold_noise_fills_a_quarter_margin_either_side(self):
+        """A non-gold label's log odds is -margin plus noise drawn uniformly
+        from [-margin/4, margin/4)."""
+        for margin in (0.5, 2.0, 7.0):
+            v = mock_verifier("gold", noise_seed=5, margin=margin)
+            odds = [yes - no for yes, no in (v.score("p", "", f"l{i}") for i in range(500))]
+            assert all(-1.25 * margin <= s < -0.75 * margin for s in odds)
+            assert min(odds) < -1.2 * margin and max(odds) > -0.8 * margin
+
+    def test_gold_wins_whatever_the_seed_and_margin(self):
+        labels = [f"l{i}" for i in range(12)]
+        for margin in (0.01, 2.0, 50.0):
+            for seed in range(40):
+                v = mock_verifier("l5", noise_seed=seed, margin=margin)
+                assert score_labels("p", labels, v).decision == "l5"
+
+    def test_scores_do_not_depend_on_the_interpreters_hash_seed(self):
+        """The noise is a keyed hash, not the builtin hash(), which each
+        interpreter salts with its own PYTHONHASHSEED."""
+        labels = ("a", "intent_03", "caf\u00e9", "gold")
+        script = (
+            "from divsel.verifier import mock_verifier\n"
+            "v = mock_verifier('gold', 7, 2.0)\n"
+            f"print(repr([v.score('', '', label) for label in {ascii(labels)}]))\n"
+        )
+        outs = []
+        for hash_seed in ("0", "4242"):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=env, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        v = mock_verifier("gold", 7, 2.0)
+        assert outs == [repr([v.score("", "", label) for label in labels]) + "\n"] * 2
 
     def test_replies_are_log_probabilities(self):
         v = mock_verifier("gold", noise_seed=3, margin=1.5)
